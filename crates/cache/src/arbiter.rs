@@ -6,6 +6,8 @@
 //! [`BankArbiter`] models that serialisation: each access reserves a bank
 //! from the first free time and holds it for its service duration.
 
+use crate::Divisor;
+
 /// Per-bank busy-until bookkeeping.
 ///
 /// # Example
@@ -23,6 +25,7 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankArbiter {
     free_at: Vec<u64>,
+    banks: Divisor,
 }
 
 impl BankArbiter {
@@ -35,6 +38,7 @@ impl BankArbiter {
         assert!(banks > 0, "need at least one bank");
         BankArbiter {
             free_at: vec![0; banks],
+            banks: Divisor::new(banks as u64),
         }
     }
 
@@ -45,7 +49,7 @@ impl BankArbiter {
 
     /// Maps a line address to its bank (line-interleaved).
     pub fn bank_of(&self, line_addr: u64) -> usize {
-        (line_addr % self.free_at.len() as u64) as usize
+        self.banks.modulo(line_addr) as usize
     }
 
     /// Reserves `bank` for `duration` time units starting no earlier than
@@ -120,6 +124,16 @@ mod tests {
         assert_eq!(a.bank_of(0), 0);
         assert_eq!(a.bank_of(5), 1);
         assert_eq!(a.bank_of(7), 3);
+    }
+
+    #[test]
+    fn bank_mapping_matches_modulo_for_any_bank_count() {
+        for banks in [1usize, 3, 6, 12, 64] {
+            let a = BankArbiter::new(banks);
+            for la in [0u64, 1, 5, 255, 1 << 40, u64::MAX - 1, u64::MAX] {
+                assert_eq!(a.bank_of(la), (la % banks as u64) as usize);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Generic set-associative cache array.
 
-use crate::{CacheStats, ReplacementPolicy};
+use crate::{CacheStats, Divisor, ReplacementPolicy};
 
 /// Kind of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,6 +83,16 @@ impl<M> Line<M> {
     }
 }
 
+/// Where a resident line sits in a [`SetAssocCache`], as returned by
+/// [`find`](SetAssocCache::find).
+///
+/// A handle lets one address lookup serve every later step of an access
+/// (hit bookkeeping, metadata updates, extraction). It stays valid until
+/// the next call that changes residency: `fill`, `fill_with`, `extract`,
+/// `extract_slot`, `flush`, `flush_into` or `drain_ways_into`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
 /// A line evicted (or extracted) from the array, with everything the owner
 /// needs to write it back or migrate it elsewhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +146,8 @@ pub struct SetAssocCache<M> {
     /// Per-slot replacement stamp (monotone; LRU/FIFO victim = min).
     stamps: Vec<u64>,
     position_writes: Vec<u64>,
+    /// `sets` as a [`Divisor`]: the set index is a mask or a multiply.
+    set_div: Divisor,
     set_salt: u64,
     stamp: u64,
     rng_state: u64,
@@ -183,6 +195,7 @@ impl<M: Default> SetAssocCache<M> {
             tags: vec![INVALID_TAG; sets * ways],
             stamps: vec![0; sets * ways],
             position_writes: vec![0; sets * ways],
+            set_div: Divisor::new(sets as u64),
             set_salt: 0,
             stamp: 0,
             rng_state: 0x9E37_79B9_7F4A_7C15,
@@ -276,7 +289,7 @@ impl<M: Default> SetAssocCache<M> {
 
     /// Set index of a line address (offset by the current set salt).
     pub fn set_index(&self, line_addr: u64) -> usize {
-        (line_addr.wrapping_add(self.set_salt) % self.sets as u64) as usize
+        self.set_div.modulo(line_addr.wrapping_add(self.set_salt)) as usize
     }
 
     /// Changes the address→set mapping salt, used by wear-rotation schemes
@@ -300,10 +313,15 @@ impl<M: Default> SetAssocCache<M> {
         set * self.ways + way
     }
 
-    fn find_way(&self, line_addr: u64) -> Option<usize> {
+    /// The set index of `line_addr` and its slot when resident — the one
+    /// address reduction every lookup path makes.
+    fn locate(&self, line_addr: u64) -> (usize, Option<usize>) {
         let set = self.set_index(line_addr);
-        let row = &self.tags[set * self.ways..(set + 1) * self.ways];
-        row.iter().position(|&t| t == line_addr)
+        let base = set * self.ways;
+        let way = self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == line_addr);
+        (set, way.map(|w| base + w))
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -328,30 +346,8 @@ impl<M: Default> SetAssocCache<M> {
         kind: AccessKind,
         now_ns: u64,
     ) -> Option<&mut Line<M>> {
-        match self.find_way(line_addr) {
-            Some(way) => {
-                let set = self.set_index(line_addr);
-                let stamp = if self.policy.touches_on_hit() {
-                    Some(self.next_stamp())
-                } else {
-                    None
-                };
-                let slot = self.slot(set, way);
-                if kind.is_write() {
-                    self.stats.write_hits.inc();
-                    self.position_writes[slot] += 1;
-                } else {
-                    self.stats.read_hits.inc();
-                }
-                if let Some(s) = stamp {
-                    self.stamps[slot] = s;
-                }
-                let line = &mut self.lines[slot];
-                if kind.is_write() {
-                    line.note_write(now_ns);
-                }
-                Some(line)
-            }
+        match self.find(line_addr) {
+            Some(slot) => Some(self.hit(slot, kind, now_ns)),
             None => {
                 if kind.is_write() {
                     self.stats.write_misses.inc();
@@ -363,25 +359,60 @@ impl<M: Default> SetAssocCache<M> {
         }
     }
 
+    /// Finds a resident line without updating any state. The handle
+    /// serves [`line`](Self::line), [`line_mut`](Self::line_mut),
+    /// [`hit`](Self::hit) and [`extract_slot`](Self::extract_slot) until
+    /// residency next changes.
+    pub fn find(&self, line_addr: u64) -> Option<Slot> {
+        self.locate(line_addr).1.map(Slot)
+    }
+
+    /// The line at a handle from [`find`](Self::find).
+    pub fn line(&self, slot: Slot) -> &Line<M> {
+        &self.lines[slot.0]
+    }
+
+    /// The line at a handle, mutably, without updating replacement or
+    /// statistics state (for metadata such as retention counters).
+    pub fn line_mut(&mut self, slot: Slot) -> &mut Line<M> {
+        &mut self.lines[slot.0]
+    }
+
+    /// Records a hit on the line at `slot` exactly as
+    /// [`lookup`](Self::lookup) does on a hit: replacement stamp, hit
+    /// statistics and, for a write, the position write count and the
+    /// line's WWS state.
+    pub fn hit(&mut self, slot: Slot, kind: AccessKind, now_ns: u64) -> &mut Line<M> {
+        let slot = slot.0;
+        if self.policy.touches_on_hit() {
+            self.stamps[slot] = self.next_stamp();
+        }
+        let line = &mut self.lines[slot];
+        if kind.is_write() {
+            self.stats.write_hits.inc();
+            self.position_writes[slot] += 1;
+            line.note_write(now_ns);
+        } else {
+            self.stats.read_hits.inc();
+        }
+        line
+    }
+
     /// Returns the line without updating any state, or `None` when absent.
     pub fn peek(&self, line_addr: u64) -> Option<&Line<M>> {
-        self.find_way(line_addr)
-            .map(|w| &self.lines[self.slot(self.set_index(line_addr), w)])
+        self.find(line_addr).map(|s| self.line(s))
     }
 
     /// Returns a mutable reference to the line without updating replacement
     /// or statistics state (for metadata maintenance such as retention
     /// counters).
     pub fn peek_mut(&mut self, line_addr: u64) -> Option<&mut Line<M>> {
-        self.find_way(line_addr).map(|w| {
-            let slot = self.slot(self.set_index(line_addr), w);
-            &mut self.lines[slot]
-        })
+        self.find(line_addr).map(|s| self.line_mut(s))
     }
 
     /// Whether the line is present and valid.
     pub fn contains(&self, line_addr: u64) -> bool {
-        self.find_way(line_addr).is_some()
+        self.find(line_addr).is_some()
     }
 
     fn victim_way(&mut self, set: usize) -> usize {
@@ -426,12 +457,11 @@ impl<M: Default> SetAssocCache<M> {
         meta: M,
         now_ns: u64,
     ) -> Option<Evicted<M>> {
-        if let Some(way) = self.find_way(line_addr) {
-            let slot = self.slot(self.set_index(line_addr), way);
+        let (set, found) = self.locate(line_addr);
+        if let Some(slot) = found {
             self.lines[slot].dirty |= dirty;
             return None;
         }
-        let set = self.set_index(line_addr);
         let way = self.victim_way(set);
         let stamp = self.next_stamp();
         let slot = self.slot(set, way);
@@ -469,19 +499,24 @@ impl<M: Default> SetAssocCache<M> {
     /// Removes a line from the array, returning its state for write-back
     /// or migration. Returns `None` when the line is absent.
     pub fn extract(&mut self, line_addr: u64) -> Option<Evicted<M>> {
-        let way = self.find_way(line_addr)?;
-        let slot = self.slot(self.set_index(line_addr), way);
+        self.find(line_addr).map(|s| self.extract_slot(s))
+    }
+
+    /// Removes the line at a handle from [`find`](Self::find), returning
+    /// its state as [`extract`](Self::extract) does.
+    pub fn extract_slot(&mut self, slot: Slot) -> Evicted<M> {
+        let slot = slot.0;
         self.stats.invalidations.inc();
         self.tags[slot] = INVALID_TAG;
         let line = &mut self.lines[slot];
         line.valid = false;
-        Some(Evicted {
+        Evicted {
             line_addr: line.line_addr,
             dirty: line.dirty,
             write_count: line.write_count,
             last_write_ns: line.last_write_ns,
             meta: std::mem::take(&mut line.meta),
-        })
+        }
     }
 
     /// Invalidates every line, returning the dirty victims (for flush).
@@ -817,6 +852,55 @@ mod tests {
         c.peek_mut(5).expect("line").set_write_count(0);
         assert_eq!(c.peek(5).expect("line").write_count(), 0);
         assert!(c.peek(5).expect("line").is_dirty(), "dirty bit untouched");
+    }
+
+    #[test]
+    fn slot_handles_match_address_lookups() {
+        let mut by_slot: SetAssocCache<u32> = SetAssocCache::new(3, 2, 128, ReplacementPolicy::Lru);
+        let mut by_addr = by_slot.clone();
+        for c in [&mut by_slot, &mut by_addr] {
+            for a in [0u64, 3, 1, 5] {
+                c.fill(a, a == 3, a);
+            }
+        }
+        assert_eq!(by_slot.find(4), None);
+        let s3 = by_slot.find(3).expect("resident");
+        assert_eq!(by_slot.line(s3).line_addr(), 3);
+        by_slot.hit(s3, AccessKind::Write, 10).meta = 7;
+        by_addr.lookup(3, AccessKind::Write, 10).expect("hit").meta = 7;
+        let s0 = by_slot.find(0).expect("resident");
+        by_slot.hit(s0, AccessKind::Read, 11);
+        by_addr.lookup(0, AccessKind::Read, 11);
+        by_slot.line_mut(s0).set_write_count(4);
+        by_addr.peek_mut(0).expect("resident").set_write_count(4);
+        // Same replacement state: both evict line 3, the LRU of set 0.
+        let victim = by_slot.fill(6, false, 12);
+        assert_eq!(victim.as_ref().map(|v| v.line_addr), Some(3));
+        assert_eq!(victim, by_addr.fill(6, false, 12));
+        let s0 = by_slot.find(0).expect("still resident");
+        assert_eq!(Some(by_slot.extract_slot(s0)), by_addr.extract(0));
+        assert_eq!(by_slot.stats(), by_addr.stats());
+        assert_eq!(by_slot.write_count_matrix(), by_addr.write_count_matrix());
+        for (a, b) in by_slot.iter().zip(by_addr.iter()) {
+            assert_eq!(
+                (a.is_valid(), a.line_addr(), a.write_count(), a.meta),
+                (b.is_valid(), b.line_addr(), b.write_count(), b.meta)
+            );
+        }
+    }
+
+    #[test]
+    fn set_index_matches_modulo_for_non_power_of_two_sets() {
+        for sets in [3usize, 384, 768] {
+            let mut c: SetAssocCache<()> = SetAssocCache::new(sets, 2, 128, ReplacementPolicy::Lru);
+            for salt in [0u64, 2593, u64::MAX] {
+                c.set_salt(salt);
+                for la in [0u64, 1, 383, 384, 767, 768, 1 << 50, u64::MAX - 1] {
+                    let want = la.wrapping_add(salt) % sets as u64;
+                    assert_eq!(c.set_index(la), want as usize, "{la} + {salt} mod {sets}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! per-physical-line write accounting (the raw material of the paper's
 //! Fig. 3 write-variation study), miss-status holding registers
 //! ([`MshrTable`]), bank arbitration for occupancy modelling
-//! ([`BankArbiter`]) and GPU write-policy vocabulary ([`write_policy`]).
+//! ([`BankArbiter`]), division-free address mapping ([`Divisor`]) and GPU
+//! write-policy vocabulary ([`write_policy`]).
 //!
 //! The cache array is generic over a per-line metadata type `M`, which is
 //! how the two-part LLC of `sttgpu-core` attaches retention counters and
@@ -29,6 +30,7 @@
 
 mod arbiter;
 mod cache;
+mod divisor;
 mod linemap;
 mod mshr;
 mod replacement;
@@ -36,7 +38,8 @@ mod stats;
 pub mod write_policy;
 
 pub use arbiter::BankArbiter;
-pub use cache::{AccessKind, Evicted, Line, SetAssocCache};
+pub use cache::{AccessKind, Evicted, Line, SetAssocCache, Slot};
+pub use divisor::Divisor;
 pub use linemap::{line_map_with_capacity, LineHasher, LineMap};
 pub use mshr::{MshrOutcome, MshrTable};
 pub use replacement::ReplacementPolicy;

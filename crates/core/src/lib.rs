@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod deadline;
 mod llc;
 mod policy;
 mod retention;

@@ -1,9 +1,6 @@
 //! The two-part low/high-retention STT-RAM LLC — the paper's contribution.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use sttgpu_cache::{AccessKind, BankArbiter, Evicted, SetAssocCache};
+use sttgpu_cache::{AccessKind, BankArbiter, Evicted, Line, SetAssocCache, Slot};
 use sttgpu_device::array::{ArrayDesign, ArrayGeometry};
 use sttgpu_device::cell::MemTechnology;
 use sttgpu_device::energy::{EnergyAccount, EnergyEvent};
@@ -12,6 +9,7 @@ use sttgpu_stats::Histogram;
 use sttgpu_trace::{BufferDir, PartId, Trace, TraceEvent};
 
 use crate::config::{SearchMode, TwoPartConfig};
+use crate::deadline::DeadlineRun;
 use crate::llc::{latency_to_ns, FillOutcome, LlcModel, LlcStats, ProbeOutcome};
 use crate::policy::{lr_maintenance_floor_ns, lr_tracker_at, PolicyEngine};
 use crate::retention::RetentionTracker;
@@ -48,18 +46,6 @@ pub(crate) const REWRITE_BUCKET_BOUNDS_NS: [u64; 5] = [1_000, 5_000, 10_000, 1_0
 struct RetMeta {
     written_at_ns: u64,
 }
-
-/// One pending retention deadline: `(deadline_ns, line_addr,
-/// written_at_ns)`, min-ordered by deadline inside a
-/// `BinaryHeap<Reverse<_>>`.
-///
-/// Entries use **lazy deletion**: every physical array write pushes a new
-/// entry, and a popped entry whose `written_at_ns` stamp no longer matches
-/// the line's current retention clock (the line was rewritten, refreshed,
-/// migrated or evicted since the push) is simply discarded. This turns the
-/// per-maintenance-tick cost from a full array scan into
-/// `O(due lines · log pending writes)`.
-type DeadlineEntry = Reverse<(u64, u64, u64)>;
 
 /// Counters specific to the two-part architecture.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -218,14 +204,19 @@ pub struct TwoPartLlc {
     lr_rewrite_intervals: Histogram,
     hr_rewrite_intervals: Histogram,
     next_rotation_ns: u64,
-    // Min-heaps of refresh/expiry deadlines (lazy deletion, see
-    // [`DeadlineEntry`]) so `maintain` visits only due lines instead of
-    // scanning both arrays every retention tick.
-    lr_deadlines: BinaryHeap<DeadlineEntry>,
-    hr_deadlines: BinaryHeap<DeadlineEntry>,
-    // Reused across wear-rotation epochs to keep `rotate_lr` off the
-    // allocator.
+    // Sorted runs of refresh/expiry deadlines (stamp-checked, see
+    // [`DeadlineEntry`](crate::deadline::DeadlineEntry)) so `maintain`
+    // visits only due lines instead of scanning both arrays every
+    // retention tick.
+    lr_deadlines: DeadlineRun,
+    hr_deadlines: DeadlineRun,
+    // Reused across wear-rotation epochs and way drains to keep
+    // `rotate_lr` and `apply_hr_ways` off the allocator.
     rotation_scratch: Vec<Evicted<RetMeta>>,
+    // Reused by every retention switch's rewrite sweep.
+    resident_scratch: Vec<u64>,
+    // `log2(line_bytes)`: byte address to line address is a shift.
+    line_shift: u32,
     // Cached integer timings, ns.
     lr_tag_ns: u64,
     hr_tag_ns: u64,
@@ -301,9 +292,11 @@ impl TwoPartLlc {
             lr_rewrite_intervals: Histogram::new(&REWRITE_BUCKET_BOUNDS_NS),
             hr_rewrite_intervals: Histogram::new(&REWRITE_BUCKET_BOUNDS_NS),
             next_rotation_ns: cfg.lr_rotation_period_ns.unwrap_or(u64::MAX),
-            lr_deadlines: BinaryHeap::new(),
-            hr_deadlines: BinaryHeap::new(),
+            lr_deadlines: DeadlineRun::default(),
+            hr_deadlines: DeadlineRun::default(),
             rotation_scratch: Vec::new(),
+            resident_scratch: Vec::new(),
+            line_shift: cfg.line_bytes.trailing_zeros(),
             lr_tag_ns: latency_to_ns("LR tag", lr_design.tag_latency_ns()),
             hr_tag_ns: latency_to_ns("HR tag", hr_design.tag_latency_ns()),
             lr_read_ns: latency_to_ns("LR read", lr_design.read_latency_ns()),
@@ -360,12 +353,12 @@ impl TwoPartLlc {
 
     /// Whether `byte_addr`'s line currently resides in the LR part.
     pub fn lr_contains(&self, byte_addr: u64) -> bool {
-        self.lr.contains(byte_addr / self.cfg.line_bytes as u64)
+        self.lr.contains(byte_addr >> self.line_shift)
     }
 
     /// Whether `byte_addr`'s line currently resides in the HR part.
     pub fn hr_contains(&self, byte_addr: u64) -> bool {
-        self.hr.contains(byte_addr / self.cfg.line_bytes as u64)
+        self.hr.contains(byte_addr >> self.line_shift)
     }
 
     /// The priced LR array design.
@@ -397,20 +390,27 @@ impl TwoPartLlc {
         let deadline = self
             .lr_rc
             .refresh_deadline_with_slack_ns(written_ns, self.cfg.refresh_slack_ticks as u64);
-        self.lr_deadlines.push(Reverse((deadline, la, written_ns)));
+        self.lr_deadlines.push((deadline, la, written_ns));
     }
 
     /// Records an HR array write at `written_ns`: schedules the line's
     /// expiry deadline (HR lines are never refreshed).
     fn note_hr_write(&mut self, la: u64, written_ns: u64) {
         let deadline = self.hr_rc.refresh_deadline_ns(written_ns);
-        self.hr_deadlines.push(Reverse((deadline, la, written_ns)));
+        self.hr_deadlines.push((deadline, la, written_ns));
     }
 
-    fn part_contains(&self, part: Part, la: u64) -> bool {
+    fn part_find(&self, part: Part, la: u64) -> Option<Slot> {
         match part {
-            Part::Lr => self.lr.contains(la),
-            Part::Hr => self.hr.contains(la),
+            Part::Lr => self.lr.find(la),
+            Part::Hr => self.hr.find(la),
+        }
+    }
+
+    fn part_line(&self, part: Part, slot: Slot) -> &Line<RetMeta> {
+        match part {
+            Part::Lr => self.lr.line(slot),
+            Part::Hr => self.hr.line(slot),
         }
     }
 
@@ -449,11 +449,18 @@ impl TwoPartLlc {
         stalled
     }
 
-    /// Services a read hit in `part`. Returns completion time.
-    fn service_read(&mut self, part: Part, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
+    /// Services a read hit on `slot` in `part`. Returns completion time.
+    fn service_read(
+        &mut self,
+        part: Part,
+        slot: Slot,
+        la: u64,
+        tag_done_ns: u64,
+        now_ns: u64,
+    ) -> u64 {
         match part {
             Part::Lr => {
-                self.lr.lookup(la, AccessKind::Read, now_ns);
+                self.lr.hit(slot, AccessKind::Read, now_ns);
                 self.stats.lr_read_hits += 1;
                 self.deposit(EnergyEvent::DataRead, self.lr_design.read_energy_nj());
                 let bank = self.lr_arb.bank_of(la);
@@ -461,7 +468,7 @@ impl TwoPartLlc {
                 start + self.lr_read_ns
             }
             Part::Hr => {
-                self.hr.lookup(la, AccessKind::Read, now_ns);
+                self.hr.hit(slot, AccessKind::Read, now_ns);
                 self.stats.hr_read_hits += 1;
                 self.deposit(EnergyEvent::DataRead, self.hr_design.read_energy_nj());
                 let bank = self.hr_arb.bank_of(la);
@@ -471,19 +478,17 @@ impl TwoPartLlc {
         }
     }
 
-    /// Physically writes a line already resident in LR. Returns completion.
-    fn lr_demand_write(&mut self, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
+    /// Physically writes the LR line at `slot`. Returns completion.
+    fn lr_demand_write(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
         // Record the rewrite interval before the write updates the clock.
-        if let Some(line) = self.lr.peek(la) {
-            let prev = line.last_write_ns();
-            if prev > 0 && now_ns > prev {
-                self.lr_rewrite_intervals.record(now_ns - prev);
-            }
+        let prev = self.lr.line(slot).last_write_ns();
+        if prev > 0 && now_ns > prev {
+            self.lr_rewrite_intervals.record(now_ns - prev);
         }
-        self.lr.lookup(la, AccessKind::Write, now_ns);
-        if let Some(line) = self.lr.peek_mut(la) {
-            line.meta.written_at_ns = now_ns;
-        }
+        self.lr
+            .hit(slot, AccessKind::Write, now_ns)
+            .meta
+            .written_at_ns = now_ns;
         self.note_lr_write(la, now_ns);
         self.stats.lr_write_hits += 1;
         self.stats.demand_writes_lr += 1;
@@ -494,31 +499,26 @@ impl TwoPartLlc {
         start + self.lr_write_ns
     }
 
-    /// Whether the next demand write to the HR-resident line `la` will
+    /// Whether the next demand write to the HR line at `slot` will
     /// trigger a WWS migration — i.e. the count [`hr_write_hit`] will
     /// observe after its lookup bumps the write counter reaches the
     /// threshold. Asks the policy's prediction hook directly so the check
     /// does not perturb the monitor's decision statistics.
     ///
     /// [`hr_write_hit`]: Self::hr_write_hit
-    fn migration_is_due(&self, la: u64) -> bool {
-        self.hr
-            .peek(la)
-            .is_some_and(|l| self.engine.migration_due(l.write_count()))
+    fn migration_is_due(&self, slot: Slot) -> bool {
+        self.engine.migration_due(self.hr.line(slot).write_count())
     }
 
-    /// Handles a write that hit in HR: either service it in place or
-    /// migrate the block to LR per the WWS monitor.
-    fn hr_write_hit(&mut self, la: u64, tag_done_ns: u64, now_ns: u64) -> (u64, u32) {
-        if let Some(line) = self.hr.peek(la) {
-            let prev = line.last_write_ns();
-            if prev > 0 && now_ns > prev {
-                self.hr_rewrite_intervals.record(now_ns - prev);
-            }
+    /// Handles a write that hit the HR line at `slot`: either service it
+    /// in place or migrate the block to LR per the WWS monitor.
+    fn hr_write_hit(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> (u64, u32) {
+        let prev = self.hr.line(slot).last_write_ns();
+        if prev > 0 && now_ns > prev {
+            self.hr_rewrite_intervals.record(now_ns - prev);
         }
-        self.hr.lookup(la, AccessKind::Write, now_ns);
+        let count = self.hr.hit(slot, AccessKind::Write, now_ns).write_count();
         self.stats.hr_write_hits += 1;
-        let count = self.hr.peek(la).map_or(1, |l| l.write_count());
 
         let migrate = self.engine.should_migrate(count);
         self.wws.record(migrate);
@@ -536,15 +536,7 @@ impl TwoPartLlc {
             if !self.fault_stall(BufferDir::HrToLr, la, now_ns)
                 && self.hr_to_lr.try_reserve(now_ns, write_done)
             {
-                let Some(victim) = self.hr.extract(la) else {
-                    // The line vanished between the tag probe and the
-                    // extract — defense in depth for fault paths that
-                    // invalidate lines mid-access (the probe-side ECC
-                    // check re-misses those before dispatching here).
-                    // Service the write in place; the reserved buffer
-                    // slot simply drains unused.
-                    return (self.hr_write_in_place(la, tag_done_ns, now_ns), 0);
-                };
+                let victim = self.hr.extract_slot(slot);
                 self.trace.emit(|| TraceEvent::BufferAdmit {
                     dir: BufferDir::HrToLr,
                     la,
@@ -593,20 +585,18 @@ impl TwoPartLlc {
                     la,
                     now_ns,
                 });
-                let wb = self.hr_write_in_place(la, tag_done_ns, now_ns);
+                let wb = self.hr_write_in_place(slot, la, tag_done_ns, now_ns);
                 (wb, 0)
             }
         } else {
-            (self.hr_write_in_place(la, tag_done_ns, now_ns), 0)
+            (self.hr_write_in_place(slot, la, tag_done_ns, now_ns), 0)
         }
     }
 
-    /// Writes a line in place in the HR array (below-threshold writes and
+    /// Writes the HR line at `slot` in place (below-threshold writes and
     /// buffer-full fallbacks). Returns completion time.
-    fn hr_write_in_place(&mut self, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
-        if let Some(line) = self.hr.peek_mut(la) {
-            line.meta.written_at_ns = now_ns;
-        }
+    fn hr_write_in_place(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
+        self.hr.line_mut(slot).meta.written_at_ns = now_ns;
         self.note_hr_write(la, now_ns);
         self.stats.demand_writes_hr += 1;
         self.stats.hr_array_writes += 1;
@@ -798,20 +788,26 @@ impl TwoPartLlc {
     fn apply_retention_level(&mut self, level: u32, now_ns: u64) {
         self.lr_rc = lr_tracker_at(self.cfg.lr_retention, self.cfg.lr_rc_bits, level);
         // The sweep stamps lines at `now + 1` — a time no past write can
-        // share — so every pre-switch heap entry goes stale on its stamp
-        // check and deadlines never mix trackers. Each rewrite is a
-        // physical array write priced like a refresh, but it is *not* a
-        // protocol refresh: no `refreshes` count and no `Refresh` events
-        // (mid-life rewrites would trip the checker's refresh-tail rule).
+        // share — so every pre-switch deadline entry would go stale on its
+        // stamp check: drop them all, and deadlines never mix trackers.
+        // Each rewrite is a physical array write priced like a refresh,
+        // but it is *not* a protocol refresh: no `refreshes` count and no
+        // `Refresh` events (mid-life rewrites would trip the checker's
+        // refresh-tail rule).
         let stamp = now_ns + 1;
-        let mut resident = Vec::new();
+        self.lr_deadlines.clear();
+        let mut resident = std::mem::take(&mut self.resident_scratch);
+        resident.clear();
         for line in self.lr.iter_mut() {
             if line.is_valid() {
                 line.meta.written_at_ns = stamp;
                 resident.push(line.line_addr());
             }
         }
-        for la in resident {
+        // Every new entry shares one deadline and one stamp, so line order
+        // is pop order: pushing sorted keeps each push an append.
+        resident.sort_unstable();
+        for &la in &resident {
             self.stats.lr_array_writes += 1;
             self.deposit(
                 EnergyEvent::Refresh,
@@ -819,6 +815,7 @@ impl TwoPartLlc {
             );
             self.note_lr_write(la, stamp);
         }
+        self.resident_scratch = resident;
         let lr_rc = self.lr_rc;
         let slack = self.cfg.refresh_slack_ticks as u64;
         self.trace.emit(|| TraceEvent::PolicySwitch {
@@ -872,23 +869,23 @@ impl LlcModel for TwoPartLlc {
     }
 
     fn probe(&mut self, byte_addr: u64, kind: AccessKind, now_ns: u64) -> ProbeOutcome {
-        let la = byte_addr / self.cfg.line_bytes as u64;
+        let la = byte_addr >> self.line_shift;
         let order = SearchSelector::order(kind);
 
-        // Determine the hit part and the time the winning tag lookup
-        // resolves, per the configured search mode.
-        let (mut hit_part, mut tag_done_ns) = match self.cfg.search {
+        // Determine the hit part, the hit line's slot and the time the
+        // winning tag lookup resolves, per the configured search mode.
+        let (mut hit, mut tag_done_ns) = match self.cfg.search {
             SearchMode::Sequential => {
                 let mut t = now_ns;
                 let mut found = None;
                 for (i, part) in order.into_iter().enumerate() {
                     self.deposit_tag(part);
                     t += self.tag_ns(part);
-                    if self.part_contains(part, la) {
+                    if let Some(slot) = self.part_find(part, la) {
                         if i == 1 {
                             self.stats.second_search_hits += 1;
                         }
-                        found = Some(part);
+                        found = Some((part, slot));
                         break;
                     }
                 }
@@ -898,12 +895,9 @@ impl LlcModel for TwoPartLlc {
                 self.deposit_tag(Part::Lr);
                 self.deposit_tag(Part::Hr);
                 let t = now_ns + self.lr_tag_ns.max(self.hr_tag_ns);
-                let found = if self.part_contains(Part::Lr, la) {
-                    Some(Part::Lr)
-                } else if self.part_contains(Part::Hr, la) {
-                    Some(Part::Hr)
-                } else {
-                    None
+                let found = match self.lr.find(la) {
+                    Some(slot) => Some((Part::Lr, slot)),
+                    None => self.hr.find(la).map(|slot| (Part::Hr, slot)),
                 };
                 (found, t)
             }
@@ -930,17 +924,13 @@ impl LlcModel for TwoPartLlc {
             // out of HR before merging the demand data into LR). A plain
             // write hit overwrites the payload and starts a fresh fault
             // epoch without reading.
-            let ecc_part = match (hit_part, kind.is_write()) {
-                (Some(part), false) => Some(part),
-                (Some(Part::Hr), true) if self.migration_is_due(la) => Some(Part::Hr),
+            let ecc_checked = match hit {
+                Some((_, _)) if !kind.is_write() => hit,
+                Some((Part::Hr, slot)) if self.migration_is_due(slot) => hit,
                 _ => None,
             };
-            if let Some(part) = ecc_part {
-                let written_at_ns = match part {
-                    Part::Lr => self.lr.peek(la),
-                    Part::Hr => self.hr.peek(la),
-                }
-                .map_or(now_ns, |l| l.meta.written_at_ns);
+            if let Some((part, slot)) = ecc_checked {
+                let written_at_ns = self.part_line(part, slot).meta.written_at_ns;
                 match self
                     .fault
                     .line_outcome(fault_part(part), la, written_at_ns, now_ns)
@@ -964,10 +954,10 @@ impl LlcModel for TwoPartLlc {
                         self.stats.ecc_uncorrectable += 1;
                         self.deposit(EnergyEvent::Ecc, ECC_ENERGY_NJ);
                         let victim = match part {
-                            Part::Lr => self.lr.extract(la),
-                            Part::Hr => self.hr.extract(la),
+                            Part::Lr => self.lr.extract_slot(slot),
+                            Part::Hr => self.hr.extract_slot(slot),
                         };
-                        let data_lost = victim.is_some_and(|v| v.dirty);
+                        let data_lost = victim.dirty;
                         if data_lost {
                             self.stats.data_loss_events += 1;
                         }
@@ -977,7 +967,7 @@ impl LlcModel for TwoPartLlc {
                             data_lost,
                             now_ns,
                         });
-                        hit_part = None;
+                        hit = None;
                     }
                 }
             }
@@ -986,13 +976,9 @@ impl LlcModel for TwoPartLlc {
         // Emit the outcome before the service routines update the line's
         // retention clock, so the event carries the age the hit was
         // actually served at.
-        match hit_part {
-            Some(part) => self.trace.emit(|| {
-                let written_at_ns = match part {
-                    Part::Lr => self.lr.peek(la),
-                    Part::Hr => self.hr.peek(la),
-                }
-                .map_or(now_ns, |l| l.meta.written_at_ns);
+        match hit {
+            Some((part, slot)) => self.trace.emit(|| {
+                let written_at_ns = self.part_line(part, slot).meta.written_at_ns;
                 TraceEvent::Hit {
                     part: part.into(),
                     la,
@@ -1008,25 +994,25 @@ impl LlcModel for TwoPartLlc {
             }),
         }
 
-        match (hit_part, kind) {
-            (Some(part), AccessKind::Read) => {
-                let ready = self.service_read(part, la, tag_done_ns, now_ns);
+        match (hit, kind) {
+            (Some((part, slot)), AccessKind::Read) => {
+                let ready = self.service_read(part, slot, la, tag_done_ns, now_ns);
                 ProbeOutcome {
                     hit: true,
                     ready_ns: ready + ecc_extra_ns,
                     writebacks: 0,
                 }
             }
-            (Some(Part::Lr), AccessKind::Write) => {
-                let ready = self.lr_demand_write(la, tag_done_ns, now_ns);
+            (Some((Part::Lr, slot)), AccessKind::Write) => {
+                let ready = self.lr_demand_write(slot, la, tag_done_ns, now_ns);
                 ProbeOutcome {
                     hit: true,
                     ready_ns: ready,
                     writebacks: 0,
                 }
             }
-            (Some(Part::Hr), AccessKind::Write) => {
-                let (ready, writebacks) = self.hr_write_hit(la, tag_done_ns, now_ns);
+            (Some((Part::Hr, slot)), AccessKind::Write) => {
+                let (ready, writebacks) = self.hr_write_hit(slot, la, tag_done_ns, now_ns);
                 ProbeOutcome {
                     hit: true,
                     ready_ns: ready + ecc_extra_ns,
@@ -1049,7 +1035,7 @@ impl LlcModel for TwoPartLlc {
     }
 
     fn fill(&mut self, byte_addr: u64, dirty: bool, now_ns: u64) -> FillOutcome {
-        let la = byte_addr / self.cfg.line_bytes as u64;
+        let la = byte_addr >> self.line_shift;
         // A dirty fill is a block entering on a write: at threshold 1 it
         // is WWS by definition and goes to LR; clean (read) fills go to HR.
         let to_lr = self.engine.fill_to_lr(dirty);
@@ -1140,36 +1126,30 @@ impl LlcModel for TwoPartLlc {
         // (the line was rewritten, refreshed or evicted since the push)
         // discards the entry. Expiry implies the refresh deadline passed
         // too, so one queue covers both outcomes.
-        while let Some(&Reverse((deadline, la, stamp))) = self.lr_deadlines.peek() {
-            if deadline > now_ns {
-                break;
-            }
-            self.lr_deadlines.pop();
-            let live = self
-                .lr
-                .peek(la)
-                .is_some_and(|l| l.is_valid() && l.meta.written_at_ns == stamp);
-            if !live {
+        while let Some((_, la, stamp)) = self.lr_deadlines.pop_due(now_ns) {
+            let Some(slot) = self.lr.find(la).filter(|&slot| {
+                let line = self.lr.line(slot);
+                line.is_valid() && line.meta.written_at_ns == stamp
+            }) else {
                 continue;
-            }
+            };
             if self.lr_rc.is_expired(stamp, now_ns) {
                 // Maintenance cadence was violated: data already lost.
                 self.stats.lr_expirations += 1;
-                if let Some(victim) = self.lr.extract(la) {
-                    self.trace.emit(|| TraceEvent::Expire {
-                        part: PartId::Lr,
-                        la,
-                        written_at_ns: stamp,
-                        wrote_back: victim.dirty,
-                        now_ns,
-                    });
-                    if victim.dirty {
-                        // Account the (unrecoverable in hardware) loss as a
-                        // write-back so the simulation stays functionally
-                        // consistent; `lr_expirations` flags the violation.
-                        self.stats.writebacks += 1;
-                        self.deposit(EnergyEvent::Writeback, self.lr_design.read_energy_nj());
-                    }
+                let victim = self.lr.extract_slot(slot);
+                self.trace.emit(|| TraceEvent::Expire {
+                    part: PartId::Lr,
+                    la,
+                    written_at_ns: stamp,
+                    wrote_back: victim.dirty,
+                    now_ns,
+                });
+                if victim.dirty {
+                    // Account the (unrecoverable in hardware) loss as a
+                    // write-back so the simulation stays functionally
+                    // consistent; `lr_expirations` flags the violation.
+                    self.stats.writebacks += 1;
+                    self.deposit(EnergyEvent::Writeback, self.lr_design.read_energy_nj());
                 }
                 continue;
             }
@@ -1184,7 +1164,7 @@ impl LlcModel for TwoPartLlc {
                         written_at_ns: stamp,
                         now_ns,
                     });
-                    self.lr_deadlines.push(Reverse((now_ns + 1, la, stamp)));
+                    self.lr_deadlines.push((now_ns + 1, la, stamp));
                     continue;
                 }
                 // The refresh read doubles as a scrub: ECC sees the line's
@@ -1203,8 +1183,7 @@ impl LlcModel for TwoPartLlc {
                     FaultOutcome::Uncorrectable => {
                         self.stats.ecc_uncorrectable += 1;
                         self.deposit(EnergyEvent::Ecc, ECC_ENERGY_NJ);
-                        let victim = self.lr.extract(la);
-                        let data_lost = victim.is_some_and(|v| v.dirty);
+                        let data_lost = self.lr.extract_slot(slot).dirty;
                         if data_lost {
                             self.stats.data_loss_events += 1;
                         }
@@ -1241,18 +1220,17 @@ impl LlcModel for TwoPartLlc {
                 self.deposit(EnergyEvent::Buffer, BUFFER_ENERGY_NJ);
                 self.stats.refreshes += 1;
                 self.stats.lr_array_writes += 1;
-                if let Some(line) = self.lr.peek_mut(la) {
-                    line.meta.written_at_ns = now_ns;
-                }
+                self.lr.line_mut(slot).meta.written_at_ns = now_ns;
                 self.trace.emit(|| TraceEvent::BufferInstall {
                     dir: BufferDir::LrToHr,
                     la,
                     now_ns,
                 });
                 self.note_lr_write(la, now_ns);
-            } else if let Some(victim) = self.lr.extract(la) {
+            } else {
                 // No buffer slot before expiry: evacuate instead of losing
                 // data — dirty lines go to DRAM, clean lines are dropped.
+                let victim = self.lr.extract_slot(slot);
                 self.trace.emit(|| TraceEvent::BufferOverflow {
                     dir: BufferDir::LrToHr,
                     la,
@@ -1275,31 +1253,25 @@ impl LlcModel for TwoPartLlc {
         // --- HR expiry engine --------------------------------------------
         // HR has no refresh: lines reaching the last RC tick are
         // invalidated (clean) or written back (dirty).
-        while let Some(&Reverse((deadline, la, stamp))) = self.hr_deadlines.peek() {
-            if deadline > now_ns {
-                break;
-            }
-            self.hr_deadlines.pop();
-            let live = self
-                .hr
-                .peek(la)
-                .is_some_and(|l| l.is_valid() && l.meta.written_at_ns == stamp);
-            if !live {
+        while let Some((_, la, stamp)) = self.hr_deadlines.pop_due(now_ns) {
+            let Some(slot) = self.hr.find(la).filter(|&slot| {
+                let line = self.hr.line(slot);
+                line.is_valid() && line.meta.written_at_ns == stamp
+            }) else {
                 continue;
-            }
+            };
             self.stats.hr_expirations += 1;
-            if let Some(victim) = self.hr.extract(la) {
-                self.trace.emit(|| TraceEvent::Expire {
-                    part: PartId::Hr,
-                    la,
-                    written_at_ns: stamp,
-                    wrote_back: victim.dirty,
-                    now_ns,
-                });
-                if victim.dirty {
-                    self.stats.writebacks += 1;
-                    self.deposit(EnergyEvent::Writeback, self.hr_design.read_energy_nj());
-                }
+            let victim = self.hr.extract_slot(slot);
+            self.trace.emit(|| TraceEvent::Expire {
+                part: PartId::Hr,
+                la,
+                written_at_ns: stamp,
+                wrote_back: victim.dirty,
+                now_ns,
+            });
+            if victim.dirty {
+                self.stats.writebacks += 1;
+                self.deposit(EnergyEvent::Writeback, self.hr_design.read_energy_nj());
             }
         }
     }
@@ -1727,11 +1699,11 @@ mod tests {
         );
     }
 
-    /// The load-bearing property of the lazy-deletion deadline queues:
+    /// The load-bearing property of the stamp-checked deadline runs:
     /// after every `maintain(t)`, no valid line in either part is past its
     /// due point — exactly what the old full-array scan guaranteed.
     #[test]
-    fn heap_maintenance_never_misses_a_due_line() {
+    fn deadline_maintenance_never_misses_a_due_line() {
         for buffer_blocks in [256usize, 1] {
             let cfg = TwoPartConfig::new(8, 2, 56, 7, 256).with_buffer_blocks(buffer_blocks);
             let mut llc = TwoPartLlc::new(cfg);

@@ -1,7 +1,8 @@
 //! Model-based differential fuzzing oracle for the two-part LLC.
 //!
 //! [`TwoPartLlc`](sttgpu_core::TwoPartLlc) is performance-engineered:
-//! lazy-deletion deadline heaps instead of array scans, cached integer
+//! sorted deadline runs with stamp-checked entries instead of array
+//! scans, slot handles and division-free set indexing, cached integer
 //! latencies, bank arbiters, trace and energy plumbing threaded through
 //! every path. Each of those optimisations is a place where the
 //! implementation can silently drift from the architecture it claims to
@@ -10,8 +11,8 @@
 //! * [`OracleLlc`] is a small, deliberately *unoptimised* functional
 //!   model of the same semantics — per-line residency, dirtiness, write
 //!   counts, content tokens, retention clocks and swap-buffer occupancy
-//!   held in plain scanned vectors and sorted multisets, with no heaps,
-//!   no lazy deletion and no caching. Where the implementation earns
+//!   held in plain scanned vectors and sorted multisets, with no
+//!   deadline queues, no stale entries and no caching. Where the implementation earns
 //!   speed, the oracle spends clarity.
 //! * [`generate`] turns a seed and a [`TraceSpec`] into a request
 //!   stream (hot/cold address mix, read/write ratio, bounded

@@ -2,7 +2,7 @@
 //!
 //! Everything here favours obviousness over speed: parts are flat
 //! `Vec<Option<Line>>` scanned linearly, retention is re-derived from
-//! per-line clocks on every sweep (no deadline heaps), and the swap
+//! per-line clocks on every sweep (no deadline queues), and the swap
 //! buffers are sorted multisets of completion times. The model also
 //! carries a content token per line and a shadow DRAM image, so the
 //! write-back discipline (a clean line always equals DRAM) is checked
@@ -598,7 +598,7 @@ impl OracleLlc {
     /// Retention maintenance at `now_ns`: the LR refresh engine, then
     /// the HR expiry engine. Due lines are processed in `(deadline,
     /// line, clock)` order — the same total order the implementation's
-    /// min-heaps pop in, which matters because LR refreshes compete for
+    /// sorted deadline runs pop in, which matters because LR refreshes compete for
     /// LR→HR buffer slots.
     pub fn maintain(&mut self, now_ns: u64) {
         // --- Runtime policy epoch ------------------------------------
@@ -698,7 +698,7 @@ impl OracleLlc {
     /// tracker, then rewrite-sweep every resident LR line at `now + 1`
     /// so its retention clock restarts under the new tracker (the same
     /// stamp discipline the implementation uses to invalidate its
-    /// pre-switch heap entries).
+    /// pre-switch deadline entries).
     fn apply_retention_level(&mut self, level: u32, now_ns: u64) {
         self.lr_rc = lr_tracker_at(self.lr_base_retention, self.lr_rc_bits, level);
         let stamp = now_ns + 1;

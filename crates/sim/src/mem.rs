@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sttgpu_cache::{AccessKind, BankArbiter, LineMap};
+use sttgpu_cache::{AccessKind, BankArbiter, Divisor, LineMap};
 use sttgpu_core::{AnyLlc, LlcModel};
 use sttgpu_trace::{Trace, TraceEvent};
 use sttgpu_tracefile::TraceRecord;
@@ -48,19 +48,21 @@ pub struct MemSystem {
     llc: AnyLlc,
     trace: Trace,
     dram: BankArbiter,
+    /// The controller count: lines interleave across controllers.
+    controllers: Divisor,
     events: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
     seq: u64,
     l2_pending: LineMap<L2Pending>,
     icnt: Icnt,
     dram_row_miss_ns: u64,
     dram_row_hit_ns: u64,
-    dram_lines_per_row: u64,
+    dram_lines_per_row: Divisor,
     /// One open-row slot per memory controller (fixed at construction,
     /// like the row latch in a real DRAM bank): `open_rows[mc]` is the row
     /// currently latched at controller `mc`, or `u64::MAX` when closed.
     open_rows: Box<[u64]>,
     dram_service_ns: u64,
-    l2_line_bytes: u64,
+    l2_line_bytes: Divisor,
     next_maintain_ns: u64,
     maintain_interval_ns: u64,
     /// When recording, the verbatim LLC call stream (probes at icnt
@@ -90,16 +92,19 @@ impl MemSystem {
             llc,
             trace: Trace::off(),
             dram: BankArbiter::new(cfg.dram.controllers as usize),
+            controllers: Divisor::new(cfg.dram.controllers as u64),
             events: BinaryHeap::new(),
             seq: 0,
             l2_pending: LineMap::default(),
             icnt: Icnt::new(cfg.num_sms.max(1), cfg.icnt_latency_ns, cfg.icnt_flit_ns),
             dram_row_miss_ns: cfg.dram.latency_ns,
             dram_row_hit_ns: cfg.dram.row_hit_latency_ns,
-            dram_lines_per_row: (cfg.dram.row_bytes / cfg.l2_line_bytes as u64).max(1),
+            dram_lines_per_row: Divisor::new(
+                (cfg.dram.row_bytes / cfg.l2_line_bytes as u64).max(1),
+            ),
             open_rows: vec![u64::MAX; cfg.dram.controllers as usize].into_boxed_slice(),
             dram_service_ns: cfg.dram.service_ns,
-            l2_line_bytes: cfg.l2_line_bytes as u64,
+            l2_line_bytes: Divisor::new(cfg.l2_line_bytes as u64),
             next_maintain_ns: maintain_interval_ns,
             maintain_interval_ns,
             call_log: None,
@@ -146,14 +151,14 @@ impl MemSystem {
     }
 
     fn l2_line_of(&self, byte_addr: u64) -> u64 {
-        byte_addr / self.l2_line_bytes
+        self.l2_line_bytes.quotient(byte_addr)
     }
 
     /// Charges DRAM bandwidth for `count` write-backs.
     fn charge_writebacks(&mut self, count: u32, now_ns: u64) {
         for _ in 0..count {
             self.dram_writes += 1;
-            let mc = (self.dram_writes % self.dram.banks() as u64) as usize;
+            let mc = self.dram.bank_of(self.dram_writes);
             self.dram.reserve(mc, now_ns, self.dram_service_ns);
         }
     }
@@ -164,9 +169,9 @@ impl MemSystem {
     /// streaming fills hit the open row.
     fn fetch_from_dram(&mut self, l2_line: u64, ready_to_issue_ns: u64) {
         self.dram_reads += 1;
-        let controllers = self.dram.banks() as u64;
-        let mc = (l2_line % controllers) as usize;
-        let row = (l2_line / controllers) / self.dram_lines_per_row;
+        let (mc_line, mc) = self.controllers.div_rem(l2_line);
+        let mc = mc as usize;
+        let row = self.dram_lines_per_row.quotient(mc_line);
         let latency = if self.open_rows[mc] == row {
             self.dram_row_hits += 1;
             self.dram_row_hit_ns
@@ -301,7 +306,7 @@ impl MemSystem {
             self.events.pop();
             match kind {
                 EventKind::DramData { l2_line } => {
-                    let byte_addr = l2_line * self.l2_line_bytes;
+                    let byte_addr = l2_line * self.l2_line_bytes.get();
                     let pending = match self.l2_pending.remove(&l2_line) {
                         Some(p) => {
                             self.trace.emit(|| TraceEvent::MshrComplete {
