@@ -32,8 +32,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "==> repro smoke run (scale 0.1, all artefacts)"
     ./target/release/repro --scale 0.1 all > /dev/null
 
-    echo "==> repro invariant-checker run (scale 0.05, all artefacts, --check, --sim-threads 4)"
-    ./target/release/repro --scale 0.05 all --check --sim-threads 4 > /dev/null
+    echo "==> repro invariant-checker run (scale 0.05, all artefacts, --check)"
+    ./target/release/repro --scale 0.05 all --check > /dev/null
 
     echo "==> repro seeded fault-injection run (scale 0.05, --faults 2e-4, --check)"
     ./target/release/repro --scale 0.05 --faults 2e-4 --fault-seed 7 fig8 faults --check > /dev/null
@@ -43,10 +43,12 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro --scale 0.05 --llc-policy adaptive-ways fig8 --check > /dev/null
 
     echo "==> repro perf canary (fixed workload vs results/BENCH_repro.json baseline)"
+    [[ -f results/BENCH_repro.json ]] \
+        || { echo "canary: the committed baseline results/BENCH_repro.json is missing"; exit 1; }
     ./target/release/repro --canary > /dev/null
 
     echo "==> repro differential fuzz vs the oracle (50000 cases, seed 7, 4 shards; corners + scenarios)"
-    ./target/release/repro --fuzz 50000 --fuzz-seed 7 --sim-threads 4 > /dev/null
+    ./target/release/repro --fuzz 50000 --fuzz-seed 7 --jobs 4 > /dev/null
 
     echo "==> repro scenario run (zipf-hot:7, --check)"
     ./target/release/repro --scenario zipf-hot:7 --check > /dev/null

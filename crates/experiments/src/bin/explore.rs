@@ -31,7 +31,6 @@ struct Options {
     hr_retention_ms: f64,
     hr_kb: u64,
     jobs: Option<usize>,
-    sim_threads: u32,
     check: bool,
     policy: LlcPolicy,
 }
@@ -46,7 +45,6 @@ impl Default for Options {
             hr_retention_ms: 4.0,
             hr_kb: 1344,
             jobs: None,
-            sim_threads: 1,
             check: false,
             policy: LlcPolicy::Fixed,
         }
@@ -99,15 +97,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.jobs = Some(n);
             }
-            "--sim-threads" => {
-                let n: u32 = value("--sim-threads")?
-                    .parse()
-                    .map_err(|_| "bad --sim-threads".to_owned())?;
-                if n == 0 {
-                    return Err("bad --sim-threads".to_owned());
-                }
-                opts.sim_threads = n;
-            }
             "--llc-policy" => {
                 opts.policy = cli::parse_llc_policy(Some(&value("--llc-policy")?))
                     .map_err(|e| e.to_string())?
@@ -128,8 +117,8 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}");
             }
             eprintln!(
-                "usage: explore [--workload NAME] [--scale F] [--jobs N] [--sim-threads T] \
-                 [--check] [--llc-policy NAME] [--lr-kb A,B,..]\n\
+                "usage: explore [--workload NAME] [--scale F] [--jobs N] [--check] \
+                 [--llc-policy NAME] [--lr-kb A,B,..]\n\
                  \t[--lr-retention-us A,B,..] [--hr-retention-ms X] [--hr-kb N]"
             );
             return ExitCode::FAILURE;
@@ -149,7 +138,6 @@ fn main() -> ExitCode {
         max_cycles: 20_000_000,
         check: opts.check,
         policy: opts.policy,
-        sim_threads: opts.sim_threads,
         ..RunPlan::full()
     };
 

@@ -8,7 +8,6 @@
 //! repro --jobs 8 all      # executor thread count (default: all cores)
 //! repro --out results all # also write <artefact>.txt/.csv under results/
 //! repro all --check       # attach the runtime invariant checker
-//! repro --sim-threads 4 all               # parallel SM stepping (byte-identical)
 //! repro --faults 2e-4 --fault-seed 7 all  # deterministic fault injection
 //! repro --llc-policy adaptive-ways all    # runtime-adaptive LLC policy on two-part runs
 //! repro --out results --resume all        # continue an interrupted sweep
@@ -54,8 +53,8 @@
 //! `--fuzz N` runs `N` seeded random traces through the two-part LLC
 //! and the reference model in `sttgpu-oracle`, rotating across the
 //! oracle's corner geometries, instead of producing artefacts.
-//! `--fuzz-seed` varies the campaign (default 7). With `--sim-threads T`
-//! the campaign is sharded into contiguous case ranges on `T` worker
+//! `--fuzz-seed` varies the campaign (default 7). With `--jobs N` the
+//! campaign is sharded into contiguous case ranges on `N` worker
 //! threads; per-case seeds derive from the global case index, so the
 //! report is byte-identical to the serial sweep. Any divergence is
 //! minimized, printed as ready-to-check-in `Op` literals, and fails
@@ -70,6 +69,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+use sttgpu_experiments::canary::{
+    json_number, Verdict, BASELINE_KEY, CANARY_BASELINE_PATH, CANARY_FLOOR, CANARY_SCALE,
+};
 use sttgpu_experiments::error::panic_message;
 use sttgpu_experiments::persist::StoreReport;
 use sttgpu_experiments::{
@@ -93,55 +95,32 @@ const ARTEFACTS: [&str; 11] = [
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro [--quick] [--scale F] [--jobs N] [--sim-threads T] [--out DIR] \
+        "usage: repro [--quick] [--scale F] [--jobs N] [--out DIR] \
          [--check] [--faults RATE] [--fault-seed N] [--llc-policy NAME] [--resume] \
          [--store DIR] [--run-timeout SECS] <all|{}> ...\n\
-         \x20      repro --fuzz N [--fuzz-seed S] [--sim-threads T]  # differential fuzz vs the oracle\n\
+         \x20      repro --fuzz N [--fuzz-seed S] [--jobs N]  # differential fuzz vs the oracle\n\
          \x20      repro --canary [--out DIR]       # perf canary vs checked-in baseline\n\
          \x20      repro --scenario NAME[:seed] [--check]   # scenario family vs oracle + C1 replay ('list' lists)\n\
          \x20      repro --trace FILE [--check]     # replay a trace file against the C1 geometry\n\
-         \x20      repro --record WORKLOAD --trace-out FILE [--scale F] [--sim-threads T]  # dump a workload's LLC call stream",
+         \x20      repro --record WORKLOAD --trace-out FILE [--scale F]  # dump a workload's LLC call stream",
         ARTEFACTS.join("|")
     );
     ExitCode::FAILURE
 }
 
-/// The canary's fixed workload scale — small enough to finish in seconds,
-/// large enough that throughput is not dominated by startup.
-const CANARY_SCALE: f64 = 0.25;
-
-/// Throughput below this fraction of the checked-in baseline fails CI.
-const CANARY_FLOOR: f64 = 0.7;
-
-/// Where the committed baseline lives (relative to the repo root, which
-/// is where `ci.sh` runs).
-const CANARY_BASELINE_PATH: &str = "results/BENCH_repro.json";
-
-/// Extracts `"key": <number>` from hand-rolled JSON, no parser needed.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let tail = &text[text.find(&format!("\"{key}\""))?..];
-    let tail = &tail[tail.find(':')? + 1..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == ' '))
-        .unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
-}
-
 /// One timed canary measurement: the Fig. 8 suite at the canary scale on
-/// a fresh single-job executor with `threads` SM-stepping threads.
-/// Returns `(wall_clock_s, cycles_simulated, cycles_per_second)`, or
-/// `None` when the artefact came out empty (a broken run must be loud).
-fn canary_measurement(threads: u32) -> Option<(f64, u64, f64)> {
+/// a fresh single-job executor. Returns `(wall_clock_s,
+/// cycles_simulated, cycles_per_second)`, or `None` when the artefact
+/// came out empty (a broken run must be loud).
+fn canary_measurement() -> Option<(f64, u64, f64)> {
     let exec = Executor::new(1);
-    let plan = RunPlan::full()
-        .with_scale(CANARY_SCALE)
-        .with_sim_threads(threads);
+    let plan = RunPlan::full().with_scale(CANARY_SCALE);
     let started = Instant::now();
     let (rows, summary) = fig8::compute(&exec, &plan);
     let secs = started.elapsed().as_secs_f64();
     // Keep the artefact alive so the compute cannot be optimized away.
     if rows.is_empty() || fig8::render(&rows, &summary).is_empty() {
-        eprintln!("# canary produced an empty fig8 artefact (sim-threads {threads})");
+        eprintln!("# canary produced an empty fig8 artefact");
         return None;
     }
     let stats = exec.stats();
@@ -149,41 +128,22 @@ fn canary_measurement(threads: u32) -> Option<(f64, u64, f64)> {
     Some((secs, stats.cycles_simulated, cps))
 }
 
-/// Perf canary: times a fixed deterministic workload (the Fig. 8 suite at
-/// a reduced scale, one executor job so the number is comparable across
-/// hosts with different core counts) at `--sim-threads 1` and
-/// `--sim-threads 4`, writes both measured throughputs into
-/// `BENCH_repro.json`, and fails when the *serial* number drops more than
-/// 30% below the checked-in baseline (the serial number is the
-/// host-comparable one; the parallel speedup depends on core count and is
-/// recorded, not gated).
+/// Perf canary: times the fixed canary workload, writes the measured
+/// throughput into `BENCH_repro.json`, and fails when it drops below
+/// [`CANARY_FLOOR`] of the committed baseline ([`Verdict::judge`]).
 fn run_canary(out_dir: Option<&Path>) -> ExitCode {
-    eprintln!("# repro --canary: fig8 suite at scale {CANARY_SCALE}, 1 job, sim-threads 1 and 4");
-    let Some((secs_1, cycles_1, cps_1)) = canary_measurement(1) else {
-        return ExitCode::FAILURE;
-    };
-    let Some((secs_4, cycles_4, cps_4)) = canary_measurement(4) else {
+    eprintln!("# repro --canary: fig8 suite at scale {CANARY_SCALE}, 1 job");
+    let Some((secs, cycles, cps)) = canary_measurement() else {
         return ExitCode::FAILURE;
     };
     let baseline = fs::read_to_string(CANARY_BASELINE_PATH)
         .ok()
-        .and_then(|t| json_number(&t, "canary_baseline_cycles_per_second"));
+        .and_then(|t| json_number(&t, BASELINE_KEY));
     let mut json = String::from("{\n  \"canary\": {\n");
     json.push_str(&format!("    \"scale\": {CANARY_SCALE},\n"));
-    json.push_str("    \"sim_threads_1\": {\n");
-    json.push_str(&format!("      \"wall_clock_s\": {secs_1:.3},\n"));
-    json.push_str(&format!("      \"cycles_simulated\": {cycles_1},\n"));
-    json.push_str(&format!("      \"cycles_per_second\": {cps_1:.0}\n"));
-    json.push_str("    },\n");
-    json.push_str("    \"sim_threads_4\": {\n");
-    json.push_str(&format!("      \"wall_clock_s\": {secs_4:.3},\n"));
-    json.push_str(&format!("      \"cycles_simulated\": {cycles_4},\n"));
-    json.push_str(&format!("      \"cycles_per_second\": {cps_4:.0}\n"));
-    json.push_str("    },\n");
-    json.push_str(&format!(
-        "    \"parallel_speedup\": {:.3},\n",
-        cps_4 / cps_1.max(1e-9)
-    ));
+    json.push_str(&format!("    \"wall_clock_s\": {secs:.3},\n"));
+    json.push_str(&format!("    \"cycles_simulated\": {cycles},\n"));
+    json.push_str(&format!("    \"cycles_per_second\": {cps:.0},\n"));
     json.push_str(&format!(
         "    \"baseline_cycles_per_second\": {}\n",
         baseline.map_or_else(|| "null".into(), |b| format!("{b:.0}"))
@@ -203,43 +163,28 @@ fn run_canary(out_dir: Option<&Path>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "# canary: sim-threads 1: {:.1}M cycles in {secs_1:.1}s = {:.2}M cycles/s",
-        cycles_1 as f64 / 1e6,
-        cps_1 / 1e6,
-    );
-    eprintln!(
-        "# canary: sim-threads 4: {:.1}M cycles in {secs_4:.1}s = {:.2}M cycles/s \
-         (speedup {:.2}x, written to {})",
-        cycles_4 as f64 / 1e6,
-        cps_4 / 1e6,
-        cps_4 / cps_1.max(1e-9),
+        "# canary: {:.1}M cycles in {secs:.1}s = {:.2}M cycles/s (written to {})",
+        cycles as f64 / 1e6,
+        cps / 1e6,
         bench_path.display()
     );
-    let cps = cps_1;
-    match baseline {
-        None => {
-            eprintln!("# canary: no baseline at {CANARY_BASELINE_PATH} — recording only");
-            ExitCode::SUCCESS
-        }
-        Some(b) if cps < b * CANARY_FLOOR => {
-            eprintln!(
-                "# CANARY FAILED: {:.2}M cycles/s is below {:.0}% of the \
-                 {:.2}M cycles/s baseline",
-                cps / 1e6,
-                CANARY_FLOOR * 100.0,
-                b / 1e6
-            );
-            ExitCode::FAILURE
-        }
-        Some(b) => {
-            eprintln!(
-                "# canary passed: {:.0}% of the {:.2}M cycles/s baseline",
-                cps / b * 100.0,
-                b / 1e6
-            );
-            ExitCode::SUCCESS
-        }
+    let verdict = Verdict::judge(cps, baseline);
+    match (verdict, baseline) {
+        (Verdict::Fail { .. }, Some(b)) => eprintln!(
+            "# CANARY FAILED: {:.2}M cycles/s is below {:.0}% of the \
+             {:.2}M cycles/s baseline",
+            cps / 1e6,
+            CANARY_FLOOR * 100.0,
+            b / 1e6
+        ),
+        (Verdict::Pass { fraction }, Some(b)) => eprintln!(
+            "# canary passed: {:.0}% of the {:.2}M cycles/s baseline",
+            fraction * 100.0,
+            b / 1e6
+        ),
+        _ => eprintln!("# canary: no baseline at {CANARY_BASELINE_PATH} — recording only"),
     }
+    ExitCode::from(verdict.exit_status())
 }
 
 /// Differential fuzz mode: `N` seeded traces through implementation and
@@ -474,25 +419,24 @@ fn run_record_mode(workload: &str, out_path: &Path, plan: &RunPlan) -> ExitCode 
 /// generation) once in a header line, so a `--resume` against a journal
 /// written by an incompatible invocation is a typed refusal instead of
 /// a silent full re-run — or worse, a silent skip of stale artefacts;
-/// v3 adds the LLC policy to the pinned plan.
-const JOURNAL_VERSION: u32 = 3;
+/// v3 adds the LLC policy to the pinned plan; v4 drops the SM-stepping
+/// thread count (SMs are stepped serially only).
+const JOURNAL_VERSION: u32 = 4;
 
-/// The v3 journal header. Bit patterns for the floats: resume must
+/// The v4 journal header. Bit patterns for the floats: resume must
 /// match exactly, not approximately. `run_timeout_s` is absent by
 /// design — supervision cannot change the bytes of a completed
 /// artefact, so it must not invalidate a resume.
 fn journal_header(plan: &RunPlan) -> String {
     format!(
         "sttgpu-journal v{JOURNAL_VERSION} scale={:016x} max_cycles={} check={} \
-         fault_rate={:016x} fault_seed={} policy={} sim_threads={} \
-         store_gen={STORE_GENERATION}",
+         fault_rate={:016x} fault_seed={} policy={} store_gen={STORE_GENERATION}",
         plan.scale.to_bits(),
         plan.max_cycles,
         u8::from(plan.check),
         plan.fault.rate.to_bits(),
         plan.fault.seed,
         plan.policy.name(),
-        plan.sim_threads,
     )
 }
 
@@ -650,7 +594,6 @@ fn bench_json(
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"sim_threads\": {},\n", plan.sim_threads));
     out.push_str(&format!("  \"scale\": {},\n", plan.scale));
     out.push_str(&format!("  \"max_cycles\": {},\n", plan.max_cycles));
     out.push_str(&format!("  \"wall_clock_s\": {total_s:.3},\n"));
@@ -689,7 +632,6 @@ fn main() -> ExitCode {
     let mut targets: Vec<String> = Vec::new();
     let mut out_dir: Option<PathBuf> = None;
     let mut jobs: Option<usize> = None;
-    let mut sim_threads = 1u32;
     let mut check = false;
     let mut fault_rate = 0.0;
     let mut fault_seed = 0;
@@ -717,13 +659,6 @@ fn main() -> ExitCode {
             },
             "--jobs" => match cli::parse_jobs(args.next().as_deref()) {
                 Ok(n) => jobs = Some(n),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--sim-threads" => match cli::parse_sim_threads(args.next().as_deref()) {
-                Ok(n) => sim_threads = n,
                 Err(e) => {
                     eprintln!("{e}");
                     return usage();
@@ -851,7 +786,8 @@ fn main() -> ExitCode {
             eprintln!("--fuzz does not take artefact targets");
             return usage();
         }
-        return run_fuzz(cases, fuzz_seed, u64::from(sim_threads));
+        let shards = jobs.unwrap_or_else(|| Executor::auto().jobs());
+        return run_fuzz(cases, fuzz_seed, shards as u64);
     }
     if let Some(arg) = scenario {
         if !targets.is_empty() {
@@ -869,7 +805,6 @@ fn main() -> ExitCode {
             eprintln!("--record needs --trace-out FILE");
             return usage();
         };
-        let plan = plan.with_sim_threads(sim_threads);
         return run_record_mode(&workload, &out_path, &plan);
     }
     if let Some(path) = trace_in {
@@ -888,8 +823,7 @@ fn main() -> ExitCode {
     plan = plan
         .with_check(check)
         .with_faults(fault_rate, fault_seed)
-        .with_policy(policy)
-        .with_sim_threads(sim_threads);
+        .with_policy(policy);
     if let Some(secs) = run_timeout {
         plan = plan.with_run_timeout(secs);
     }
@@ -913,11 +847,10 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "# repro: scale={} max_cycles={} jobs={} sim_threads={} artefacts={:?}",
+        "# repro: scale={} max_cycles={} jobs={} artefacts={:?}",
         plan.scale,
         plan.max_cycles,
         exec.jobs(),
-        plan.sim_threads,
         targets
     );
     if let Some(dir) = &out_dir {

@@ -14,9 +14,6 @@ use crate::error::RunError;
 /// that a mistyped value cannot spawn tens of thousands of threads.
 pub const MAX_JOBS: usize = 4096;
 
-/// Upper bound on `--sim-threads` (per-simulation SM stepping threads).
-pub const MAX_SIM_THREADS: u32 = 1024;
-
 /// Upper bound on `--run-timeout`, seconds (one day — anything longer
 /// is indistinguishable from no watchdog at all).
 pub const MAX_RUN_TIMEOUT_S: u64 = 86_400;
@@ -42,20 +39,6 @@ pub fn parse_jobs(value: Option<&str>) -> Result<usize, RunError> {
     if n == 0 || n > MAX_JOBS {
         return Err(invalid(format!(
             "--jobs must be in 1..={MAX_JOBS}, got {n}"
-        )));
-    }
-    Ok(n)
-}
-
-/// Parses and bounds-checks `--sim-threads T`.
-pub fn parse_sim_threads(value: Option<&str>) -> Result<u32, RunError> {
-    let raw = value_of("--sim-threads", value)?;
-    let n: u32 = raw
-        .parse()
-        .map_err(|_| invalid(format!("--sim-threads wants an integer, got '{raw}'")))?;
-    if n == 0 || n > MAX_SIM_THREADS {
-        return Err(invalid(format!(
-            "--sim-threads must be in 1..={MAX_SIM_THREADS}, got {n}"
         )));
     }
     Ok(n)
@@ -122,14 +105,6 @@ mod tests {
         rejects(parse_jobs(Some("4097")), "1..=4096");
         rejects(parse_jobs(Some("eight")), "integer");
         rejects(parse_jobs(None), "needs a value");
-    }
-
-    #[test]
-    fn sim_threads_zero_is_a_typed_error() {
-        assert_eq!(parse_sim_threads(Some("4")).unwrap(), 4);
-        rejects(parse_sim_threads(Some("0")), "1..=1024");
-        rejects(parse_sim_threads(Some("99999")), "1..=1024");
-        rejects(parse_sim_threads(Some("-1")), "integer");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 pub mod ablations;
 pub mod adaptive;
+pub mod canary;
 pub mod cli;
 pub mod configs;
 pub mod error;

@@ -42,7 +42,10 @@ use crate::runner::{RunOutput, RunPlan};
 /// header. Bump it whenever simulator output semantics change in a way
 /// byte-level reproduction must not paper over: old entries become
 /// unreachable (a clean cold start) instead of silently stale.
-pub const STORE_GENERATION: u32 = 1;
+///
+/// Generation 2 dropped the SM-stepping thread count from the key (the
+/// simulator steps SMs serially only); its simulated output is unchanged.
+pub const STORE_GENERATION: u32 = 2;
 
 /// Version byte of the [`RunOutput`] payload layout itself, checked
 /// before any field decode. Independent of the entry-container version
@@ -60,8 +63,7 @@ fn hash_plan(h: &mut StableHasher, plan: &RunPlan) {
         .bool(plan.check)
         .f64_bits(plan.fault.rate)
         .u64(plan.fault.seed)
-        .str(plan.policy.name())
-        .u32(plan.sim_threads);
+        .str(plan.policy.name());
 }
 
 /// Content address of a named-configuration run — the persistent twin
@@ -553,7 +555,6 @@ mod tests {
             check: false,
             fault: FaultSpec::NONE,
             policy: sttgpu_core::LlcPolicy::Fixed,
-            sim_threads: 1,
             run_timeout_s: None,
         }
     }
@@ -650,7 +651,6 @@ mod tests {
                 "lud",
                 &plan.with_policy(sttgpu_core::LlcPolicy::AdaptiveWays),
             ),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_sim_threads(2)),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base, *v, "variant {i} collided with the base key");

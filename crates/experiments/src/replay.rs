@@ -197,9 +197,7 @@ fn replay_ops(llc: &mut TwoPartLlc, ops: &[Op]) -> u64 {
 
 /// Runs `workload` (scaled by the plan) on the `choice` GPU with the
 /// LLC call log on, and returns the verbatim call stream as raw-mode
-/// records together with the run's own stats block. The log is
-/// deterministic for any `sim_threads` setting — requests batch and
-/// apply on the coordinating thread.
+/// records together with the run's own stats block.
 ///
 /// Fails when `choice` is not a two-part design point: raw traces exist
 /// to replay against [`TwoPartLlc`].
@@ -224,7 +222,6 @@ pub fn record_workload(
     let cfg = gpu_config(choice);
     let line_bytes = cfg.l2_line_bytes;
     let mut gpu = Gpu::new(cfg);
-    gpu.set_sim_threads(plan.sim_threads as usize);
     gpu.start_llc_call_log();
     gpu.run_workload(&scaled, plan.max_cycles);
     let records = gpu.take_llc_call_log().expect("call log was started");

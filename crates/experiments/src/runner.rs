@@ -72,12 +72,6 @@ pub struct RunPlan {
     /// run unchanged. [`LlcPolicy::Fixed`] (the default) is the
     /// paper-exact bundle and is byte-transparent.
     pub policy: LlcPolicy,
-    /// Threads stepping the SMs inside each simulation (`--sim-threads`).
-    /// Simulation output is byte-identical for every value (the parallel
-    /// driver merges in canonical order — DESIGN.md §11); it still sits
-    /// in the memo key, like [`FaultSpec`], so a cache hit always states
-    /// exactly how the run was produced.
-    pub sim_threads: u32,
     /// Per-attempt wall-clock watchdog (`--run-timeout`), seconds.
     /// `None` disables supervision. A timed-out attempt is retried with
     /// a salted seed exactly like a panicked one; if every attempt
@@ -96,7 +90,6 @@ impl RunPlan {
             check: false,
             fault: FaultSpec::NONE,
             policy: LlcPolicy::Fixed,
-            sim_threads: 1,
             run_timeout_s: None,
         }
     }
@@ -109,7 +102,6 @@ impl RunPlan {
             check: false,
             fault: FaultSpec::NONE,
             policy: LlcPolicy::Fixed,
-            sim_threads: 1,
             run_timeout_s: None,
         }
     }
@@ -137,13 +129,6 @@ impl RunPlan {
     /// A plan selecting the named runtime LLC policy for two-part runs.
     pub fn with_policy(mut self, policy: LlcPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// A plan stepping SMs with `threads` threads per simulation.
-    pub fn with_sim_threads(mut self, threads: u32) -> Self {
-        assert!(threads >= 1, "sim_threads must be at least 1");
-        self.sim_threads = threads;
         self
     }
 
@@ -262,7 +247,6 @@ fn run_config_once(
         }
     }
     let mut gpu = Gpu::new(cfg);
-    gpu.set_sim_threads(plan.sim_threads as usize);
     let checker = plan.check.then(|| {
         let checker = Arc::new(Mutex::new(checker_for(&gpu)));
         gpu.set_trace(Trace::to_sink(Arc::clone(&checker)));
@@ -416,17 +400,7 @@ pub fn run(choice: L2Choice, workload: &Workload, plan: &RunPlan) -> RunOutput {
 /// Memoization key of one named-configuration run. `RunPlan` holds `f64`
 /// scale/rate fields, so the key stores their bit patterns (plans are
 /// constructed, not computed, so bit equality is the right notion here).
-type RunKey = (
-    L2Choice,
-    String,
-    u64,
-    u64,
-    bool,
-    u64,
-    u64,
-    &'static str,
-    u32,
-);
+type RunKey = (L2Choice, String, u64, u64, bool, u64, u64, &'static str);
 
 fn run_key(choice: L2Choice, workload: &Workload, plan: &RunPlan) -> RunKey {
     (
@@ -438,7 +412,6 @@ fn run_key(choice: L2Choice, workload: &Workload, plan: &RunPlan) -> RunKey {
         plan.fault.rate.to_bits(),
         plan.fault.seed,
         plan.policy.name(),
-        plan.sim_threads,
     )
 }
 

@@ -37,35 +37,6 @@ fn sequential_and_parallel_executors_produce_identical_run_results() {
     }
 }
 
-/// `--sim-threads` must be a pure performance knob too: a run stepped on
-/// a sharded SM pool must match the serial inline path in every metric,
-/// two-part counter and endurance cell. (`sim_threads` is part of the
-/// memo key, so each plan below really executes — no cache aliasing.)
-#[test]
-fn sim_thread_count_does_not_change_run_results() {
-    let serial_plan = tiny_plan();
-    let exec = Executor::sequential();
-    for w in ["nw", "kmeans"] {
-        let workload = suite::by_name(w).expect("suite workload");
-        for choice in [L2Choice::SramBaseline, L2Choice::TwoPartC1] {
-            let a = exec.run(choice, &workload, &serial_plan);
-            for threads in [2u32, 4, 8] {
-                let plan = tiny_plan().with_sim_threads(threads);
-                let b = exec.run(choice, &workload, &plan);
-                assert_eq!(a.metrics, b.metrics, "{w} metrics diverge at {threads}");
-                assert_eq!(
-                    a.two_part, b.two_part,
-                    "{w} two-part stats diverge at {threads}"
-                );
-                assert_eq!(
-                    a.write_matrix, b.write_matrix,
-                    "{w} write matrix diverges at {threads}"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn fig3_renders_byte_identically_on_any_job_count() {
     let plan = tiny_plan();
@@ -108,15 +79,13 @@ fn shared_executor_deduplicates_across_artefacts() {
 
 /// Runs the real `repro` binary with `--out dir` and returns the artefact
 /// files it wrote, sorted by name.
-fn run_repro(out_dir: &Path, jobs: u32, sim_threads: u32) -> Vec<(String, Vec<u8>)> {
+fn run_repro(out_dir: &Path, jobs: u32) -> Vec<(String, Vec<u8>)> {
     let status = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
             "--scale",
             "0.01",
             "--jobs",
             &jobs.to_string(),
-            "--sim-threads",
-            &sim_threads.to_string(),
             "--out",
             &out_dir.display().to_string(),
             "all",
@@ -124,10 +93,7 @@ fn run_repro(out_dir: &Path, jobs: u32, sim_threads: u32) -> Vec<(String, Vec<u8
         .current_dir(out_dir)
         .status()
         .expect("spawn repro");
-    assert!(
-        status.success(),
-        "repro --jobs {jobs} --sim-threads {sim_threads} failed"
-    );
+    assert!(status.success(), "repro --jobs {jobs} failed");
     let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(out_dir)
         .expect("read out dir")
         .map(|e| e.expect("dir entry").path())
@@ -151,38 +117,33 @@ fn run_repro(out_dir: &Path, jobs: u32, sim_threads: u32) -> Vec<(String, Vec<u8
 
 /// Golden snapshot of `repro -- all`: the full set of summary CSVs and
 /// rendered tables must come out byte-identical regardless of the
-/// `--jobs` count driving the shared executor AND the `--sim-threads`
-/// count sharding each run's SM hot loop.
+/// `--jobs` count, i.e. of how many executor threads run the sweep.
 #[test]
 fn repro_all_artefacts_are_byte_identical_across_job_and_thread_counts() {
     let base = std::env::temp_dir().join(format!("sttgpu-golden-{}", std::process::id()));
-    let run = |jobs: u32, sim_threads: u32| -> Vec<(String, Vec<u8>)> {
-        let dir: PathBuf = base.join(format!("jobs{jobs}-threads{sim_threads}"));
+    let run = |jobs: u32| -> Vec<(String, Vec<u8>)> {
+        let dir: PathBuf = base.join(format!("jobs{jobs}"));
         fs::create_dir_all(&dir).expect("create out dir");
-        let files = run_repro(&dir, jobs, sim_threads);
+        let files = run_repro(&dir, jobs);
         assert!(
             files.iter().filter(|(n, _)| n.ends_with(".csv")).count() >= 7,
-            "--jobs {jobs} --sim-threads {sim_threads} produced too few CSV artefacts"
+            "--jobs {jobs} produced too few CSV artefacts"
         );
         files
     };
-    let golden = run(1, 1);
-    for (jobs, sim_threads) in [(8, 1), (2, 4)] {
-        let other = run(jobs, sim_threads);
+    let golden = run(1);
+    for jobs in [8, 2] {
+        let other = run(jobs);
         assert_eq!(
             golden.len(),
             other.len(),
-            "--jobs {jobs} --sim-threads {sim_threads} produced a different artefact set"
+            "--jobs {jobs} produced a different artefact set"
         );
         for ((name_a, bytes_a), (name_b, bytes_b)) in golden.iter().zip(&other) {
-            assert_eq!(
-                name_a, name_b,
-                "--jobs {jobs} --sim-threads {sim_threads} artefact set diverges"
-            );
+            assert_eq!(name_a, name_b, "--jobs {jobs} artefact set diverges");
             assert_eq!(
                 bytes_a, bytes_b,
-                "{name_a} is not byte-identical between (jobs 1, sim-threads 1) \
-                 and (jobs {jobs}, sim-threads {sim_threads})"
+                "{name_a} is not byte-identical between --jobs 1 and --jobs {jobs}"
             );
         }
     }

@@ -1,17 +1,16 @@
 //! The top-level GPU: SMs + memory system + kernel dispatch.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sttgpu_core::LlcModel;
-use sttgpu_trace::{Trace, TraceEvent, VecSink};
+use sttgpu_trace::Trace;
 
 use crate::config::GpuConfig;
 use crate::kernel::{GridDispatcher, KernelParams, Workload};
-use crate::mem::MemSystem;
+use crate::mem::{FillDelivery, MemSystem};
 use crate::metrics::{KernelSpan, RunMetrics};
 use crate::occupancy::Occupancy;
-use crate::par::SmPool;
-use crate::sm::{Sm, VictimWb};
+use crate::sm::Sm;
 
 /// Default seed used by [`Gpu::run`]; use [`Gpu::run_workload`] for
 /// workload-specific seeds.
@@ -38,20 +37,8 @@ pub struct Gpu {
     sms: Vec<Sm>,
     mem: MemSystem,
     trace: Trace,
-    /// Per-SM buffering sinks (present only when a trace is attached):
-    /// each SM emits into its own buffer during the — possibly parallel —
-    /// step phase, and the merge phase drains them into the real sink in
-    /// SM-id order, so the observed stream never depends on thread count.
-    sm_buffers: Vec<Arc<Mutex<VecSink>>>,
     cycle: u64,
     single_step: bool,
-    /// Requested step-phase parallelism (1 = serial).
-    sim_threads: usize,
-    /// Lazily created worker pool backing `sim_threads > 1`.
-    pool: Option<SmPool>,
-    /// Merge-phase scratch, reused across cycles.
-    victim_scratch: Vec<VictimWb>,
-    event_scratch: Vec<TraceEvent>,
 }
 
 impl Gpu {
@@ -63,25 +50,10 @@ impl Gpu {
             sms,
             mem,
             trace: Trace::off(),
-            sm_buffers: Vec::new(),
             cfg,
             cycle: 0,
             single_step: false,
-            sim_threads: 1,
-            pool: None,
-            victim_scratch: Vec::new(),
-            event_scratch: Vec::new(),
         }
-    }
-
-    /// Sets how many threads step the SMs each busy cycle (1 = serial).
-    /// Observable behaviour (metrics, traces, artefacts) must not depend
-    /// on this value — requests, dirty victims and trace events are all
-    /// merged in canonical order regardless (DESIGN.md §11); the
-    /// `skip_equivalence` and golden-snapshot tests sweep it.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        self.sim_threads = threads.max(1);
-        self.pool = None;
     }
 
     /// Debug mode: forces the driver to advance one cycle at a time
@@ -99,28 +71,12 @@ impl Gpu {
 
     /// Attaches one trace sink observing the whole machine: the L2 and
     /// its miss tracker, every SM's launch invariants and L1 MSHRs, and
-    /// the grid dispatchers of subsequent runs.
-    ///
-    /// Each SM gets a private buffering sink rather than the real one, so
-    /// SMs stepped on worker threads never contend for (or reorder events
-    /// in) the attached sink; the merge phase forwards the buffers in
-    /// SM-id order every visited cycle.
+    /// the grid dispatchers of subsequent runs. Events arrive in the
+    /// order the simulation produces them.
     pub fn set_trace(&mut self, trace: Trace) {
         self.mem.set_trace(trace.clone());
-        if trace.is_enabled() {
-            self.sm_buffers = self
-                .sms
-                .iter()
-                .map(|_| Arc::new(Mutex::new(VecSink::new())))
-                .collect();
-            for (sm, buf) in self.sms.iter_mut().zip(&self.sm_buffers) {
-                sm.set_trace(Trace::to_sink(Arc::clone(buf)));
-            }
-        } else {
-            self.sm_buffers.clear();
-            for sm in &mut self.sms {
-                sm.set_trace(Trace::off());
-            }
+        for sm in &mut self.sms {
+            sm.set_trace(trace.clone());
         }
         self.trace = trace;
     }
@@ -133,8 +89,6 @@ impl Gpu {
 
     /// Starts recording the verbatim LLC call stream — every probe,
     /// fill and maintain the memory system issues, in exact order.
-    /// Requests are batched and applied on the coordinating thread, so
-    /// the log is deterministic for any `--sim-threads` setting.
     pub fn start_llc_call_log(&mut self) {
         self.mem.start_call_log();
     }
@@ -192,7 +146,7 @@ impl Gpu {
         let mut kernel_spans = Vec::with_capacity(kernels.len());
         // Reused across every cycle of the run so the hot loop does not
         // allocate a fresh delivery vector per tick.
-        let mut fills: Vec<crate::mem::FillDelivery> = Vec::new();
+        let mut fills: Vec<FillDelivery> = Vec::new();
 
         'kernels: for (k_idx, kernel) in kernels.iter().enumerate() {
             let kernel_start_cycle = self.cycle;
@@ -246,25 +200,25 @@ impl Gpu {
 
                 let now_ns = self.cfg.ns_of_cycle(self.cycle);
                 self.mem.tick(now_ns, &mut fills);
-                // Route fills to their SMs' inboxes; the fill's position
-                // in the tick output is the global sequence number that
-                // keeps dirty-victim write-backs in serial order.
-                for (seq, fill) in fills.iter().enumerate() {
-                    self.sms[fill.sm as usize].push_fill(seq as u64, fill.byte_addr);
+                // Fills land in tick order, each dirty L1 victim written
+                // back at once; then every SM, in id order, gates on its
+                // earliest queued warp and issues, its misses and writes
+                // reaching the memory system as they issue. `sm_wake` is
+                // the minimum wake cycle the skip logic needs below.
+                let mut retired = 0;
+                for fill in &fills {
+                    retired += self.sms[fill.sm as usize].apply_fill(
+                        fill.byte_addr,
+                        now_ns,
+                        &mut self.mem,
+                    );
                 }
-                // Step phase: every SM applies its fills, gates on its
-                // earliest queued warp and issues — touching only its own
-                // state, so the pass shards freely across the worker
-                // pool. `sm_wake` is the minimum wake cycle the skip
-                // logic needs below.
-                let (retired, sm_wake) = self.step_sms(now_ns);
-                // Merge phase (canonical order, independent of how the
-                // step phase was scheduled): buffered trace events in
-                // SM-id order, dirty fill victims in global fill order,
-                // then each SM's recorded requests in SM-id order — the
-                // exact order the serial inline driver produced.
-                self.drain_sm_traces();
-                self.merge_requests();
+                let mut sm_wake = u64::MAX;
+                for sm in &mut self.sms {
+                    let out = sm.step(self.cycle, now_ns, &mut self.mem);
+                    retired += out.blocks_retired;
+                    sm_wake = sm_wake.min(out.next_wake);
+                }
                 for _ in 0..retired {
                     dispatcher.retire_block();
                 }
@@ -325,66 +279,6 @@ impl Gpu {
         let mut metrics = self.collect_metrics(finished, kernels_skipped);
         metrics.kernel_spans = kernel_spans;
         metrics
-    }
-
-    /// Steps every SM for one cycle — serially, or sharded across the
-    /// worker pool when `sim_threads > 1`. Returns the total blocks
-    /// retired and the minimum next wake cycle over all SMs.
-    fn step_sms(&mut self, now_ns: u64) -> (u32, u64) {
-        let threads = self.sim_threads.min(self.sms.len()).max(1);
-        if threads <= 1 {
-            let mut blocks_retired = 0;
-            let mut next_wake = u64::MAX;
-            for sm in &mut self.sms {
-                let out = sm.step(self.cycle, now_ns);
-                blocks_retired += out.blocks_retired;
-                next_wake = next_wake.min(out.next_wake);
-            }
-            return (blocks_retired, next_wake);
-        }
-        if self
-            .pool
-            .as_ref()
-            .is_none_or(|p| p.workers() != threads - 1)
-        {
-            self.pool = Some(SmPool::new(threads - 1));
-        }
-        let pool = self.pool.as_mut().expect("pool was just ensured");
-        pool.step(&mut self.sms, self.cycle, now_ns)
-    }
-
-    /// Forwards each SM's buffered trace events to the attached sink, in
-    /// SM-id order. Events within one SM's buffer keep their emit order,
-    /// so the resulting stream is a pure function of the simulated state,
-    /// never of step-phase scheduling.
-    fn drain_sm_traces(&mut self) {
-        for buf in &self.sm_buffers {
-            buf.lock()
-                .expect("per-SM trace buffer poisoned")
-                .take_into(&mut self.event_scratch);
-            for ev in self.event_scratch.drain(..) {
-                self.trace.emit(move || ev);
-            }
-        }
-    }
-
-    /// Merge phase: replays this cycle's deferred memory traffic into the
-    /// shared `MemSystem` in canonical order — dirty fill victims first
-    /// (sorted by global fill sequence, reproducing the serial driver's
-    /// per-fill write-backs), then every SM's request batch in SM-id
-    /// order (reproducing the serial SM loop).
-    fn merge_requests(&mut self) {
-        self.victim_scratch.clear();
-        for sm in &mut self.sms {
-            sm.drain_victims_into(&mut self.victim_scratch);
-        }
-        self.victim_scratch.sort_unstable_by_key(|v| v.seq);
-        for v in &self.victim_scratch {
-            self.mem.write_request(v.sm, v.byte_addr, v.now_ns);
-        }
-        for sm in &mut self.sms {
-            sm.drain_requests_into(&mut self.mem);
-        }
     }
 
     fn collect_metrics(&self, finished: bool, kernels_skipped: u32) -> RunMetrics {
@@ -537,20 +431,6 @@ mod tests {
         assert!(a.finished && b.finished);
         assert_eq!(a.instructions, b.instructions, "same trace, same work");
         assert!(b.ipc() > 0.0);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_metrics() {
-        let w = Workload::new("w", vec![toy_kernel()], 17);
-        let mut reference = Gpu::new(small_cfg());
-        let a = reference.run_workload(&w, 2_000_000);
-        for threads in [2, 4, 8] {
-            let mut gpu = Gpu::new(small_cfg());
-            gpu.set_sim_threads(threads);
-            let b = gpu.run_workload(&w, 2_000_000);
-            assert_eq!(a, b, "metrics diverged at sim_threads={threads}");
-            assert_eq!(reference.cycle(), gpu.cycle());
-        }
     }
 
     #[test]

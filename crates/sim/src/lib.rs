@@ -60,8 +60,8 @@ pub mod l1;
 pub mod mem;
 pub mod metrics;
 pub mod occupancy;
-pub mod par;
 pub mod program;
+mod ready;
 pub mod sm;
 pub mod warp;
 
@@ -70,4 +70,4 @@ pub use gpu::Gpu;
 pub use kernel::{KernelParams, Workload, WritePhase};
 pub use metrics::RunMetrics;
 pub use occupancy::Occupancy;
-pub use sm::{RequestBatch, StepOutcome, VictimWb};
+pub use sm::StepOutcome;

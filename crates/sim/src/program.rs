@@ -9,7 +9,7 @@
 //! experiments compare architectures, not random draws.
 
 use std::sync::Arc;
-use sttgpu_stats::Rng;
+use sttgpu_stats::{Chance, Rng};
 
 use crate::kernel::{KernelParams, WritePhase};
 
@@ -127,6 +127,17 @@ pub enum WarpInstr {
     LocalWrite(AddrVec),
 }
 
+/// The class of a warp's next instruction (see [`WarpProgram::draw`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Draw {
+    /// The stream is exhausted.
+    Done,
+    /// An arithmetic instruction, already counted.
+    Alu,
+    /// A memory instruction, still to be generated.
+    Mem,
+}
+
 /// Deterministic per-warp instruction generator.
 ///
 /// # Example
@@ -144,17 +155,56 @@ pub enum WarpInstr {
 /// }
 /// assert_eq!(count, 50);
 /// ```
+///
+/// The fields an ALU instruction reads come first (`repr(C)`), so that
+/// together with [`Warp`](crate::warp::Warp)'s own hot fields they share
+/// one cache line.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct WarpProgram {
-    params: Arc<KernelParams>,
-    rng: Rng,
     issued: u32,
-    stream_cursor: u64,
+    /// `params.instructions_per_warp`, kept beside `issued`.
+    limit: u32,
+    /// `params.mem_fraction` prepared for the per-instruction draw.
+    mem: Chance,
+    rng: Rng,
+    params: Arc<KernelParams>,
+    /// The rest of the kernel's memory shape, prepared so that generating
+    /// an address takes no division and no float conversion.
+    shape: MemShape,
+    /// Offset of the next streaming read within the warp's segment.
+    stream_off: u64,
     local_cursor: u64,
     local_warp_id: u64,
+    /// Line-aligned start of the warp's streaming segment.
     segment_base: u64,
     segment_len: u64,
     line_bytes: u64,
+}
+
+/// Kernel constants of the memory-instruction generator, prepared once
+/// per warp. Every draw through them equals the float draw it replaces
+/// and consumes the same stream (see [`Chance`]).
+#[derive(Debug, Clone, Copy)]
+struct MemShape {
+    /// `local_fraction`: a memory op is a register spill. Drawn only for
+    /// a positive fraction (a NaN fraction must not draw either).
+    local: Chance,
+    /// `floor(coalescing)` lines, plus one with probability `coalescing`'s
+    /// fractional part.
+    lines_floor: usize,
+    lines_up: Chance,
+    /// `read_locality`: a read streams rather than scatters.
+    locality: Chance,
+    /// `write_skew`: a written line falls in the write working set.
+    skew: Chance,
+    /// The write probability (for `EndOfKernel`, its late-phase value).
+    write: Chance,
+    /// Whether writes are confined to the last 20 % of the stream.
+    late_writes: bool,
+    /// Lines in the footprint and in the write working set (each ≥ 1).
+    footprint_lines: u64,
+    wws_lines: u64,
 }
 
 impl WarpProgram {
@@ -188,14 +238,44 @@ impl WarpProgram {
         let lines_total = (params.footprint_bytes / line_bytes as u64).max(1);
         let seg_lines = (lines_total / total_warps).clamp(1, STREAM_WINDOW_LINES);
         let offset_lines = (global_warp * seg_lines) % lines_total;
-        let segment_base = params.addr_base + offset_lines * line_bytes as u64;
-        let segment_len = seg_lines * line_bytes as u64;
+        let line = line_bytes as u64;
+        // Streaming reads touch `align(base + off)` for offsets that are
+        // multiples of the line size, which equals `align(base) + off`.
+        let segment_base = (params.addr_base + offset_lines * line) / line * line;
+        let segment_len = seg_lines * line;
+
+        let c = params.coalescing;
+        let wws_len = ((params.footprint_bytes as f64 * params.wws_fraction) as u64).max(line);
+        let (write, late_writes) = match params.write_phase {
+            WritePhase::Uniform => (params.write_fraction, false),
+            // All write traffic compressed into the last 20 % of the
+            // stream (grids write their outputs at the end, §4).
+            WritePhase::EndOfKernel => ((params.write_fraction * 5.0).min(1.0), true),
+        };
+        let shape = MemShape {
+            local: if params.local_fraction > 0.0 {
+                Chance::new(params.local_fraction)
+            } else {
+                Chance::NEVER
+            },
+            lines_floor: c.floor() as usize,
+            lines_up: Chance::new((c - c.floor()).clamp(0.0, 1.0)),
+            locality: Chance::new(params.read_locality),
+            skew: Chance::new(params.write_skew),
+            write: Chance::new(write),
+            late_writes,
+            footprint_lines: lines_total,
+            wws_lines: (wws_len / line).max(1),
+        };
 
         WarpProgram {
+            limit: params.instructions_per_warp,
+            mem: Chance::new(params.mem_fraction),
             params,
             rng,
             issued: 0,
-            stream_cursor: 0,
+            shape,
+            stream_off: 0,
             local_cursor: 0,
             local_warp_id: global_warp,
             segment_base,
@@ -211,32 +291,27 @@ impl WarpProgram {
 
     /// Whether the stream is exhausted.
     pub fn is_finished(&self) -> bool {
-        self.issued >= self.params.instructions_per_warp
+        self.issued >= self.limit
     }
 
     /// Fraction of the stream completed (0.0–1.0).
     pub fn progress(&self) -> f64 {
-        self.issued as f64 / self.params.instructions_per_warp.max(1) as f64
+        self.issued as f64 / self.limit.max(1) as f64
     }
 
-    fn align(&self, addr: u64) -> u64 {
-        addr / self.line_bytes * self.line_bytes
-    }
-
-    fn random_line_in(&mut self, base: u64, len_bytes: u64) -> u64 {
-        let lines = (len_bytes / self.line_bytes).max(1);
+    /// A random line among the first `lines` lines from `base`.
+    fn random_line(&mut self, base: u64, lines: u64) -> u64 {
         base + self.rng.range_u64(0, lines) * self.line_bytes
     }
 
     /// Number of distinct L1 lines this memory instruction touches, drawn
     /// around the kernel's coalescing factor.
     fn sample_lines(&mut self) -> usize {
-        let c = self.params.coalescing;
-        let floor = c.floor();
-        let n = if self.rng.chance((c - floor).clamp(0.0, 1.0)) {
-            floor as usize + 1
+        let floor = self.shape.lines_floor;
+        let n = if self.shape.lines_up.draw(&mut self.rng) {
+            floor + 1
         } else {
-            floor as usize
+            floor
         };
         n.clamp(1, 32)
     }
@@ -244,19 +319,21 @@ impl WarpProgram {
     fn gen_read(&mut self) -> AddrVec {
         let n = self.sample_lines();
         let mut addrs = AddrVec::with_capacity(n);
-        if self.rng.chance(self.params.read_locality) {
+        if self.shape.locality.draw(&mut self.rng) {
             // Stream through the warp's segment: consecutive lines.
             for _ in 0..n {
-                let off = self.stream_cursor % self.segment_len;
-                addrs.push(self.align(self.segment_base + off));
-                self.stream_cursor += self.line_bytes;
+                addrs.push(self.segment_base + self.stream_off);
+                self.stream_off += self.line_bytes;
+                if self.stream_off == self.segment_len {
+                    self.stream_off = 0;
+                }
             }
         } else {
             // Random shared-data lines across the whole footprint.
             let base = self.params.addr_base;
-            let len = self.params.footprint_bytes;
             for _ in 0..n {
-                addrs.push(self.random_line_in(base, len));
+                let addr = self.random_line(base, self.shape.footprint_lines);
+                addrs.push(addr);
             }
         }
         addrs
@@ -265,35 +342,29 @@ impl WarpProgram {
     fn gen_write(&mut self) -> AddrVec {
         let n = self.sample_lines();
         let mut addrs = AddrVec::with_capacity(n);
-        let wws_len = ((self.params.footprint_bytes as f64 * self.params.wws_fraction) as u64)
-            .max(self.line_bytes);
+        let base = self.params.addr_base;
         for _ in 0..n {
-            if self.rng.chance(self.params.write_skew) {
+            let lines = if self.shape.skew.draw(&mut self.rng) {
                 // Concentrated write-working-set traffic.
-                addrs.push(self.random_line_in(self.params.addr_base, wws_len));
+                self.shape.wws_lines
             } else {
                 // Scattered writes across the footprint.
-                addrs.push(self.random_line_in(self.params.addr_base, self.params.footprint_bytes));
-            }
+                self.shape.footprint_lines
+            };
+            let addr = self.random_line(base, lines);
+            addrs.push(addr);
         }
         addrs
     }
 
-    /// Effective probability that a memory op is a write at this point of
-    /// the stream, honouring the kernel's write phase.
-    fn write_probability(&self) -> f64 {
-        match self.params.write_phase {
-            WritePhase::Uniform => self.params.write_fraction,
-            WritePhase::EndOfKernel => {
-                // All write traffic compressed into the last 20 % of the
-                // stream (grids write their outputs at the end, §4).
-                if self.progress() < 0.8 {
-                    0.0
-                } else {
-                    (self.params.write_fraction * 5.0).min(1.0)
-                }
-            }
+    /// Whether a memory op is a write at this point of the stream,
+    /// honouring the kernel's write phase: an `EndOfKernel` kernel draws
+    /// nothing (and writes nothing) before 80 % of its stream.
+    fn draw_write(&mut self) -> bool {
+        if self.shape.late_writes && self.progress() < 0.8 {
+            return false;
         }
+        self.shape.write.draw(&mut self.rng)
     }
 
     fn gen_local(&mut self) -> AddrVec {
@@ -306,31 +377,54 @@ impl WarpProgram {
         AddrVec::one(base + off)
     }
 
-    /// Generates the next instruction, or `None` when the warp is done.
-    pub fn next_instr(&mut self) -> Option<WarpInstr> {
+    /// Draws what the next instruction is. An ALU instruction is complete
+    /// (and counted) here; a [`Draw::Mem`] is completed by
+    /// [`gen_mem`](Self::gen_mem). Split this way, the ALU path most
+    /// instructions take never builds a [`WarpInstr`].
+    ///
+    /// The draw is [`Rng::chance`]'s, through a prepared [`Chance`]: the
+    /// same result from the same stream without a float conversion.
+    #[inline]
+    pub fn draw(&mut self) -> Draw {
         if self.is_finished() {
-            return None;
+            return Draw::Done;
         }
-        let instr = if self.rng.chance(self.params.mem_fraction) {
-            if self.params.local_fraction > 0.0 && self.rng.chance(self.params.local_fraction) {
-                // Register spills: reads and rewrites of the private frame.
-                if self.rng.chance(0.5) {
-                    WarpInstr::LocalWrite(self.gen_local())
-                } else {
-                    WarpInstr::LocalRead(self.gen_local())
-                }
-            } else if self.rng.chance(self.write_probability()) {
-                WarpInstr::MemWrite(self.gen_write())
-            } else {
-                WarpInstr::MemRead(self.gen_read())
-            }
+        if self.mem.draw(&mut self.rng) {
+            Draw::Mem
         } else {
-            WarpInstr::Alu
+            self.issued += 1;
+            Draw::Alu
+        }
+    }
+
+    /// Completes a [`Draw::Mem`]: generates the memory instruction and
+    /// counts it.
+    pub fn gen_mem(&mut self) -> WarpInstr {
+        let instr = if self.shape.local.draw(&mut self.rng) {
+            // Register spills: reads and rewrites of the private frame.
+            if self.rng.chance(0.5) {
+                WarpInstr::LocalWrite(self.gen_local())
+            } else {
+                WarpInstr::LocalRead(self.gen_local())
+            }
+        } else if self.draw_write() {
+            WarpInstr::MemWrite(self.gen_write())
+        } else {
+            WarpInstr::MemRead(self.gen_read())
         };
         // The phase decision in `write_probability` uses the pre-issue
         // position, so the count is bumped only after the draws.
         self.issued += 1;
-        Some(instr)
+        instr
+    }
+
+    /// Generates the next instruction, or `None` when the warp is done.
+    pub fn next_instr(&mut self) -> Option<WarpInstr> {
+        match self.draw() {
+            Draw::Done => None,
+            Draw::Alu => Some(WarpInstr::Alu),
+            Draw::Mem => Some(self.gen_mem()),
+        }
     }
 }
 

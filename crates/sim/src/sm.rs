@@ -1,143 +1,38 @@
 //! Streaming multiprocessor: warp scheduling and instruction issue.
 //!
 //! Each cycle the SM issues up to `issue_width` instructions from ready
-//! warps (loose round-robin). Warps stall when they exceed the outstanding
-//! -load limit and wake when fill responses arrive — interleaving many
-//! resident warps is how the GPU hides memory latency, and why occupancy
-//! (hence register-file size, hence configurations C2/C3) matters.
+//! warps (loose round-robin or greedy-then-oldest, see `ready.rs`).
+//! Warps stall when they exceed the outstanding-load limit and wake when
+//! fill responses arrive — interleaving many resident warps is how the
+//! GPU hides memory latency, and why occupancy (hence register-file size,
+//! hence configurations C2/C3) matters.
+//!
+//! The SM talks to the shared [`MemSystem`] directly: L1 misses and
+//! global writes are requested as they issue, and a dirty L1 victim is
+//! written back as soon as the fill that displaced it lands.
 
 use std::sync::Arc;
 
-use std::collections::VecDeque;
-
 use sttgpu_trace::{Trace, TraceEvent};
 
-use crate::config::{GpuConfig, WarpScheduler};
+use crate::config::GpuConfig;
 use crate::kernel::KernelParams;
 use crate::l1::{L1Cache, L1ReadOutcome};
 use crate::mem::MemSystem;
-use crate::program::{WarpInstr, WarpProgram};
+use crate::program::{Draw, WarpInstr, WarpProgram};
+use crate::ready::ReadyQueue;
 use crate::warp::Warp;
 
 /// Replay delay after an MSHR-full stall, cycles.
 const MSHR_RETRY_CYCLES: u64 = 8;
 
-/// One memory request an SM issued during a cycle, recorded instead of
-/// applied. `now_ns` is the issue timestamp; replaying the batch through
-/// [`RequestBatch::drain_into`] reproduces the inline
-/// `read_request`/`write_request` calls exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchedRequest {
-    byte_addr: u64,
-    now_ns: u64,
-    write: bool,
-}
-
-/// A per-SM accumulator of one cycle's memory requests.
-///
-/// This is the decoupling boundary that makes the per-cycle SM loop
-/// embarrassingly parallel: [`Sm::step`] never touches the shared
-/// `MemSystem`; it records requests here (in issue order) and the driver
-/// later drains every SM's batch in canonical SM-id order. Replaying a
-/// batch is byte-equivalent to the old inline calls because `MemSystem`
-/// request entry points return nothing the SM could have observed.
-#[derive(Debug, Default)]
-pub struct RequestBatch {
-    ops: Vec<BatchedRequest>,
-}
-
-impl RequestBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        RequestBatch::default()
-    }
-
-    /// Records a read issued at `now_ns`.
-    pub fn push_read(&mut self, byte_addr: u64, now_ns: u64) {
-        self.ops.push(BatchedRequest {
-            byte_addr,
-            now_ns,
-            write: false,
-        });
-    }
-
-    /// Records a write issued at `now_ns`.
-    pub fn push_write(&mut self, byte_addr: u64, now_ns: u64) {
-        self.ops.push(BatchedRequest {
-            byte_addr,
-            now_ns,
-            write: true,
-        });
-    }
-
-    /// Number of recorded requests.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Replays the batch into `mem` as SM `sm`, in issue order, leaving
-    /// the batch empty with its capacity intact for the next cycle.
-    pub fn drain_into(&mut self, sm: u32, mem: &mut MemSystem) {
-        for op in self.ops.drain(..) {
-            if op.write {
-                mem.write_request(sm, op.byte_addr, op.now_ns);
-            } else {
-                mem.read_request(sm, op.byte_addr, op.now_ns);
-            }
-        }
-    }
-}
-
-/// A dirty L1 victim displaced by a fill, waiting for the merge phase.
-///
-/// `seq` is the victim's global fill index within the tick (the position
-/// of the fill that displaced it in `MemSystem::tick`'s output), which is
-/// exactly the order the serial driver used to write victims back in —
-/// sorting by `seq` restores it regardless of which thread produced the
-/// victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VictimWb {
-    /// Global fill index within the tick that displaced this line.
-    pub seq: u64,
-    /// Owning SM id.
-    pub sm: u32,
-    /// Victim line address.
-    pub byte_addr: u64,
-    /// Timestamp of the displacing fill.
-    pub now_ns: u64,
-}
-
 /// What one [`Sm::step`] call produced, for the driver to aggregate.
 #[derive(Debug, Clone, Copy)]
 pub struct StepOutcome {
-    /// Thread blocks that retired this cycle (fills + issue).
+    /// Thread blocks that retired during the issue pass.
     pub blocks_retired: u32,
     /// Earliest cycle any queued warp can issue (`u64::MAX` when none).
     pub next_wake: u64,
-}
-
-/// One ready-queue entry. `ready_at` and `age` are copied out of the warp
-/// at enqueue time — both are immutable while the warp sits in the queue —
-/// so scheduler scans stay inside the deque's contiguous storage instead
-/// of chasing `warps[slot]` for every element.
-#[derive(Debug, Clone, Copy)]
-struct ReadyEntry {
-    slot: u32,
-    ready_at: u64,
-    age: u64,
-}
-
-/// One fill delivery parked in an SM's inbox until its next step.
-#[derive(Debug, Clone, Copy)]
-struct PendingFill {
-    /// Global fill index within the tick (victim ordering key).
-    seq: u64,
-    byte_addr: u64,
 }
 
 /// One streaming multiprocessor.
@@ -145,12 +40,12 @@ struct PendingFill {
 pub struct Sm {
     id: u32,
     warps: Vec<Option<Warp>>,
-    ready: VecDeque<ReadyEntry>,
-    /// Exact earliest `ready_at` over all queued warps (`u64::MAX` when
-    /// none is queued). Maintained incrementally: enqueues lower it in
-    /// O(1); [`cycle`](Sm::cycle) recomputes it once per call with a
-    /// single scan of `ready` after its dequeues — never per issue slot,
-    /// and never from the gate-side reader.
+    ready: ReadyQueue,
+    /// Lower bound on the earliest `ready_at` over all queued warps
+    /// (`u64::MAX` when none is queued). Enqueues lower it in O(1); the
+    /// issue pass makes it exact whenever the queue runs out of issuable
+    /// warps, from the same scan that found none (see
+    /// [`ReadyQueue::pop`]).
     next_ready: u64,
     /// Live warps per resident block slot (0 = slot free).
     blocks: Vec<u32>,
@@ -163,23 +58,9 @@ pub struct Sm {
     dep_interval: u64,
     max_pending: u32,
     warp_size: u32,
-    scheduler: WarpScheduler,
     trace: Trace,
-    /// The warp GTO keeps issuing from until it stalls.
-    greedy: Option<usize>,
-    /// Whether the greedy warp is currently queued. A queued greedy warp
-    /// is *parked* outside `ready` (see [`enqueue`](Sm::enqueue)), which
-    /// makes the GTO fast path O(1) instead of a deque scan.
-    greedy_parked: bool,
     /// Monotone launch counter assigning warp ages.
     age_counter: u64,
-    /// This cycle's recorded memory requests (drained by the merge phase).
-    batch: RequestBatch,
-    /// Fill deliveries routed here by the driver before [`step`](Sm::step).
-    inbox: Vec<PendingFill>,
-    /// Dirty L1 victims displaced by this cycle's fills (drained by the
-    /// merge phase, ordered globally by [`VictimWb::seq`]).
-    victims: Vec<VictimWb>,
     /// Thread instructions committed.
     pub instructions: u64,
     /// Cycles with no issuable warp.
@@ -194,7 +75,7 @@ impl Sm {
         Sm {
             id,
             warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
-            ready: VecDeque::new(),
+            ready: ReadyQueue::new(cfg.scheduler),
             next_ready: u64::MAX,
             blocks: Vec::new(),
             warps_live: 0,
@@ -204,14 +85,8 @@ impl Sm {
             dep_interval: cfg.dep_interval_cycles as u64,
             max_pending: cfg.max_pending_loads,
             warp_size: cfg.warp_size,
-            scheduler: cfg.scheduler,
             trace: Trace::off(),
-            greedy: None,
-            greedy_parked: false,
             age_counter: 0,
-            batch: RequestBatch::new(),
-            inbox: Vec::new(),
-            victims: Vec::new(),
             instructions: 0,
             idle_cycles: 0,
             mshr_stalls: 0,
@@ -337,50 +212,31 @@ impl Sm {
         }
     }
 
-    /// Queues `slot`'s (live, `queued`) warp for issue and records its
-    /// `ready_at` in the wake heap. The greedy warp parks outside `ready`
-    /// so GTO's fast path need not scan the deque for it.
+    /// Queues `slot`'s (live, `queued`) warp for issue and folds its
+    /// `ready_at` into the wake bound.
+    #[inline(always)]
     fn enqueue(&mut self, slot: usize) {
         let warp = self.warps[slot].as_ref().expect("enqueueing a live warp");
-        let (ready_at, age) = (warp.ready_at, warp.age);
-        self.next_ready = self.next_ready.min(ready_at);
-        if self.greedy == Some(slot) {
-            self.greedy_parked = true;
+        let ready_at = warp.ready_at;
+        // LRR never reads ages: skip the load from the warp's cold line.
+        let age = if self.ready.orders_by_age() {
+            warp.age
         } else {
-            self.ready.push_back(ReadyEntry {
-                slot: slot as u32,
-                ready_at,
-                age,
-            });
-        }
+            0
+        };
+        self.next_ready = self.next_ready.min(ready_at);
+        self.ready.push(slot, ready_at, age);
     }
 
     /// Earliest cycle at which any queued warp can issue, or `None` when
     /// none is queued (the SM is empty or every warp is blocked on
-    /// memory). O(1): reads the incrementally maintained minimum.
+    /// memory). O(1): reads the incrementally maintained bound.
     pub fn next_ready_cycle(&self) -> Option<u64> {
         (self.next_ready != u64::MAX).then_some(self.next_ready)
     }
 
-    /// Recomputes [`next_ready`](Sm::next_ready) from scratch: the queued
-    /// set is exactly `ready`'s entries plus the parked greedy warp, and
-    /// entry `ready_at`s are authoritative while a warp is queued.
-    fn recompute_next_ready(&mut self) {
-        let (a, b) = self.ready.as_slices();
-        let mut min = u64::MAX;
-        for e in a.iter().chain(b.iter()) {
-            min = min.min(e.ready_at);
-        }
-        if self.greedy_parked {
-            let g = self.greedy.expect("parked implies a greedy slot");
-            let w = self.warps[g].as_ref().expect("parked warp is live");
-            min = min.min(w.ready_at);
-        }
-        self.next_ready = min;
-    }
-
     /// Records `n` cycles in which this SM had live warps but could not
-    /// issue — exactly the accounting [`cycle`](Sm::cycle) would have
+    /// issue — exactly the accounting [`step`](Sm::step) would have
     /// produced had it been called once per skipped cycle.
     pub fn count_idle(&mut self, n: u64) {
         if self.warps_live > 0 {
@@ -388,26 +244,19 @@ impl Sm {
         }
     }
 
-    /// Parks one fill delivery in the inbox; [`step`](Sm::step) applies it.
-    pub fn push_fill(&mut self, seq: u64, byte_addr: u64) {
-        self.inbox.push(PendingFill { seq, byte_addr });
-    }
-
-    /// Runs this SM for one cycle without touching the shared memory
-    /// system: applies parked fills, then gates and issues exactly as the
-    /// serial driver did. Requests land in the [`RequestBatch`] and dirty
-    /// fill victims in the victim list; the driver drains both in the
-    /// merge phase. Safe to call from a worker thread.
-    pub fn step(&mut self, cycle: u64, now_ns: u64) -> StepOutcome {
+    /// Runs this SM's issue pass for one cycle: gates on the earliest
+    /// queued warp and issues, sending L1 misses and global writes
+    /// straight to `mem` as they issue. The driver applies the cycle's
+    /// fills (see [`apply_fill`](Sm::apply_fill)) before stepping any SM.
+    ///
+    /// The gate is inlined into the driver's SM loop, so an SM with no
+    /// issuable warp costs no call.
+    #[inline]
+    pub fn step(&mut self, cycle: u64, now_ns: u64, mem: &mut MemSystem) -> StepOutcome {
         let mut blocks_retired = 0;
-        for i in 0..self.inbox.len() {
-            let fill = self.inbox[i];
-            blocks_retired += self.apply_fill(fill.seq, fill.byte_addr, now_ns);
-        }
-        self.inbox.clear();
         match self.next_ready_cycle() {
             Some(ready) if ready <= cycle => {
-                blocks_retired += self.issue_cycle(cycle, now_ns);
+                blocks_retired = self.issue_cycle(cycle, now_ns, mem);
             }
             _ => self.count_idle(1),
         }
@@ -417,28 +266,13 @@ impl Sm {
         }
     }
 
-    /// Moves this cycle's dirty fill victims onto `out` (capacity kept).
-    pub fn drain_victims_into(&mut self, out: &mut Vec<VictimWb>) {
-        out.append(&mut self.victims);
-    }
-
-    /// Replays this cycle's recorded memory requests into `mem`, in issue
-    /// order. Called by the merge phase in canonical SM-id order.
-    pub fn drain_requests_into(&mut self, mem: &mut MemSystem) {
-        self.batch.drain_into(self.id, mem);
-    }
-
-    /// Applies an L1 fill response, waking warps. Returns the number of
-    /// blocks that retired as a result.
-    fn apply_fill(&mut self, seq: u64, byte_addr: u64, now_ns: u64) -> u32 {
+    /// Applies an L1 fill response, waking warps; a dirty L1 victim is
+    /// written back to `mem` at once. Returns the number of blocks that
+    /// retired as a result.
+    pub fn apply_fill(&mut self, byte_addr: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
         let (tokens, dirty_victim) = self.l1.fill(byte_addr, now_ns);
         if let Some(victim_addr) = dirty_victim {
-            self.victims.push(VictimWb {
-                seq,
-                sm: self.id,
-                byte_addr: victim_addr,
-                now_ns,
-            });
+            mem.write_request(self.id, victim_addr, now_ns);
         }
         let mut blocks_retired = 0;
         for token in tokens {
@@ -462,15 +296,22 @@ impl Sm {
         blocks_retired
     }
 
-    /// Executes one instruction's memory reads. Returns `(misses_issued,
-    /// true)` on success or `(partial, false)` on an MSHR-full abort.
-    fn issue_reads(&mut self, slot: usize, addrs: &[u64], now_ns: u64) -> (u32, bool) {
+    /// Executes one instruction's memory reads, sending each newly
+    /// allocated miss to `mem`. Returns `(misses_issued, true)` on
+    /// success or `(partial, false)` on an MSHR-full abort.
+    fn issue_reads(
+        &mut self,
+        slot: usize,
+        addrs: &[u64],
+        now_ns: u64,
+        mem: &mut MemSystem,
+    ) -> (u32, bool) {
         let mut misses = 0;
         for &addr in addrs {
             match self.l1.read(addr, slot as u64, now_ns) {
                 L1ReadOutcome::Hit => {}
                 L1ReadOutcome::MissIssued => {
-                    self.batch.push_read(addr, now_ns);
+                    mem.read_request(self.id, addr, now_ns);
                     misses += 1;
                 }
                 L1ReadOutcome::MissMerged => {
@@ -484,168 +325,127 @@ impl Sm {
         (misses, true)
     }
 
-    /// Removes and returns the next issuable warp slot per the scheduling
-    /// policy, or `None` if no queued warp can issue this cycle.
-    fn pop_issuable(&mut self, cycle: u64) -> Option<usize> {
-        match self.scheduler {
-            WarpScheduler::LooseRoundRobin => {
-                // The first issuable warp in rotation order wins and the
-                // not-ready prefix rotates to the back — exactly what a
-                // pop/check/push-back loop does, but as one contiguous
-                // scan plus one bulk rotate.
-                let (a, b) = self.ready.as_slices();
-                let pos = match a.iter().position(|e| e.ready_at <= cycle) {
-                    Some(i) => Some(i),
-                    None => b
-                        .iter()
-                        .position(|e| e.ready_at <= cycle)
-                        .map(|i| a.len() + i),
-                };
-                let pos = pos?;
-                self.ready.rotate_left(pos);
-                let entry = self.ready.pop_front().expect("found above");
-                Some(entry.slot as usize)
+    /// Re-queues `slot`'s warp after an issued instruction: it may issue
+    /// again `delay` cycles from now.
+    #[inline(always)]
+    fn requeue(&mut self, slot: usize, cycle: u64, delay: u64) {
+        let warp = self.warps[slot].as_mut().expect("live");
+        warp.ready_at = cycle + delay;
+        self.enqueue(slot);
+    }
+
+    /// Issues one memory instruction for `slot`'s warp. Returns the
+    /// number of blocks retired (1 when the warp's last load completed
+    /// its block, else 0). Kept out of line so the ALU path of
+    /// [`issue_cycle`](Sm::issue_cycle) never moves a [`WarpInstr`].
+    #[inline(never)]
+    fn issue_mem(
+        &mut self,
+        slot: usize,
+        instr: WarpInstr,
+        cycle: u64,
+        now_ns: u64,
+        mem: &mut MemSystem,
+    ) -> u32 {
+        let dep = self.dep_interval;
+        match instr {
+            WarpInstr::Alu => {
+                self.instructions += self.warp_size as u64;
+                self.requeue(slot, cycle, dep);
             }
-            WarpScheduler::GreedyThenOldest => {
-                // Stick with the greedy warp while it can issue. It parks
-                // outside `ready` (see `enqueue`), so this is O(1) rather
-                // than a position scan of the deque.
-                if self.greedy_parked {
-                    let g = self.greedy.expect("parked implies a greedy slot");
-                    let ready = self.warps[g].as_ref().is_some_and(|w| w.ready_at <= cycle);
-                    if ready {
-                        self.greedy_parked = false;
-                        return Some(g);
+            WarpInstr::MemWrite(addrs) => {
+                for &addr in &addrs {
+                    self.l1.write(addr, now_ns);
+                    mem.write_request(self.id, addr, now_ns);
+                }
+                self.instructions += self.warp_size as u64;
+                self.requeue(slot, cycle, dep);
+            }
+            WarpInstr::LocalWrite(addrs) => {
+                // Write-back/write-allocate (paper Fig. 1-b): the write
+                // stays in L1; only displaced dirty lines reach L2.
+                for &addr in &addrs {
+                    if let Some(victim) = self.l1.write_local(addr, now_ns) {
+                        mem.write_request(self.id, victim, now_ns);
                     }
                 }
-                // ...otherwise the oldest ready warp becomes greedy. Ages
-                // are unique, so the minimum is order-independent and the
-                // O(1) swap_remove_back cannot change the schedule.
-                let best = self
-                    .ready
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.ready_at <= cycle)
-                    .min_by_key(|(_, e)| e.age)
-                    .map(|(idx, _)| idx)?;
-                let entry = self.ready.swap_remove_back(best).expect("index valid");
-                if self.greedy_parked {
-                    // The stalled ex-greedy warp rejoins the rotation.
-                    let g = self.greedy.expect("parked implies a greedy slot");
-                    let w = self.warps[g].as_ref().expect("parked warp is live");
-                    let (ready_at, age) = (w.ready_at, w.age);
-                    self.ready.push_back(ReadyEntry {
-                        slot: g as u32,
-                        ready_at,
-                        age,
-                    });
-                    self.greedy_parked = false;
+                self.instructions += self.warp_size as u64;
+                self.requeue(slot, cycle, dep);
+            }
+            WarpInstr::MemRead(addrs) | WarpInstr::LocalRead(addrs) => {
+                let (misses, ok) = self.issue_reads(slot, &addrs, now_ns, mem);
+                let max_pending = self.max_pending;
+                let warp = self.warps[slot].as_mut().expect("live");
+                warp.pending_loads += misses;
+                if !ok {
+                    // MSHR full: replay the whole instruction later.
+                    self.mshr_stalls += 1;
+                    warp.replay = Some(Box::new(WarpInstr::MemRead(addrs)));
+                    self.requeue(slot, cycle, MSHR_RETRY_CYCLES);
+                    return 0;
                 }
-                self.greedy = Some(entry.slot as usize);
-                Some(entry.slot as usize)
+                self.instructions += self.warp_size as u64;
+                if warp.pending_loads >= max_pending {
+                    // Stalled: wakes via apply_fill.
+                    warp.queued = false;
+                } else if warp.stream_done() {
+                    warp.queued = false;
+                    if warp.can_retire() && self.retire_warp(slot) {
+                        return 1;
+                    }
+                } else {
+                    self.requeue(slot, cycle, dep);
+                }
             }
         }
+        0
     }
 
     /// Runs one cycle of issue. Returns the number of blocks retired.
-    fn issue_cycle(&mut self, cycle: u64, now_ns: u64) -> u32 {
+    #[inline(never)]
+    fn issue_cycle(&mut self, cycle: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
         let mut blocks_retired = 0;
         let mut issued = 0u32;
-        let mut issued_any = false;
-        let mut exhausted = false;
+        let dep = self.dep_interval;
 
         while issued < self.issue_width {
-            let Some(slot) = self.pop_issuable(cycle) else {
-                exhausted = true;
-                break;
+            let slot = match self.ready.pop(cycle) {
+                Ok(slot) => slot,
+                Err(earliest) => {
+                    // `next_ready` is a lower bound (pops only raise the
+                    // true minimum; enqueues fold in via `min`). A
+                    // stale-low bound merely costs one futile step whose
+                    // idle accounting matches `count_idle`, so it is made
+                    // exact only here, when the queue proved empty of
+                    // issuable warps — which is precisely when the driver
+                    // needs it to compute a skip.
+                    self.next_ready = earliest;
+                    break;
+                }
             };
             let warp = self.warps[slot].as_mut().expect("queued warp is live");
-
-            let Some(instr) = warp.take_instr() else {
-                // Stream exhausted: retire or wait for loads to drain.
-                warp.queued = false;
-                if warp.can_retire() && self.retire_warp(slot) {
-                    blocks_retired += 1;
-                }
-                continue;
-            };
-
-            issued += 1;
-            issued_any = true;
-            match instr {
-                WarpInstr::Alu => {
-                    self.instructions += self.warp_size as u64;
-                    let dep = self.dep_interval;
-                    let warp = self.warps[slot].as_mut().expect("live");
-                    warp.ready_at = cycle + dep;
-                    self.enqueue(slot);
-                }
-                WarpInstr::MemWrite(addrs) => {
-                    for &addr in &addrs {
-                        self.l1.write(addr, now_ns);
-                        self.batch.push_write(addr, now_ns);
+            match warp.draw() {
+                Draw::Done => {
+                    // Stream exhausted: retire or wait for loads to drain.
+                    warp.queued = false;
+                    if warp.can_retire() && self.retire_warp(slot) {
+                        blocks_retired += 1;
                     }
-                    self.instructions += self.warp_size as u64;
-                    let dep = self.dep_interval;
-                    let warp = self.warps[slot].as_mut().expect("live");
-                    warp.ready_at = cycle + dep;
-                    self.enqueue(slot);
                 }
-                WarpInstr::LocalWrite(addrs) => {
-                    // Write-back/write-allocate (paper Fig. 1-b): the write
-                    // stays in L1; only displaced dirty lines reach L2.
-                    for &addr in &addrs {
-                        if let Some(victim) = self.l1.write_local(addr, now_ns) {
-                            self.batch.push_write(victim, now_ns);
-                        }
-                    }
+                Draw::Alu => {
+                    issued += 1;
                     self.instructions += self.warp_size as u64;
-                    let dep = self.dep_interval;
-                    let warp = self.warps[slot].as_mut().expect("live");
-                    warp.ready_at = cycle + dep;
-                    self.enqueue(slot);
+                    self.requeue(slot, cycle, dep);
                 }
-                WarpInstr::MemRead(addrs) | WarpInstr::LocalRead(addrs) => {
-                    let (misses, ok) = self.issue_reads(slot, &addrs, now_ns);
-                    let max_pending = self.max_pending;
-                    let warp = self.warps[slot].as_mut().expect("live");
-                    warp.pending_loads += misses;
-                    if !ok {
-                        // MSHR full: replay the whole instruction later.
-                        self.mshr_stalls += 1;
-                        warp.replay = Some(WarpInstr::MemRead(addrs));
-                        warp.ready_at = cycle + MSHR_RETRY_CYCLES;
-                        self.enqueue(slot);
-                        continue;
-                    }
-                    self.instructions += self.warp_size as u64;
-                    if warp.pending_loads >= max_pending {
-                        // Stalled: wakes via deliver_fill.
-                        warp.queued = false;
-                    } else if warp.stream_done() {
-                        warp.queued = false;
-                        if warp.can_retire() && self.retire_warp(slot) {
-                            blocks_retired += 1;
-                        }
-                    } else {
-                        warp.ready_at = cycle + self.dep_interval;
-                        self.enqueue(slot);
-                    }
+                Draw::Mem => {
+                    issued += 1;
+                    let instr = warp.take_mem();
+                    blocks_retired += self.issue_mem(slot, instr, cycle, now_ns, mem);
                 }
             }
         }
 
-        // `next_ready` is a lower bound (pops only raise the true minimum;
-        // enqueues fold in via `min`). A stale-low bound merely costs one
-        // futile `cycle` call whose idle accounting matches `count_idle`,
-        // so the exact value is only restored — with one scan — when the
-        // queue proved empty of issuable warps, which is precisely when
-        // the driver needs it to compute a skip.
-        if exhausted {
-            self.recompute_next_ready();
-        }
-
-        if !issued_any && !self.is_idle() {
+        if issued == 0 && !self.is_idle() {
             self.idle_cycles += 1;
         }
         blocks_retired
@@ -668,26 +468,18 @@ mod tests {
         (Sm::new(&cfg, 0), MemSystem::new(&cfg), Arc::new(kernel))
     }
 
-    /// Runs the SM until idle, delivering memory responses through the
-    /// same batch/inbox/merge protocol the `Gpu` driver uses.
+    /// Runs the SM until idle, delivering memory responses the way the
+    /// `Gpu` driver does: fills first, in tick order, then the issue pass.
     fn run_to_completion(sm: &mut Sm, mem: &mut MemSystem, max_cycles: u64) -> u32 {
         let mut retired = 0;
         let mut fills = Vec::new();
-        let mut victims = Vec::new();
         for cycle in 0..max_cycles {
             let now_ns = cycle * 5 / 7;
             mem.tick(now_ns, &mut fills);
-            for (seq, fill) in fills.iter().enumerate() {
-                sm.push_fill(seq as u64, fill.byte_addr);
+            for fill in &fills {
+                retired += sm.apply_fill(fill.byte_addr, now_ns, mem);
             }
-            retired += sm.step(cycle, now_ns).blocks_retired;
-            victims.clear();
-            sm.drain_victims_into(&mut victims);
-            victims.sort_unstable_by_key(|v| v.seq);
-            for v in &victims {
-                mem.write_request(v.sm, v.byte_addr, v.now_ns);
-            }
-            sm.drain_requests_into(mem);
+            retired += sm.step(cycle, now_ns, mem).blocks_retired;
             if sm.is_idle() && mem.is_idle() {
                 return retired;
             }

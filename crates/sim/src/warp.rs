@@ -1,25 +1,34 @@
 //! Warp execution state.
 
-use crate::program::{WarpInstr, WarpProgram};
+use crate::program::{Draw, WarpInstr, WarpProgram};
 
 /// One resident warp's scheduler-visible state.
+///
+/// Laid out (`repr(C)`, cache-line aligned) so that everything an ALU
+/// instruction *reads* — `queued` (which also carries `Option<Warp>`'s
+/// niche), the replay slot and the head of the [`WarpProgram`] — sits in
+/// the first 64 bytes. `ready_at`, which the re-queue only writes, and
+/// the fields of memory instructions follow.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct Warp {
-    /// The warp's instruction stream.
-    pub program: WarpProgram,
-    /// Index of the owning block in the SM's block table.
-    pub block_slot: usize,
-    /// Launch order within the SM (lower = older), used by GTO scheduling.
-    pub age: u64,
+    /// Whether the warp currently sits in the SM's ready queue.
+    pub queued: bool,
     /// Outstanding load requests (the warp stalls at the SM's
     /// `max_pending_loads`).
     pub pending_loads: u32,
+    /// An instruction that must replay (e.g. after an MSHR-full stall).
+    /// Boxed: replays are rare, and inline it would push the program's
+    /// hot fields out of the first cache line.
+    pub replay: Option<Box<WarpInstr>>,
+    /// The warp's instruction stream.
+    pub program: WarpProgram,
     /// Earliest cycle the warp may issue again.
     pub ready_at: u64,
-    /// Whether the warp currently sits in the SM's ready queue.
-    pub queued: bool,
-    /// An instruction that must replay (e.g. after an MSHR-full stall).
-    pub replay: Option<WarpInstr>,
+    /// Launch order within the SM (lower = older), used by GTO scheduling.
+    pub age: u64,
+    /// Index of the owning block in the SM's block table.
+    pub block_slot: usize,
 }
 
 impl Warp {
@@ -47,13 +56,25 @@ impl Warp {
         self.stream_done() && self.pending_loads == 0
     }
 
-    /// Takes the next instruction to execute: a pending replay first,
-    /// otherwise the next generated instruction.
-    pub fn take_instr(&mut self) -> Option<WarpInstr> {
-        if let Some(i) = self.replay.take() {
-            return Some(i);
+    /// Draws the warp's next instruction class: a pending replay (always
+    /// a memory instruction) first, otherwise the stream's next draw. A
+    /// [`Draw::Mem`] is completed by [`take_mem`](Self::take_mem).
+    #[inline]
+    pub fn draw(&mut self) -> Draw {
+        if self.replay.is_some() {
+            Draw::Mem
+        } else {
+            self.program.draw()
         }
-        self.program.next_instr()
+    }
+
+    /// The memory instruction of a [`Draw::Mem`]: the pending replay, or
+    /// a freshly generated one.
+    pub fn take_mem(&mut self) -> WarpInstr {
+        match self.replay.take() {
+            Some(instr) => *instr,
+            None => self.program.gen_mem(),
+        }
     }
 }
 
@@ -62,6 +83,15 @@ mod tests {
     use super::*;
     use crate::kernel::KernelParams;
     use std::sync::Arc;
+
+    /// The next instruction the way the SM takes it.
+    fn take(w: &mut Warp) -> Option<WarpInstr> {
+        match w.draw() {
+            Draw::Done => None,
+            Draw::Alu => Some(WarpInstr::Alu),
+            Draw::Mem => Some(w.take_mem()),
+        }
+    }
 
     fn warp(instrs: u32) -> Warp {
         let k = Arc::new(KernelParams::new("k", 1, 32).with_instructions(instrs));
@@ -79,17 +109,17 @@ mod tests {
     #[test]
     fn drains_to_retirement() {
         let mut w = warp(3);
-        assert!(w.take_instr().is_some());
-        assert!(w.take_instr().is_some());
-        assert!(w.take_instr().is_some());
-        assert!(w.take_instr().is_none());
+        assert!(take(&mut w).is_some());
+        assert!(take(&mut w).is_some());
+        assert!(take(&mut w).is_some());
+        assert!(take(&mut w).is_none());
         assert!(w.can_retire());
     }
 
     #[test]
     fn pending_loads_block_retirement() {
         let mut w = warp(1);
-        let _ = w.take_instr();
+        let _ = take(&mut w);
         w.pending_loads = 1;
         assert!(w.stream_done());
         assert!(!w.can_retire());
@@ -100,9 +130,9 @@ mod tests {
     #[test]
     fn replay_takes_priority() {
         let mut w = warp(5);
-        let first = w.take_instr().expect("instruction");
-        w.replay = Some(first.clone());
+        let first = take(&mut w).expect("instruction");
+        w.replay = Some(Box::new(first.clone()));
         assert!(!w.stream_done());
-        assert_eq!(w.take_instr(), Some(first));
+        assert_eq!(take(&mut w), Some(first));
     }
 }

@@ -11,11 +11,6 @@
 //! Geometries are chosen to exercise every wake source the skipping driver
 //! reasons about: warp dependency stalls, memory-system events, MSHR-full
 //! replays, block launch waves, multi-kernel barriers and truncated runs.
-//!
-//! The same harness also pins the *parallel-stepping* contract: every
-//! geometry is additionally run under the cycle-skipping driver with
-//! `sim_threads` ∈ {2, 4, 8}, and the metrics and full trace stream must
-//! match the serial single-step reference event for event.
 
 use std::sync::{Arc, Mutex};
 
@@ -23,45 +18,32 @@ use sttgpu_sim::{Gpu, GpuConfig, KernelParams, L2ModelConfig, WarpScheduler};
 use sttgpu_stats::Rng;
 use sttgpu_trace::{Trace, VecSink};
 
-/// Runs `kernels` single-stepped serially (the reference semantics), then
-/// cycle-skipping at 1, 2, 4 and 8 step threads — and asserts metrics and
-/// trace streams match the reference exactly in every configuration.
+/// Runs `kernels` single-stepped (the reference semantics), then with
+/// cycle skipping — and asserts metrics and trace streams match exactly.
 fn assert_equivalent(label: &str, cfg: &GpuConfig, kernels: &[KernelParams], seed: u64, max: u64) {
     let kernels: Vec<Arc<KernelParams>> = kernels.iter().cloned().map(Arc::new).collect();
 
-    let run = |single_step: bool, threads: usize| {
+    let run = |single_step: bool| {
         let sink = Arc::new(Mutex::new(VecSink::new()));
         let mut gpu = Gpu::new(cfg.clone());
         gpu.set_trace(Trace::to_sink(sink.clone()));
         gpu.set_single_step(single_step);
-        gpu.set_sim_threads(threads);
         let metrics = gpu.run_seeded(&kernels, seed, max);
         let events = sink.lock().unwrap().take();
         (metrics, events, gpu.cycle())
     };
 
-    let (m_step, t_step, c_step) = run(true, 1);
-    for threads in [1usize, 2, 4, 8] {
-        let (m_skip, t_skip, c_skip) = run(false, threads);
-        assert_eq!(
-            c_step, c_skip,
-            "[{label}] final driver cycle diverged (threads={threads})"
-        );
-        assert_eq!(
-            m_step, m_skip,
-            "[{label}] RunMetrics diverged (threads={threads})"
-        );
-        assert_eq!(
-            t_step.len(),
-            t_skip.len(),
-            "[{label}] trace length diverged (threads={threads})"
-        );
-        for (i, (a, b)) in t_step.iter().zip(&t_skip).enumerate() {
-            assert_eq!(
-                a, b,
-                "[{label}] trace diverged at event {i} (threads={threads})"
-            );
-        }
+    let (m_step, t_step, c_step) = run(true);
+    let (m_skip, t_skip, c_skip) = run(false);
+    assert_eq!(c_step, c_skip, "[{label}] final driver cycle diverged");
+    assert_eq!(m_step, m_skip, "[{label}] RunMetrics diverged");
+    assert_eq!(
+        t_step.len(),
+        t_skip.len(),
+        "[{label}] trace length diverged"
+    );
+    for (i, (a, b)) in t_step.iter().zip(&t_skip).enumerate() {
+        assert_eq!(a, b, "[{label}] trace diverged at event {i}");
     }
 }
 

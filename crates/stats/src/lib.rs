@@ -41,5 +41,5 @@ mod running;
 pub use counter::Counter;
 pub use cov::{coefficient_of_variation, WriteVariation};
 pub use histogram::{Bucket, Histogram};
-pub use rng::Rng;
+pub use rng::{Chance, Rng};
 pub use running::RunningStats;

@@ -131,6 +131,60 @@ impl Rng {
     }
 }
 
+/// A Bernoulli probability prepared once for many draws.
+///
+/// `Chance::new(p).draw(rng)` returns exactly what `rng.chance(p)` returns
+/// and consumes the same stream, but compares integers instead of
+/// converting every draw to `f64`: for the 53-bit draw `u = next_u64() >> 11`,
+/// `u · 2⁻⁵³ < p` is an exact real comparison (both sides are exactly
+/// representable), which holds iff `u < ⌈p · 2⁵³⌉`. As with
+/// [`Rng::chance`], `p ≤ 0` and `p ≥ 1` consume no draw.
+///
+/// One word: a threshold in `0..=2⁵³`, or one of two sentinels above
+/// that range for the no-draw cases.
+///
+/// ```
+/// use sttgpu_stats::{Chance, Rng};
+/// let (mut a, mut b) = (Rng::new(5), Rng::new(5));
+/// let c = Chance::new(0.3);
+/// for _ in 0..100 {
+///     assert_eq!(c.draw(&mut a), b.chance(0.3));
+/// }
+/// assert_eq!(a, b);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chance(u64);
+
+impl Chance {
+    /// `p ≤ 0`: always `false`, no draw.
+    pub const NEVER: Chance = Chance(u64::MAX - 1);
+    /// `p ≥ 1`: always `true`, no draw.
+    pub const ALWAYS: Chance = Chance(u64::MAX);
+
+    /// Prepares probability `p` (clamped to `[0, 1]` like [`Rng::chance`]).
+    pub fn new(p: f64) -> Self {
+        if p <= 0.0 {
+            Chance::NEVER
+        } else if p >= 1.0 {
+            Chance::ALWAYS
+        } else {
+            // Exact: scaling by a power of two; `as` maps NaN to 0, which
+            // keeps `chance(NaN)`'s draw-and-return-false behaviour.
+            Chance((p * (1u64 << 53) as f64).ceil() as u64)
+        }
+    }
+
+    /// One Bernoulli draw from `rng`.
+    #[inline]
+    pub fn draw(self, rng: &mut Rng) -> bool {
+        if self.0 <= 1 << 53 {
+            (rng.next_u64() >> 11) < self.0
+        } else {
+            self == Chance::ALWAYS
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +255,43 @@ mod tests {
         assert!((frac - 0.3).abs() < 0.01, "frac {frac}");
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
+    }
+
+    #[test]
+    fn prepared_chance_matches_float_chance_and_stream() {
+        let eps = 1.0 / (1u64 << 53) as f64;
+        for p in [0.0, eps, 0.12, 0.5, 1.0 - eps, 1.0, -0.5, 1.5, f64::NAN] {
+            let c = Chance::new(p);
+            let mut a = Rng::new(0xC4A7);
+            let mut b = Rng::new(0xC4A7);
+            for _ in 0..10_000 {
+                assert_eq!(c.draw(&mut a), b.chance(p), "p = {p}");
+            }
+            assert_eq!(a, b, "stream position diverged at p = {p}");
+        }
+        // The thresholds at the edges of the 53-bit grid.
+        assert_eq!(Chance::new(eps), Chance(1));
+        assert_eq!(Chance::new(1.0 - eps), Chance((1 << 53) - 1));
+        assert_eq!(Chance::new(f64::NAN), Chance(0));
+        assert_eq!(Chance::new(0.0), Chance::NEVER);
+        assert_eq!(Chance::new(1.0), Chance::ALWAYS);
+    }
+
+    #[test]
+    fn prepared_chance_agrees_at_every_boundary_draw() {
+        // Drive the comparison directly at u = T-1, T, T+1 for each
+        // threshold: the integer test must agree with the float test.
+        let eps = 1.0 / (1u64 << 53) as f64;
+        for p in [eps, 0.12, 0.5, 1.0 - eps, 0.1 + 0.2, 1.0 / 3.0] {
+            let t = Chance::new(p).0;
+            for u in [t.saturating_sub(1), t, t + 1] {
+                if u >= 1 << 53 {
+                    continue;
+                }
+                let float = (u as f64) * eps < p;
+                assert_eq!(u < t, float, "p = {p}, u = {u}");
+            }
+        }
     }
 
     #[test]
