@@ -2,7 +2,8 @@
 # Local CI gate: everything a PR must pass. Run from the repo root.
 #
 #   ./ci.sh            # build + tests + lints
-#   ./ci.sh --smoke    # also run a reduced-scale repro to exercise the
+#   ./ci.sh --smoke    # also run the benchmark's contract tests, a
+#                      # reduced-scale repro to exercise the
 #                      # parallel executor end to end, a --check run with
 #                      # the runtime invariant checker attached, a perf
 #                      # canary against the checked-in throughput
@@ -29,6 +30,9 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 if [[ "${1:-}" == "--smoke" ]]; then
+    echo "==> perfbench contract tests (tiny sizes, its own workspace)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "==> repro smoke run (scale 0.1, all artefacts)"
     ./target/release/repro --scale 0.1 all > /dev/null
 
@@ -47,8 +51,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
         || { echo "canary: the committed baseline results/BENCH_repro.json is missing"; exit 1; }
     ./target/release/repro --canary > /dev/null
 
-    echo "==> repro differential fuzz vs the oracle (50000 cases, seed 7, 4 shards; corners + scenarios)"
-    ./target/release/repro --fuzz 50000 --fuzz-seed 7 --jobs 4 > /dev/null
+    echo "==> repro differential fuzz vs the oracle (75000 cases, seed 7, 4 shards; corners + scenarios)"
+    ./target/release/repro --fuzz 75000 --fuzz-seed 7 --jobs 4 > /dev/null
 
     echo "==> repro scenario run (zipf-hot:7, --check)"
     ./target/release/repro --scenario zipf-hot:7 --check > /dev/null

@@ -233,11 +233,12 @@ fn run_fuzz(cases: u64, seed: u64, shards: u64) -> ExitCode {
             sttgpu_oracle::format_trace(&f.minimized)
         );
     }
+    let secs = started.elapsed().as_secs_f64();
     eprintln!(
-        "# repro --fuzz: {} cases, {} divergence(s) in {:.1}s",
+        "# repro --fuzz: {} cases, {} divergence(s) in {secs:.1}s ({:.0} cases/s)",
         report.cases,
         report.failures.len(),
-        started.elapsed().as_secs_f64()
+        report.cases as f64 / secs.max(1e-9)
     );
     if report.failures.is_empty() {
         ExitCode::SUCCESS

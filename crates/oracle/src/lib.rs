@@ -10,10 +10,13 @@
 //!
 //! * [`OracleLlc`] is a small, deliberately *unoptimised* functional
 //!   model of the same semantics — per-line residency, dirtiness, write
-//!   counts, content tokens, retention clocks and swap-buffer occupancy
-//!   held in plain scanned vectors and sorted multisets, with no
-//!   deadline queues, no stale entries and no caching. Where the implementation earns
-//!   speed, the oracle spends clarity.
+//!   counts, content tokens, retention clocks and swap-buffer occupancy.
+//!   Residency and clocks are dense rows scanned linearly (set index by
+//!   mask or `%`), the rest of each line's state a plain row beside
+//!   them, and the swap buffers plain lists of completion times; there
+//!   are no deadline queues, no stale entries, no caching and nothing
+//!   carried between sweeps. Where the implementation earns speed, the
+//!   oracle spends clarity.
 //! * [`generate`] turns a seed and a [`TraceSpec`] into a request
 //!   stream (hot/cold address mix, read/write ratio, bounded
 //!   inter-arrival gaps) whose every subsequence is still well formed,

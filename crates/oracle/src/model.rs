@@ -1,12 +1,17 @@
 //! The functional reference model of the two-part LLC.
 //!
-//! Everything here favours obviousness over speed: parts are flat
-//! `Vec<Option<Line>>` scanned linearly, retention is re-derived from
-//! per-line clocks on every sweep (no deadline queues), and the swap
-//! buffers are sorted multisets of completion times. The model also
-//! carries a content token per line and a shadow DRAM image, so the
-//! write-back discipline (a clean line always equals DRAM) is checked
-//! as an internal invariant on every drop.
+//! Everything here favours obviousness over speed. Each part is a flat
+//! slot array kept as three rows: a dense `u64` row of line addresses
+//! and one of retention clocks — the only record of residency and of
+//! when a line was last physically written — beside a plain row of the
+//! remaining per-line state. Lookups scan a set's slice of the address
+//! row; retention is re-derived from the clock row on every sweep, one
+//! linear pass per part (no deadline queues, no stale entries, nothing
+//! carried from one sweep to the next). The swap buffers are unordered
+//! lists of completion times, pruned in place. The model also carries a
+//! content token per line and a shadow DRAM image, so the write-back
+//! discipline (a clean line always equals DRAM) is checked as an
+//! internal invariant on every drop.
 
 use std::collections::BTreeMap;
 
@@ -26,16 +31,16 @@ enum Part {
     Hr,
 }
 
-/// One resident line: residency is the slot it occupies, the rest is
-/// the per-line state the architecture tracks.
-#[derive(Debug, Clone)]
-struct Line {
-    la: u64,
+/// Address-row value of an empty slot. No line address reaches it: the
+/// implementation derives addresses as `byte_addr / line_bytes`.
+const EMPTY: u64 = u64::MAX;
+
+/// The per-line state the architecture tracks besides residency and
+/// the retention clock.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineState {
     dirty: bool,
     write_count: u32,
-    /// Retention clock: when the cell array last physically wrote the
-    /// line (fill, demand write or refresh).
-    written_at_ns: u64,
     /// When a *demand* write last touched the line (0 = never).
     last_write_ns: u64,
     /// LRU recency stamp, monotone per part.
@@ -45,79 +50,85 @@ struct Line {
     content: u64,
 }
 
+/// A line taken out of a part, with what its next home needs.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    la: u64,
+    dirty: bool,
+    write_count: u32,
+    content: u64,
+}
+
+/// A line found due by a sweep: `(deadline, line, clock, slot)`. Line
+/// addresses are unique within a part, so sorting the tuple orders by
+/// `(deadline, line, clock)` and the slot only rides along.
+type Due = (u64, u64, u64, usize);
+
 /// A set-associative array scanned the obvious way.
 #[derive(Debug, Clone)]
 struct PartArray {
     sets: u64,
+    /// `sets - 1` when `sets` is a power of two (the set index is then
+    /// a mask), `None` when it is taken with `%`.
+    set_mask: Option<u64>,
     ways: usize,
     /// Ways currently in service; a partition policy may park the tail
     /// `ways - active_ways` ways of every set (they are drained first,
     /// so residency lookups over the full row stay correct).
     active_ways: usize,
-    slots: Vec<Option<Line>>,
+    /// Line address per slot, [`EMPTY`] when free.
+    tags: Vec<u64>,
+    /// Retention clock per slot: when the cell array last physically
+    /// wrote the line (fill, demand write or refresh); `u64::MAX` when
+    /// the slot is free.
+    clocks: Vec<u64>,
+    /// The rest of each resident line's state (stale in a free slot).
+    state: Vec<LineState>,
     stamp: u64,
 }
 
 impl PartArray {
     fn new(sets: u64, ways: usize) -> Self {
+        let slots = sets as usize * ways;
         PartArray {
             sets,
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
             ways,
             active_ways: ways,
-            slots: vec![None; sets as usize * ways],
+            tags: vec![EMPTY; slots],
+            clocks: vec![u64::MAX; slots],
+            state: vec![LineState::default(); slots],
             stamp: 0,
         }
     }
 
-    fn set_range(&self, la: u64) -> std::ops::Range<usize> {
-        let set = (la % self.sets) as usize;
-        set * self.ways..(set + 1) * self.ways
-    }
-
-    /// The slots a fill may install into — the set's active prefix.
-    fn victim_range(&self, la: u64) -> std::ops::Range<usize> {
-        let set = (la % self.sets) as usize;
-        set * self.ways..set * self.ways + self.active_ways
-    }
-
-    /// Empties every parked way (`from_way..`), set-major, returning the
-    /// extracted lines in drain order.
-    fn drain_ways(&mut self, from_way: usize) -> Vec<Line> {
-        let mut drained = Vec::new();
-        for set in 0..self.sets as usize {
-            for way in from_way..self.ways {
-                if let Some(line) = self.slots[set * self.ways + way].take() {
-                    drained.push(line);
-                }
-            }
-        }
-        drained
+    /// First slot of `la`'s set.
+    fn set_start(&self, la: u64) -> usize {
+        let set = match self.set_mask {
+            Some(mask) => la & mask,
+            None => la % self.sets,
+        };
+        set as usize * self.ways
     }
 
     fn slot_of(&self, la: u64) -> Option<usize> {
-        self.set_range(la)
-            .find(|&s| self.slots[s].as_ref().is_some_and(|l| l.la == la))
+        let start = self.set_start(la);
+        self.tags[start..start + self.ways]
+            .iter()
+            .position(|&t| t == la)
+            .map(|w| start + w)
     }
 
     fn contains(&self, la: u64) -> bool {
         self.slot_of(la).is_some()
     }
 
-    fn line(&self, la: u64) -> Option<&Line> {
-        self.slot_of(la).map(|s| self.slots[s].as_ref().unwrap())
-    }
-
-    fn line_mut(&mut self, la: u64) -> Option<&mut Line> {
-        self.slot_of(la).map(|s| self.slots[s].as_mut().unwrap())
-    }
-
     /// Services a hit: bumps recency (LRU touches on every hit) and,
     /// for writes, the write counter / dirty bit / last-write clock.
-    fn lookup_hit(&mut self, la: u64, write: bool, now_ns: u64) {
+    fn lookup_hit(&mut self, slot: usize, write: bool, now_ns: u64) {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let line = self.line_mut(la).expect("lookup_hit needs a resident line");
-        line.stamp = stamp;
+        let line = &mut self.state[slot];
+        line.stamp = self.stamp;
         if write {
             line.write_count = line.write_count.saturating_add(1);
             line.dirty = true;
@@ -137,51 +148,89 @@ impl PartArray {
         content: u64,
         now_ns: u64,
     ) -> Option<Line> {
-        if let Some(line) = self.line_mut(la) {
+        debug_assert_ne!(la, EMPTY, "line address collides with the empty-slot tag");
+        if let Some(slot) = self.slot_of(la) {
+            let line = &mut self.state[slot];
             line.dirty |= dirty;
             if dirty {
                 line.content = content;
             }
             return None;
         }
-        let range = self.victim_range(la);
-        let slot = range
-            .clone()
-            .find(|&s| self.slots[s].is_none())
+        // Only the set's active prefix takes fills.
+        let start = self.set_start(la);
+        let active = start..start + self.active_ways;
+        let slot = self.tags[active.clone()]
+            .iter()
+            .position(|&t| t == EMPTY)
+            .map(|w| start + w)
             .unwrap_or_else(|| {
-                range
-                    .min_by_key(|&s| self.slots[s].as_ref().unwrap().stamp)
+                active
+                    .min_by_key(|&s| self.state[s].stamp)
                     .expect("a set has at least one way")
             });
         self.stamp += 1;
-        let victim = self.slots[slot].take();
-        self.slots[slot] = Some(Line {
-            la,
+        let victim = self.take(slot);
+        self.tags[slot] = la;
+        self.clocks[slot] = now_ns;
+        self.state[slot] = LineState {
             dirty,
             write_count: carried_writes.saturating_add(dirty as u32),
-            written_at_ns: now_ns,
             last_write_ns: if dirty { now_ns } else { 0 },
             stamp: self.stamp,
             content,
-        });
+        };
         victim
     }
 
-    fn extract(&mut self, la: u64) -> Option<Line> {
-        self.slot_of(la).and_then(|s| self.slots[s].take())
+    /// Empties `slot`, returning the line it held.
+    fn take(&mut self, slot: usize) -> Option<Line> {
+        let la = std::mem::replace(&mut self.tags[slot], EMPTY);
+        if la == EMPTY {
+            return None;
+        }
+        self.clocks[slot] = u64::MAX;
+        let s = &self.state[slot];
+        Some(Line {
+            la,
+            dirty: s.dirty,
+            write_count: s.write_count,
+            content: s.content,
+        })
     }
 
-    fn lines(&self) -> impl Iterator<Item = &Line> {
-        self.slots.iter().flatten()
+    /// Appends every resident line whose retention deadline — its clock
+    /// plus `span`, saturating like `RetentionTracker`'s deadlines — is
+    /// reached at `now_ns`, in one pass over the clock row.
+    fn collect_due(&self, now_ns: u64, span: u64, due: &mut Vec<Due>) {
+        // Below `u64::MAX`, `clock ⊕ span <= now` is exactly `clock <=
+        // now - span`, and nothing is due while `span > now`; at
+        // `u64::MAX` every deadline, saturated or not, is reached.
+        let limit = if now_ns == u64::MAX {
+            u64::MAX
+        } else {
+            match now_ns.checked_sub(span) {
+                Some(limit) => limit,
+                None => return,
+            }
+        };
+        for (slot, &clock) in self.clocks.iter().enumerate() {
+            // A free slot's clock is `u64::MAX`: it only passes the
+            // clock test at `limit == u64::MAX`, so the tag check rarely runs.
+            if clock <= limit && self.tags[slot] != EMPTY {
+                due.push((clock.saturating_add(span), self.tags[slot], clock, slot));
+            }
+        }
     }
 }
 
-/// Swap buffer as a sorted multiset of completion times.
-#[derive(Debug, Clone, Default)]
+/// Swap buffer: an unordered list of in-flight completion times, pruned
+/// in place. A reservation is refused at capacity, so the list never
+/// outgrows the slots it was built with.
+#[derive(Debug, Clone)]
 struct Buffer {
     capacity: usize,
-    in_flight: BTreeMap<u64, u32>,
-    admissions: u64,
+    in_flight: Vec<u64>,
     overflows: u64,
     peak: usize,
 }
@@ -190,24 +239,21 @@ impl Buffer {
     fn new(capacity: usize) -> Self {
         Buffer {
             capacity,
-            ..Buffer::default()
+            in_flight: Vec::with_capacity(capacity),
+            overflows: 0,
+            peak: 0,
         }
     }
 
-    fn occupancy_at(&mut self, now_ns: u64) -> usize {
-        // A slot is free the instant its write completes.
-        self.in_flight = self.in_flight.split_off(&(now_ns + 1));
-        self.in_flight.values().map(|&c| c as usize).sum()
-    }
-
     fn try_reserve(&mut self, now_ns: u64, completes_at_ns: u64) -> bool {
-        let occupied = self.occupancy_at(now_ns);
+        // A slot is free the instant its write completes.
+        self.in_flight.retain(|&done| done > now_ns);
+        let occupied = self.in_flight.len();
         if occupied >= self.capacity {
             self.overflows += 1;
             return false;
         }
-        *self.in_flight.entry(completes_at_ns).or_insert(0) += 1;
-        self.admissions += 1;
+        self.in_flight.push(completes_at_ns);
         self.peak = self.peak.max(occupied + 1);
         true
     }
@@ -248,6 +294,9 @@ pub struct OracleLlc {
     /// Fresh-token source for demand writes (never 0: token 0 means
     /// "DRAM content of a line never written back").
     next_token: u64,
+    /// Scratch list of one sweep's due lines, emptied before the sweep
+    /// returns; kept only so its capacity is reused.
+    due: Vec<Due>,
 }
 
 fn priced(
@@ -334,6 +383,7 @@ impl OracleLlc {
             hr_write_ns: lat(hr_design.write_latency_ns()),
             dram: BTreeMap::new(),
             next_token: 0,
+            due: Vec::new(),
         }
     }
 
@@ -355,11 +405,6 @@ impl OracleLlc {
     /// Total swap-buffer overflows across both directions.
     pub fn buffer_overflows(&self) -> u64 {
         self.hr_to_lr.overflows + self.lr_to_hr.overflows
-    }
-
-    /// Total swap-buffer admissions across both directions.
-    pub fn buffer_admissions(&self) -> u64 {
-        self.hr_to_lr.admissions + self.lr_to_hr.admissions
     }
 
     /// Peak simultaneous occupancy of the (HR→LR, LR→HR) buffers.
@@ -414,11 +459,11 @@ impl OracleLlc {
         } else {
             [Part::Hr, Part::Lr]
         };
-        let part_contains = |model: &Self, part: Part| match part {
-            Part::Lr => model.lr.contains(la),
-            Part::Hr => model.hr.contains(la),
+        let slot_in = |model: &Self, part: Part| match part {
+            Part::Lr => model.lr.slot_of(la),
+            Part::Hr => model.hr.slot_of(la),
         };
-        let (hit_part, tag_done_ns) = match self.search {
+        let (hit, tag_done_ns) = match self.search {
             SearchMode::Sequential => {
                 let mut t = now_ns;
                 let mut found = None;
@@ -427,11 +472,11 @@ impl OracleLlc {
                         Part::Lr => self.lr_tag_ns,
                         Part::Hr => self.hr_tag_ns,
                     };
-                    if part_contains(self, part) {
+                    if let Some(slot) = slot_in(self, part) {
                         if i == 1 {
                             self.stats.second_search_hits += 1;
                         }
-                        found = Some(part);
+                        found = Some((part, slot));
                         break;
                     }
                 }
@@ -439,43 +484,37 @@ impl OracleLlc {
             }
             SearchMode::Parallel => {
                 let t = now_ns + self.lr_tag_ns.max(self.hr_tag_ns);
-                let found = if part_contains(self, Part::Lr) {
-                    Some(Part::Lr)
-                } else if part_contains(self, Part::Hr) {
-                    Some(Part::Hr)
-                } else {
-                    None
-                };
+                let found = slot_in(self, Part::Lr)
+                    .map(|slot| (Part::Lr, slot))
+                    .or_else(|| slot_in(self, Part::Hr).map(|slot| (Part::Hr, slot)));
                 (found, t)
             }
         };
 
-        match (hit_part, write) {
-            (Some(Part::Lr), false) => {
-                self.lr.lookup_hit(la, false, now_ns);
+        match (hit, write) {
+            (Some((Part::Lr, slot)), false) => {
+                self.lr.lookup_hit(slot, false, now_ns);
                 self.stats.lr_read_hits += 1;
                 (true, 0)
             }
-            (Some(Part::Hr), false) => {
-                self.hr.lookup_hit(la, false, now_ns);
+            (Some((Part::Hr, slot)), false) => {
+                self.hr.lookup_hit(slot, false, now_ns);
                 self.stats.hr_read_hits += 1;
                 (true, 0)
             }
-            (Some(Part::Lr), true) => {
+            (Some((Part::Lr, slot)), true) => {
                 // Demand write in place in LR: the physical write also
                 // restarts the retention clock.
-                self.lr.lookup_hit(la, true, now_ns);
-                let token = self.fresh_token();
-                let line = self.lr.line_mut(la).expect("LR hit");
-                line.written_at_ns = now_ns;
-                line.content = token;
+                self.lr.lookup_hit(slot, true, now_ns);
+                self.lr.clocks[slot] = now_ns;
+                self.lr.state[slot].content = self.fresh_token();
                 self.stats.lr_write_hits += 1;
                 self.stats.demand_writes_lr += 1;
                 self.stats.lr_array_writes += 1;
                 (true, 0)
             }
-            (Some(Part::Hr), true) => {
-                let wb = self.hr_write_hit(la, tag_done_ns, now_ns);
+            (Some((Part::Hr, slot)), true) => {
+                let wb = self.hr_write_hit(slot, tag_done_ns, now_ns);
                 (true, wb)
             }
             (None, true) => {
@@ -489,28 +528,27 @@ impl OracleLlc {
         }
     }
 
-    /// A write that hit in HR: migrate to LR once the write-count
+    /// A write that hit HR `slot`: migrate to LR once the write-count
     /// threshold is reached (and a HR→LR buffer slot is free), else
     /// service it in place.
-    fn hr_write_hit(&mut self, la: u64, tag_done_ns: u64, now_ns: u64) -> u32 {
-        self.hr.lookup_hit(la, true, now_ns);
-        let token = self.fresh_token();
-        self.hr.line_mut(la).expect("HR hit").content = token;
+    fn hr_write_hit(&mut self, slot: usize, tag_done_ns: u64, now_ns: u64) -> u32 {
+        self.hr.lookup_hit(slot, true, now_ns);
+        self.hr.state[slot].content = self.fresh_token();
         self.stats.hr_write_hits += 1;
-        let count = self.hr.line(la).map_or(1, |l| l.write_count);
+        let count = self.hr.state[slot].write_count;
 
         if self.engine.should_migrate(count) {
             // The migration reads the block out of HR and writes it
             // (merged with the demand data) into LR through the buffer.
             let write_done = tag_done_ns + self.hr_read_ns + self.lr_write_ns;
             if self.hr_to_lr.try_reserve(now_ns, write_done) {
-                let victim = self.hr.extract(la).expect("HR hit extracts");
+                let victim = self.hr.take(slot).expect("HR hit extracts");
                 self.stats.migrations_to_lr += 1;
                 self.stats.demand_writes_lr += 1;
                 self.stats.lr_array_writes += 1;
-                let evicted = self
-                    .lr
-                    .fill(la, true, victim.write_count, victim.content, now_ns);
+                let evicted =
+                    self.lr
+                        .fill(victim.la, true, victim.write_count, victim.content, now_ns);
                 if let Some(lr_victim) = evicted {
                     return self.demote(lr_victim, now_ns);
                 }
@@ -518,8 +556,7 @@ impl OracleLlc {
             }
         }
         // Below threshold, or no buffer slot: write in place.
-        let line = self.hr.line_mut(la).expect("HR hit");
-        line.written_at_ns = now_ns;
+        self.hr.clocks[slot] = now_ns;
         self.stats.demand_writes_hr += 1;
         self.stats.hr_array_writes += 1;
         0
@@ -547,8 +584,8 @@ impl OracleLlc {
         // Write counts restart for the new HR residency: `fill` counts
         // the filling write via the dirty flag, which would leave dirty
         // demotions one demand write ahead at thresholds 2..3.
-        if let Some(line) = self.hr.line_mut(victim.la) {
-            line.write_count = 0;
+        if let Some(slot) = self.hr.slot_of(victim.la) {
+            self.hr.state[slot].write_count = 0;
         }
         if let Some(hr_victim) = evicted {
             self.retire(&hr_victim);
@@ -617,33 +654,27 @@ impl OracleLlc {
                 self.apply_retention_level(level, now_ns);
             }
             if let Some(ways) = actions.hr_ways {
-                self.apply_hr_ways(ways, now_ns);
+                self.apply_hr_ways(ways);
             }
         }
 
         // --- LR refresh engine ---------------------------------------
-        let slack = self.refresh_slack;
-        let mut due: Vec<(u64, u64, u64)> = self
-            .lr
-            .lines()
-            .filter_map(|l| {
-                let deadline = self
-                    .lr_rc
-                    .refresh_deadline_with_slack_ns(l.written_at_ns, slack);
-                (deadline <= now_ns).then_some((deadline, l.la, l.written_at_ns))
-            })
-            .collect();
+        let mut due = std::mem::take(&mut self.due);
+        let span = self
+            .lr_rc
+            .refresh_deadline_with_slack_ns(0, self.refresh_slack);
+        self.lr.collect_due(now_ns, span, &mut due);
         due.sort_unstable();
-        for (_, la, clock) in due {
+        for &(_, la, clock, slot) in &due {
             // A predecessor in this sweep cannot have touched this
             // line, but stay defensive about the clock.
-            if self.lr.line(la).is_none_or(|l| l.written_at_ns != clock) {
+            if self.lr.tags[slot] != la || self.lr.clocks[slot] != clock {
                 continue;
             }
             if self.lr_rc.is_expired(clock, now_ns) {
                 // Cadence violated: the data is already gone.
                 self.stats.lr_expirations += 1;
-                let victim = self.lr.extract(la).expect("due line is resident");
+                let victim = self.lr.take(slot).expect("due line is resident");
                 self.retire(&victim);
                 if victim.dirty {
                     self.stats.writebacks += 1;
@@ -654,13 +685,10 @@ impl OracleLlc {
             if self.lr_to_hr.try_reserve(now_ns, done) {
                 self.stats.refreshes += 1;
                 self.stats.lr_array_writes += 1;
-                self.lr
-                    .line_mut(la)
-                    .expect("due line is resident")
-                    .written_at_ns = now_ns;
+                self.lr.clocks[slot] = now_ns;
             } else {
                 // No slot before expiry: evacuate instead of losing data.
-                let victim = self.lr.extract(la).expect("due line is resident");
+                let victim = self.lr.take(slot).expect("due line is resident");
                 self.retire(&victim);
                 if victim.dirty {
                     self.stats.writebacks += 1;
@@ -668,30 +696,27 @@ impl OracleLlc {
                 }
             }
         }
+        due.clear();
 
         // --- HR expiry engine ----------------------------------------
         // HR has no refresh: lines at the last retention-counter tick
         // are invalidated (clean) or written back (dirty).
-        let mut due: Vec<(u64, u64, u64)> = self
-            .hr
-            .lines()
-            .filter_map(|l| {
-                let deadline = self.hr_rc.refresh_deadline_ns(l.written_at_ns);
-                (deadline <= now_ns).then_some((deadline, l.la, l.written_at_ns))
-            })
-            .collect();
+        let span = self.hr_rc.refresh_deadline_ns(0);
+        self.hr.collect_due(now_ns, span, &mut due);
         due.sort_unstable();
-        for (_, la, clock) in due {
-            if self.hr.line(la).is_none_or(|l| l.written_at_ns != clock) {
+        for &(_, la, clock, slot) in &due {
+            if self.hr.tags[slot] != la || self.hr.clocks[slot] != clock {
                 continue;
             }
             self.stats.hr_expirations += 1;
-            let victim = self.hr.extract(la).expect("due line is resident");
+            let victim = self.hr.take(slot).expect("due line is resident");
             self.retire(&victim);
             if victim.dirty {
                 self.stats.writebacks += 1;
             }
         }
+        due.clear();
+        self.due = due;
     }
 
     /// Switches the LR part to retention ladder `level`: swap the
@@ -702,26 +727,130 @@ impl OracleLlc {
     fn apply_retention_level(&mut self, level: u32, now_ns: u64) {
         self.lr_rc = lr_tracker_at(self.lr_base_retention, self.lr_rc_bits, level);
         let stamp = now_ns + 1;
-        for line in self.lr.slots.iter_mut().flatten() {
-            line.written_at_ns = stamp;
-            self.stats.lr_array_writes += 1;
+        for (&la, clock) in self.lr.tags.iter().zip(&mut self.lr.clocks) {
+            if la != EMPTY {
+                *clock = stamp;
+                self.stats.lr_array_writes += 1;
+            }
         }
     }
 
     /// Reconfigures the HR part to `ways` active ways, draining the
-    /// parked range first on a shrink (dirty victims write back to DRAM,
-    /// clean ones drop).
-    fn apply_hr_ways(&mut self, ways: u32, now_ns: u64) {
-        let _ = now_ns;
+    /// parked ways of every set first on a shrink, set-major (dirty
+    /// victims write back to DRAM, clean ones drop).
+    fn apply_hr_ways(&mut self, ways: u32) {
         let target = ways as usize;
         if target < self.hr.active_ways {
-            for victim in self.hr.drain_ways(target) {
-                self.retire(&victim);
-                if victim.dirty {
-                    self.stats.writebacks += 1;
+            for slot in 0..self.hr.tags.len() {
+                if slot % self.hr.ways < target {
+                    continue;
+                }
+                if let Some(victim) = self.hr.take(slot) {
+                    self.retire(&victim);
+                    if victim.dirty {
+                        self.stats.writebacks += 1;
+                    }
                 }
             }
         }
         self.hr.active_ways = target;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A part holding `lines` as clean lines, each filled at its clock.
+    fn part_with(lines: &[(u64, u64)]) -> PartArray {
+        let mut part = PartArray::new(4, 2);
+        for &(la, clock) in lines {
+            assert!(part.fill(la, false, 0, 0, clock).is_none());
+        }
+        part
+    }
+
+    fn due_at(part: &PartArray, now_ns: u64, span: u64) -> Vec<(u64, u64, u64)> {
+        let mut due = Vec::new();
+        part.collect_due(now_ns, span, &mut due);
+        due.into_iter()
+            .map(|(d, la, clock, _)| (d, la, clock))
+            .collect()
+    }
+
+    #[test]
+    fn a_line_whose_deadline_is_now_is_due() {
+        let rc = RetentionTracker::new(RetentionTime::from_nanos(1000.0), 4);
+        let span = rc.refresh_deadline_ns(0);
+        let deadline = rc.refresh_deadline_ns(100);
+        let part = part_with(&[(5, 100)]);
+        assert!(due_at(&part, deadline - 1, span).is_empty());
+        assert_eq!(due_at(&part, deadline, span), [(deadline, 5, 100)]);
+    }
+
+    #[test]
+    fn nothing_is_due_while_the_span_exceeds_now() {
+        let part = part_with(&[(1, 0), (2, 3)]);
+        assert!(due_at(&part, 999, 1000).is_empty());
+        assert_eq!(due_at(&part, 1000, 1000), [(1000, 1, 0)]);
+    }
+
+    #[test]
+    fn a_saturated_span_is_never_due() {
+        // The tracker's deadlines saturate at `u64::MAX`; a span that
+        // wide is reached by no `now` short of the end of the clock range.
+        let part = part_with(&[(1, 0), (2, 7)]);
+        for now in [0, 7, 1 << 40, u64::MAX - 1] {
+            assert!(due_at(&part, now, u64::MAX).is_empty(), "now {now}");
+        }
+    }
+
+    #[test]
+    fn the_sweep_matches_the_saturating_deadline_everywhere() {
+        let edges = [0, 1, 6, 7, 8, 1 << 40, u64::MAX - 8, u64::MAX - 1, u64::MAX];
+        for clock in [0, 1, 7, 1 << 40, u64::MAX - 8, u64::MAX - 1] {
+            let part = part_with(&[(3, clock)]);
+            for span in edges {
+                for now in edges {
+                    let want = clock.saturating_add(span) <= now;
+                    let got = due_at(&part, now, span);
+                    assert_eq!(!got.is_empty(), want, "clock {clock} span {span} now {now}");
+                    if want {
+                        assert_eq!(got, [(clock.saturating_add(span), 3, clock)]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_index_masks_powers_of_two_and_divides_otherwise() {
+        let pow2 = PartArray::new(4, 2);
+        assert_eq!(pow2.set_mask, Some(3));
+        assert_eq!(pow2.set_start(13), 2);
+        let odd = PartArray::new(3, 2);
+        assert_eq!(odd.set_mask, None);
+        assert_eq!(odd.set_start(13), 2);
+        assert_eq!(odd.set_start(14), 4);
+    }
+
+    #[test]
+    fn a_swap_slot_whose_write_completes_now_is_free() {
+        let mut buffer = Buffer::new(1);
+        assert!(buffer.try_reserve(0, 10));
+        assert!(!buffer.try_reserve(9, 20), "still writing at 9");
+        assert!(buffer.try_reserve(10, 30), "free the instant it completes");
+    }
+
+    #[test]
+    fn single_slot_buffer_counts_peak_and_overflows() {
+        let mut buffer = Buffer::new(1);
+        assert_eq!((buffer.peak, buffer.overflows), (0, 0));
+        assert!(buffer.try_reserve(0, 10));
+        assert!(!buffer.try_reserve(5, 15));
+        assert!(!buffer.try_reserve(9, 19));
+        assert!(buffer.try_reserve(10, 20));
+        assert_eq!((buffer.peak, buffer.overflows), (1, 2));
+        assert_eq!(buffer.in_flight, [20]);
     }
 }
