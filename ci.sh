@@ -4,7 +4,9 @@
 #   ./ci.sh            # build + tests + lints
 #   ./ci.sh --smoke    # also run the benchmark's contract tests, a
 #                      # reduced-scale repro to exercise the
-#                      # parallel executor end to end, a --check run with
+#                      # parallel executor end to end, explore and diag
+#                      # runs, one bad-input call per binary that must
+#                      # exit nonzero without panicking, a --check run with
 #                      # the runtime invariant checker attached, a perf
 #                      # canary against the checked-in throughput
 #                      # baseline, a budgeted differential fuzz pass vs
@@ -35,6 +37,23 @@ if [[ "${1:-}" == "--smoke" ]]; then
 
     echo "==> repro smoke run (scale 0.1, all artefacts)"
     ./target/release/repro --scale 0.1 all > /dev/null
+
+    echo "==> explore and diag runs (scale 0.05)"
+    ./target/release/explore --scale 0.05 --check > /dev/null
+    ./target/release/diag --scale 0.05 > /dev/null
+
+    echo "==> bad input is a typed rejection, not a panic (nonzero exit, not 101)"
+    reject() {
+        local status=0
+        "$@" > /dev/null 2>&1 || status=$?
+        if [[ $status -eq 0 || $status -eq 101 ]]; then
+            echo "bad input smoke: '$*' exited $status"
+            exit 1
+        fi
+    }
+    reject ./target/release/repro --faults 2 fig8
+    reject ./target/release/explore --lr-retention-us -5
+    reject ./target/release/diag --scale abc
 
     echo "==> repro invariant-checker run (scale 0.05, all artefacts, --check)"
     ./target/release/repro --scale 0.05 all --check > /dev/null

@@ -11,22 +11,27 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
+use sttgpu_experiments::cli;
 use sttgpu_experiments::configs::{gpu_config, L2Choice};
 use sttgpu_experiments::error::RunError;
 use sttgpu_experiments::runner::{run, RunPlan};
-use sttgpu_sim::Gpu;
+use sttgpu_sim::{Gpu, Workload};
 use sttgpu_trace::{JsonlSink, Trace};
 use sttgpu_workloads::suite;
 
-fn lookup(name: &str) -> Result<sttgpu_sim::Workload, RunError> {
-    suite::by_name(name).ok_or_else(|| RunError::UnknownWorkload {
-        name: name.to_string(),
+const USAGE: &str = "usage: diag [--scale F] [--trace-jsonl PATH] [WORKLOAD ...]";
+
+fn lookup(name: &str) -> Result<Workload, RunError> {
+    suite::by_name(name).ok_or_else(|| {
+        RunError::invalid(format!(
+            "unknown workload '{name}' (want one of {})",
+            suite::names().join("|")
+        ))
     })
 }
 
-fn dump_trace(path: &str, name: &str, plan: &RunPlan) -> Result<(), RunError> {
-    let w = lookup(name)?;
-    let scaled = suite::scaled(&w, plan.scale);
+fn dump_trace(path: &str, w: &Workload, plan: &RunPlan) -> Result<(), RunError> {
+    let scaled = suite::scaled(w, plan.scale);
     let file = BufWriter::new(File::create(path).map_err(|e| RunError::io(path, e))?);
     let sink = Arc::new(Mutex::new(JsonlSink::new(file)));
     let mut gpu = Gpu::new(gpu_config(L2Choice::TwoPartC1));
@@ -42,42 +47,41 @@ fn dump_trace(path: &str, name: &str, plan: &RunPlan) -> Result<(), RunError> {
         .flush()
         .map_err(|e| RunError::io(path, e))?;
     println!(
-        "wrote {written} events to {path} ({name} @ scale {}, {} cycles, finished: {})",
-        plan.scale, metrics.cycles, metrics.finished
+        "wrote {written} events to {path} ({} @ scale {}, {} cycles, finished: {})",
+        w.name, plan.scale, metrics.cycles, metrics.finished
     );
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.1);
-    let trace_jsonl: Option<String> = args
-        .iter()
-        .position(|a| a == "--trace-jsonl")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let names: Vec<String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--scale" || *a == "--trace-jsonl" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .cloned()
-            .collect()
-    };
+    match run_diag(cli::Args::from_env()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("diag: {e}");
+            if let RunError::InvalidConfig { .. } = e {
+                eprintln!("{USAGE}");
+            }
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run_diag(mut args: cli::Args) -> Result<(), RunError> {
+    let mut scale = 0.1;
+    let mut trace_jsonl = None;
+    let mut names = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" => scale = cli::parse_scale(&args.value("--scale")?)?,
+            "--trace-jsonl" => trace_jsonl = Some(args.value("--trace-jsonl")?),
+            "-h" | "--help" => {
+                eprintln!("{USAGE}");
+                return Ok(());
+            }
+            flag if flag.starts_with('-') => return Err(cli::unknown_flag(flag)),
+            _ => names.push(arg),
+        }
+    }
     let plan = RunPlan {
         scale,
         max_cycles: 6_000_000,
@@ -85,29 +89,18 @@ fn main() -> ExitCode {
         ..RunPlan::full()
     };
     if let Some(path) = trace_jsonl {
-        let name = names.first().map(String::as_str).unwrap_or("kmeans");
-        if let Err(e) = dump_trace(&path, name, &plan) {
-            eprintln!("diag: {e}");
-            if let RunError::UnknownWorkload { .. } = e {
-                eprintln!("available workloads: {:?}", suite::names());
-            }
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+        let name = names.first().map_or("kmeans", String::as_str);
+        return dump_trace(&path, &lookup(name)?, &plan);
     }
-    let names = if names.is_empty() {
-        suite::names()
-    } else {
-        names
-    };
-    for name in names {
-        let w = match lookup(&name) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("diag: {e}; available workloads: {:?}", suite::names());
-                return ExitCode::FAILURE;
-            }
-        };
+    if names.is_empty() {
+        names = suite::names();
+    }
+    let workloads = names
+        .iter()
+        .map(|n| lookup(n))
+        .collect::<Result<Vec<_>, _>>()?;
+    for w in workloads {
+        let name = &w.name;
         println!("== {name} (scale {scale}) ==");
         for choice in L2Choice::ALL {
             let out = run(choice, &w, &plan);
@@ -147,5 +140,5 @@ fn main() -> ExitCode {
             println!();
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

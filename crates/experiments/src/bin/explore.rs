@@ -10,7 +10,6 @@
 //!         --lr-kb 48,96,192 --lr-retention-us 10,26.5,100
 //! ```
 
-use std::env;
 use std::process::ExitCode;
 
 use sttgpu_core::{LlcPolicy, TwoPartConfig};
@@ -20,8 +19,13 @@ use sttgpu_experiments::cli;
 use sttgpu_experiments::configs::{gpu_config, L2Choice};
 use sttgpu_experiments::report;
 use sttgpu_experiments::runner::{Executor, RunPlan};
-use sttgpu_sim::L2ModelConfig;
+use sttgpu_experiments::RunError;
+use sttgpu_sim::{L2ModelConfig, Workload};
 use sttgpu_workloads::suite;
+
+const USAGE: &str = "usage: explore [--workload NAME] [--scale F] [--jobs N] [--check] \
+     [--llc-policy NAME] [--lr-kb A,B,..]\n\
+     \t[--lr-retention-us A,B,..] [--hr-retention-ms X] [--hr-kb N]";
 
 struct Options {
     workload: String,
@@ -35,103 +39,98 @@ struct Options {
     policy: LlcPolicy,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            workload: "kmeans".to_owned(),
-            scale: 0.3,
-            lr_kb: vec![48, 96, 192],
-            lr_retention_us: vec![10.0, 26.5, 100.0],
-            hr_retention_ms: 4.0,
-            hr_kb: 1344,
-            jobs: None,
-            check: false,
-            policy: LlcPolicy::Fixed,
-        }
-    }
-}
+/// One design point of the sweep and its row label.
+type Point = (String, TwoPartConfig);
 
-fn parse_list<T: std::str::FromStr>(s: &str) -> Option<Vec<T>> {
-    s.split(',').map(|x| x.trim().parse::<T>().ok()).collect()
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut args = env::args().skip(1);
+/// Parses the command line, resolves the workload and checks every
+/// design point, all before anything simulates.
+fn parse_args(mut args: cli::Args) -> Result<(Options, Workload, Vec<Point>), RunError> {
+    let mut opts = Options {
+        workload: "kmeans".to_owned(),
+        scale: 0.3,
+        lr_kb: vec![48, 96, 192],
+        lr_retention_us: vec![10.0, 26.5, 100.0],
+        hr_retention_ms: 4.0,
+        hr_kb: 1344,
+        jobs: None,
+        check: false,
+        policy: LlcPolicy::Fixed,
+    };
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
         match arg.as_str() {
-            "--workload" => opts.workload = value("--workload")?,
-            "--scale" => {
-                opts.scale = value("--scale")?
-                    .parse()
-                    .map_err(|_| "bad --scale".to_owned())?
-            }
+            "--workload" => opts.workload = args.value("--workload")?,
+            "--scale" => opts.scale = cli::parse_scale(&args.value("--scale")?)?,
             "--lr-kb" => {
                 opts.lr_kb =
-                    parse_list(&value("--lr-kb")?).ok_or_else(|| "bad --lr-kb".to_owned())?
+                    cli::parse_list(&args.value("--lr-kb")?, |v| cli::parse_kb("--lr-kb", v))?
             }
             "--lr-retention-us" => {
-                opts.lr_retention_us = parse_list(&value("--lr-retention-us")?)
-                    .ok_or_else(|| "bad --lr-retention-us".to_owned())?
+                opts.lr_retention_us = cli::parse_list(&args.value("--lr-retention-us")?, |v| {
+                    cli::parse_retention("--lr-retention-us", v, 1e3)
+                })?
             }
             "--hr-retention-ms" => {
-                opts.hr_retention_ms = value("--hr-retention-ms")?
-                    .parse()
-                    .map_err(|_| "bad --hr-retention-ms".to_owned())?
+                let raw = args.value("--hr-retention-ms")?;
+                opts.hr_retention_ms = cli::parse_retention("--hr-retention-ms", &raw, 1e6)?
             }
-            "--hr-kb" => {
-                opts.hr_kb = value("--hr-kb")?
-                    .parse()
-                    .map_err(|_| "bad --hr-kb".to_owned())?
-            }
-            "--jobs" => {
-                let n: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "bad --jobs".to_owned())?;
-                if n == 0 {
-                    return Err("bad --jobs".to_owned());
-                }
-                opts.jobs = Some(n);
-            }
-            "--llc-policy" => {
-                opts.policy = cli::parse_llc_policy(Some(&value("--llc-policy")?))
-                    .map_err(|e| e.to_string())?
-            }
+            "--hr-kb" => opts.hr_kb = cli::parse_kb("--hr-kb", &args.value("--hr-kb")?)?,
+            "--jobs" => opts.jobs = Some(cli::parse_jobs(&args.value("--jobs")?)?),
+            "--llc-policy" => opts.policy = cli::parse_llc_policy(&args.value("--llc-policy")?)?,
             "--check" => opts.check = true,
-            "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown argument {other}")),
+            "-h" | "--help" => {
+                eprintln!("{USAGE}");
+                std::process::exit(0);
+            }
+            other => return Err(cli::unknown_flag(other)),
         }
     }
-    Ok(opts)
+    let workload = suite::by_name(&opts.workload).ok_or_else(|| {
+        RunError::invalid(format!(
+            "--workload wants one of {}, got '{}'",
+            suite::names().join("|"),
+            opts.workload
+        ))
+    })?;
+    let points = design_points(&opts)?;
+    Ok((opts, workload, points))
+}
+
+/// Builds every design point and checks it with
+/// [`TwoPartConfig::validate`], so a bad geometry is rejected before the
+/// first simulation instead of panicking in a worker thread.
+fn design_points(opts: &Options) -> Result<Vec<Point>, RunError> {
+    let base = TwoPartConfig::new(192, 2, 1344, 7, 256);
+    let mut points = Vec::new();
+    for &lr_kb in &opts.lr_kb {
+        for &ret_us in &opts.lr_retention_us {
+            let tp = TwoPartConfig {
+                lr_kb,
+                hr_kb: opts.hr_kb,
+                lr_retention: RetentionTime::from_micros(ret_us),
+                hr_retention: RetentionTime::from_millis(opts.hr_retention_ms),
+                ..base.clone()
+            };
+            let label = format!("{lr_kb}KB @ {ret_us}us");
+            tp.validate().map_err(|e| {
+                RunError::invalid(format!(
+                    "design point {label} against {} KB HR @ {} ms (--lr-kb, --lr-retention-us, \
+                     --hr-kb, --hr-retention-ms): {e}",
+                    opts.hr_kb, opts.hr_retention_ms
+                ))
+            })?;
+            points.push((label, tp));
+        }
+    }
+    Ok(points)
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: explore [--workload NAME] [--scale F] [--jobs N] [--check] \
-                 [--llc-policy NAME] [--lr-kb A,B,..]\n\
-                 \t[--lr-retention-us A,B,..] [--hr-retention-ms X] [--hr-kb N]"
-            );
+    let (opts, workload, points) = match parse_args(cli::Args::from_env()) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
-    };
-
-    let Some(workload) = suite::by_name(&opts.workload) else {
-        eprintln!(
-            "unknown workload {:?}; available: {:?}",
-            opts.workload,
-            suite::names()
-        );
-        return ExitCode::FAILURE;
     };
     let plan = RunPlan {
         scale: opts.scale,
@@ -163,19 +162,7 @@ fn main() -> ExitCode {
         exec.jobs()
     );
 
-    let points: Vec<(u64, f64)> = opts
-        .lr_kb
-        .iter()
-        .flat_map(|&lr_kb| {
-            opts.lr_retention_us
-                .iter()
-                .map(move |&ret_us| (lr_kb, ret_us))
-        })
-        .collect();
-    let rows: Vec<Vec<String>> = exec.map(&points, |&(lr_kb, ret_us)| {
-        let tp = TwoPartConfig::new(lr_kb, 2, opts.hr_kb, 7, 256)
-            .with_lr_retention(RetentionTime::from_micros(ret_us))
-            .with_hr_retention(RetentionTime::from_millis(opts.hr_retention_ms));
+    let rows: Vec<Vec<String>> = exec.map(&points, |(label, tp)| {
         let mut cfg = gpu_config(L2Choice::TwoPartC1);
         cfg.l2 = L2ModelConfig::TwoPart(tp.clone());
         let out = exec.run_config(cfg, &workload, &plan);
@@ -186,7 +173,7 @@ fn main() -> ExitCode {
             out.metrics.elapsed_ns.max(1),
         );
         vec![
-            format!("{lr_kb}KB @ {ret_us}us"),
+            label.clone(),
             report::ratio(out.metrics.ipc() / base_ipc.max(1e-9)),
             report::pct(out.metrics.l2.hit_rate()),
             report::ratio(out.metrics.l2_total_power_mw() / base_power.max(1e-9)),

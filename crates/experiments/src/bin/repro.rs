@@ -10,7 +10,6 @@
 //! repro all --check       # attach the runtime invariant checker
 //! repro --faults 2e-4 --fault-seed 7 all  # deterministic fault injection
 //! repro --llc-policy adaptive-ways all    # runtime-adaptive LLC policy on two-part runs
-//! repro --out results --resume all        # continue an interrupted sweep
 //! repro --fuzz 10000 --fuzz-seed 7        # differential fuzz vs the oracle
 //! ```
 //!
@@ -23,16 +22,13 @@
 //!
 //! # Crash resilience
 //!
-//! With `--out`, every completed artefact is journalled to
-//! `<dir>/repro.journal` *after* its files hit the disk; the journal
-//! opens with a versioned header pinning the plan and store generation,
-//! and `--resume` refuses (typed error) if that header disagrees with
-//! the current invocation, else skips artefacts whose `ok` entry and
-//! `.txt` both exist — so a killed sweep continues where it stopped and
-//! produces byte-identical outputs. An artefact that panics (after the
-//! runner's internal retries) is **quarantined**: the sweep continues,
-//! the failure lands in `<dir>/QUARANTINE.txt` (one `artefact<TAB>reason`
-//! line each), and the exit code is nonzero. `--run-timeout SECS` arms a
+//! With `--out`, every artefact's files are written atomically (temp
+//! file, sync, rename), so a killed sweep never leaves a torn one. To
+//! continue a killed sweep, rerun it with the same `--store DIR`: every
+//! simulation that finished is served from the store. An artefact that
+//! panics (after the runner's internal retries) is **quarantined**: the
+//! sweep continues, the failure lands in `<dir>/QUARANTINE.txt` (one
+//! `artefact<TAB>reason` line each), and the exit code is nonzero. `--run-timeout SECS` arms a
 //! per-attempt wall-clock watchdog that turns hung simulations into the
 //! same retry-then-quarantine path.
 //!
@@ -76,7 +72,7 @@ use sttgpu_experiments::error::panic_message;
 use sttgpu_experiments::persist::StoreReport;
 use sttgpu_experiments::{
     ablations, adaptive, cli, faults, fig3, fig4, fig5, fig6, fig8, table1, table2, workload_table,
-    Executor, ResultStore, RunError, RunPlan, STORE_GENERATION,
+    Executor, ResultStore, RunError, RunPlan,
 };
 
 const ARTEFACTS: [&str; 11] = [
@@ -96,7 +92,7 @@ const ARTEFACTS: [&str; 11] = [
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro [--quick] [--scale F] [--jobs N] [--out DIR] \
-         [--check] [--faults RATE] [--fault-seed N] [--llc-policy NAME] [--resume] \
+         [--check] [--faults RATE] [--fault-seed N] [--llc-policy NAME] \
          [--store DIR] [--run-timeout SECS] <all|{}> ...\n\
          \x20      repro --fuzz N [--fuzz-seed S] [--jobs N]  # differential fuzz vs the oracle\n\
          \x20      repro --canary [--out DIR]       # perf canary vs checked-in baseline\n\
@@ -131,10 +127,10 @@ fn canary_measurement() -> Option<(f64, u64, f64)> {
 /// Perf canary: times the fixed canary workload, writes the measured
 /// throughput into `BENCH_repro.json`, and fails when it drops below
 /// [`CANARY_FLOOR`] of the committed baseline ([`Verdict::judge`]).
-fn run_canary(out_dir: Option<&Path>) -> ExitCode {
+fn run_canary(out_dir: Option<&Path>) -> Result<ExitCode, RunError> {
     eprintln!("# repro --canary: fig8 suite at scale {CANARY_SCALE}, 1 job");
     let Some((secs, cycles, cps)) = canary_measurement() else {
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let baseline = fs::read_to_string(CANARY_BASELINE_PATH)
         .ok()
@@ -149,19 +145,7 @@ fn run_canary(out_dir: Option<&Path>) -> ExitCode {
         baseline.map_or_else(|| "null".into(), |b| format!("{b:.0}"))
     ));
     json.push_str("  }\n}\n");
-    let bench_path = out_dir
-        .map(|d| d.join("BENCH_repro.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_repro.json"));
-    if let Some(dir) = out_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = fs::write(&bench_path, json) {
-        eprintln!("cannot write {}: {e}", bench_path.display());
-        return ExitCode::FAILURE;
-    }
+    let bench_path = write_in(out_dir, "BENCH_repro.json", &json)?;
     eprintln!(
         "# canary: {:.1}M cycles in {secs:.1}s = {:.2}M cycles/s (written to {})",
         cycles as f64 / 1e6,
@@ -184,7 +168,7 @@ fn run_canary(out_dir: Option<&Path>) -> ExitCode {
         ),
         _ => eprintln!("# canary: no baseline at {CANARY_BASELINE_PATH} — recording only"),
     }
-    ExitCode::from(verdict.exit_status())
+    Ok(ExitCode::from(verdict.exit_status()))
 }
 
 /// Differential fuzz mode: `N` seeded traces through implementation and
@@ -415,79 +399,16 @@ fn run_record_mode(workload: &str, out_path: &Path, plan: &RunPlan) -> ExitCode 
     ExitCode::SUCCESS
 }
 
-/// Journal format version. v1 had no header and stamped every `ok` line
-/// with the full plan; v2 pins the plan (and the result-store
-/// generation) once in a header line, so a `--resume` against a journal
-/// written by an incompatible invocation is a typed refusal instead of
-/// a silent full re-run — or worse, a silent skip of stale artefacts;
-/// v3 adds the LLC policy to the pinned plan; v4 drops the SM-stepping
-/// thread count (SMs are stepped serially only).
-const JOURNAL_VERSION: u32 = 4;
-
-/// The v4 journal header. Bit patterns for the floats: resume must
-/// match exactly, not approximately. `run_timeout_s` is absent by
-/// design — supervision cannot change the bytes of a completed
-/// artefact, so it must not invalidate a resume.
-fn journal_header(plan: &RunPlan) -> String {
-    format!(
-        "sttgpu-journal v{JOURNAL_VERSION} scale={:016x} max_cycles={} check={} \
-         fault_rate={:016x} fault_seed={} policy={} store_gen={STORE_GENERATION}",
-        plan.scale.to_bits(),
-        plan.max_cycles,
-        u8::from(plan.check),
-        plan.fault.rate.to_bits(),
-        plan.fault.seed,
-        plan.policy.name(),
-    )
-}
-
-/// One journal line identifying a completed artefact (the header pins
-/// everything else about how it was produced).
-fn journal_line(name: &str) -> String {
-    format!("ok {name}")
-}
-
-/// Names the first header field that disagrees, for the mismatch error.
-fn header_mismatch(found: &str, expected: &str) -> String {
-    if !found.starts_with("sttgpu-journal ") {
-        return format!("journal has no version header (first line {found:?})");
+/// Writes `text` to `name` through [`write_atomic`], under `out_dir`
+/// (created if missing) or else the working directory.
+fn write_in(out_dir: Option<&Path>, name: &str, text: &str) -> Result<PathBuf, RunError> {
+    let path = out_dir.map_or_else(|| PathBuf::from(name), |dir| dir.join(name));
+    let io = |e| RunError::io(path.display().to_string(), e);
+    if let Some(dir) = out_dir {
+        fs::create_dir_all(dir).map_err(io)?;
     }
-    for (f, e) in found.split_whitespace().zip(expected.split_whitespace()) {
-        if f != e {
-            return format!("journal was written with {f}, this invocation is {e}");
-        }
-    }
-    format!("journal header {found:?} does not match {expected:?}")
-}
-
-/// Reads the journal and returns the artefact names already completed.
-/// A missing or empty journal means nothing completed; a journal whose
-/// header disagrees with this invocation is a typed
-/// [`RunError::JournalMismatch`] — its completion records describe
-/// artefacts this run would not reproduce, so trusting them would
-/// corrupt the sweep. A torn trailing line (the previous run died
-/// mid-append) is harmlessly ignored: it never matches a completed
-/// artefact's `.txt` check downstream.
-fn completed_artefacts(dir: &Path, plan: &RunPlan) -> Result<Vec<String>, RunError> {
-    let path = dir.join("repro.journal");
-    let text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(RunError::io(path.display().to_string(), e)),
-    };
-    let mut lines = text.lines();
-    let expected = journal_header(plan);
-    match lines.next() {
-        None => Ok(Vec::new()),
-        Some(first) if first == expected => Ok(lines
-            .filter_map(|l| l.strip_prefix("ok "))
-            .filter_map(|n| n.split_whitespace().next())
-            .map(str::to_string)
-            .collect()),
-        Some(first) => Err(RunError::JournalMismatch {
-            what: header_mismatch(first, &expected),
-        }),
-    }
+    write_atomic(&path, text.as_bytes()).map_err(io)?;
+    Ok(path)
 }
 
 /// Writes a file atomically: unique temp file in the same directory,
@@ -511,36 +432,14 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     result
 }
 
-/// Starts a fresh journal containing only the header, atomically (a
-/// crash leaves either the old journal or the new one, never a torn
-/// in-between).
-fn start_journal(dir: &Path, plan: &RunPlan) -> std::io::Result<()> {
-    write_atomic(
-        &dir.join("repro.journal"),
-        format!("{}\n", journal_header(plan)).as_bytes(),
-    )
-}
-
-/// Appends one line to the journal as a single full-line write on an
-/// append-mode handle, so a crash mid-append can tear at most the final
-/// line (which resume then ignores) and concurrent appends never
-/// interleave within a line.
-fn append_journal(dir: &Path, line: &str) -> std::io::Result<()> {
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join("repro.journal"))?;
-    f.write_all(format!("{line}\n").as_bytes())
-}
-
 /// Computes one artefact: the rendered text plus, where meaningful, a CSV.
-fn run_artefact(name: &str, exec: &Executor, plan: &RunPlan) -> Option<(String, Option<String>)> {
+fn run_artefact(name: &str, exec: &Executor, plan: &RunPlan) -> (String, Option<String>) {
     if env::var("STTGPU_REPRO_PANIC").as_deref() == Ok(name) {
         // Test hook: deterministically poison one artefact so the
         // quarantine path is exercisable end to end.
         panic!("injected test panic for artefact {name}");
     }
-    let (text, csv) = match name {
+    match name {
         "table1" => (table1::render(), Some(table1::to_csv())),
         "table2" => (table2::render(), Some(table2::to_csv())),
         "workloads" => {
@@ -579,9 +478,8 @@ fn run_artefact(name: &str, exec: &Executor, plan: &RunPlan) -> Option<(String, 
             let rep = adaptive::compute(exec, plan);
             (adaptive::render(&rep), Some(adaptive::to_csv(&rep)))
         }
-        _ => return None,
-    };
-    Some((text, csv))
+        _ => unreachable!("artefact names are checked while parsing"),
+    }
 }
 
 /// Hand-rolled JSON for the timing report (no serde in the tree).
@@ -629,6 +527,23 @@ fn bench_json(
 }
 
 fn main() -> ExitCode {
+    match run(cli::Args::from_env()) {
+        Ok(code) => code,
+        Err(e @ RunError::InvalidConfig { .. }) => {
+            eprintln!("{e}");
+            usage()
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parses the command line and runs the mode it selects. A rejected
+/// argument or a failed write is an `Err`; every other failure is
+/// reported by the mode itself through the exit code.
+fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
     let mut plan = RunPlan::full();
     let mut targets: Vec<String> = Vec::new();
     let mut out_dir: Option<PathBuf> = None;
@@ -637,7 +552,6 @@ fn main() -> ExitCode {
     let mut fault_rate = 0.0;
     let mut fault_seed = 0;
     let mut policy = sttgpu_core::LlcPolicy::Fixed;
-    let mut resume = false;
     let mut fuzz_cases: Option<u64> = None;
     let mut fuzz_seed = 7u64;
     let mut canary = false;
@@ -647,176 +561,97 @@ fn main() -> ExitCode {
     let mut trace_out: Option<PathBuf> = None;
     let mut store_dir: Option<PathBuf> = None;
     let mut run_timeout: Option<u64> = None;
-    let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => plan = RunPlan::quick(),
-            "--scale" => match cli::parse_scale(args.next().as_deref()) {
-                Ok(v) => plan = plan.with_scale(v),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--jobs" => match cli::parse_jobs(args.next().as_deref()) {
-                Ok(n) => jobs = Some(n),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--run-timeout" => match cli::parse_run_timeout(args.next().as_deref()) {
-                Ok(n) => run_timeout = Some(n),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--store" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("--store needs a directory");
-                    return usage();
-                };
-                store_dir = Some(PathBuf::from(dir));
+            "--scale" => plan = plan.with_scale(cli::parse_scale(&args.value("--scale")?)?),
+            "--jobs" => jobs = Some(cli::parse_jobs(&args.value("--jobs")?)?),
+            "--run-timeout" => {
+                run_timeout = Some(cli::parse_run_timeout(&args.value("--run-timeout")?)?)
             }
-            "--out" => {
-                let Some(dir) = args.next() else {
-                    return usage();
-                };
-                out_dir = Some(PathBuf::from(dir));
-            }
+            "--store" => store_dir = Some(args.value("--store")?.into()),
+            "--out" => out_dir = Some(args.value("--out")?.into()),
             "--check" => check = true,
-            "--faults" => {
-                let Some(r) = args.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    return usage();
-                };
-                if !(0.0..=1.0).contains(&r) {
-                    return usage();
-                }
-                fault_rate = r;
-            }
+            "--faults" => fault_rate = cli::parse_faults(&args.value("--faults")?)?,
             "--fault-seed" => {
-                let Some(n) = args.next().and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                fault_seed = n;
+                fault_seed = cli::parse_seed("--fault-seed", &args.value("--fault-seed")?)?
             }
-            "--llc-policy" => match cli::parse_llc_policy(args.next().as_deref()) {
-                Ok(p) => policy = p,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--resume" => resume = true,
+            "--llc-policy" => policy = cli::parse_llc_policy(&args.value("--llc-policy")?)?,
             "--canary" => canary = true,
-            "--fuzz" => {
-                let Some(n) = args.next().and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                if n == 0 {
-                    return usage();
-                }
-                fuzz_cases = Some(n);
-            }
+            "--fuzz" => fuzz_cases = Some(cli::parse_fuzz(&args.value("--fuzz")?)?),
             "--fuzz-seed" => {
-                let Some(n) = args.next().and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                fuzz_seed = n;
+                fuzz_seed = cli::parse_seed("--fuzz-seed", &args.value("--fuzz-seed")?)?
             }
-            "--scenario" => {
-                let Some(s) = args.next() else {
-                    return usage();
-                };
-                scenario = Some(s);
-            }
-            "--trace" => {
-                let Some(p) = args.next() else {
-                    return usage();
-                };
-                trace_in = Some(PathBuf::from(p));
-            }
-            "--record" => {
-                let Some(w) = args.next() else {
-                    return usage();
-                };
-                record = Some(w);
-            }
-            "--trace-out" => {
-                let Some(p) = args.next() else {
-                    return usage();
-                };
-                trace_out = Some(PathBuf::from(p));
-            }
+            "--scenario" => scenario = Some(args.value("--scenario")?),
+            "--trace" => trace_in = Some(args.value("--trace")?.into()),
+            "--record" => record = Some(args.value("--record")?),
+            "--trace-out" => trace_out = Some(args.value("--trace-out")?.into()),
             "-h" | "--help" => {
                 usage();
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            other => targets.push(other.to_owned()),
+            flag if flag.starts_with('-') => return Err(cli::unknown_flag(flag)),
+            name if name == "all" || ARTEFACTS.contains(&name) => targets.push(arg),
+            name => {
+                return Err(RunError::invalid(format!(
+                    "unknown artefact '{name}' (want all|{})",
+                    ARTEFACTS.join("|")
+                )))
+            }
         }
     }
-    let modes = [
-        canary,
-        fuzz_cases.is_some(),
-        scenario.is_some(),
-        trace_in.is_some(),
-        record.is_some(),
-    ];
-    if modes.iter().filter(|&&m| m).count() > 1 {
-        eprintln!("--canary, --fuzz, --scenario, --trace and --record are separate run modes");
-        return usage();
+    let modes: Vec<&str> = [
+        ("--canary", canary),
+        ("--fuzz", fuzz_cases.is_some()),
+        ("--scenario", scenario.is_some()),
+        ("--trace", trace_in.is_some()),
+        ("--record", record.is_some()),
+    ]
+    .into_iter()
+    .filter_map(|(flag, on)| on.then_some(flag))
+    .collect();
+    if modes.len() > 1 {
+        return Err(RunError::invalid(format!(
+            "{} are separate run modes",
+            modes.join(", ")
+        )));
+    }
+    if let (Some(mode), false) = (modes.first(), targets.is_empty()) {
+        return Err(RunError::invalid(format!(
+            "{mode} does not take artefact targets"
+        )));
     }
     if trace_out.is_some() && record.is_none() {
-        eprintln!("--trace-out only makes sense with --record WORKLOAD");
-        return usage();
+        return Err(RunError::invalid(
+            "--trace-out only makes sense with --record WORKLOAD",
+        ));
     }
     if canary {
-        if !targets.is_empty() {
-            eprintln!("--canary does not combine with artefact targets");
-            return usage();
-        }
         if store_dir.is_some() {
-            eprintln!("--canary measures real simulation throughput; --store would skip the work");
-            return usage();
+            return Err(RunError::invalid(
+                "--canary measures real simulation throughput; --store would skip the work",
+            ));
         }
         return run_canary(out_dir.as_deref());
     }
     if let Some(cases) = fuzz_cases {
-        if !targets.is_empty() {
-            eprintln!("--fuzz does not take artefact targets");
-            return usage();
-        }
         let shards = jobs.unwrap_or_else(|| Executor::auto().jobs());
-        return run_fuzz(cases, fuzz_seed, shards as u64);
+        return Ok(run_fuzz(cases, fuzz_seed, shards as u64));
     }
     if let Some(arg) = scenario {
-        if !targets.is_empty() {
-            eprintln!("--scenario does not take artefact targets");
-            return usage();
-        }
-        return run_scenario_mode(&arg, check);
+        return Ok(run_scenario_mode(&arg, check));
     }
     if let Some(workload) = record {
-        if !targets.is_empty() {
-            eprintln!("--record does not take artefact targets");
-            return usage();
-        }
         let Some(out_path) = trace_out else {
-            eprintln!("--record needs --trace-out FILE");
-            return usage();
+            return Err(RunError::invalid("--record needs --trace-out FILE"));
         };
-        return run_record_mode(&workload, &out_path, &plan);
+        return Ok(run_record_mode(&workload, &out_path, &plan));
     }
     if let Some(path) = trace_in {
-        if !targets.is_empty() {
-            eprintln!("--trace does not take artefact targets");
-            return usage();
-        }
-        return run_trace_mode(&path, check);
+        return Ok(run_trace_mode(&path, check));
     }
     if targets.is_empty() {
-        return usage();
+        return Err(RunError::invalid("name at least one artefact, or all"));
     }
     if targets.iter().any(|t| t == "all") {
         targets = ARTEFACTS.iter().map(|s| s.to_string()).collect();
@@ -827,10 +662,6 @@ fn main() -> ExitCode {
         .with_policy(policy);
     if let Some(secs) = run_timeout {
         plan = plan.with_run_timeout(secs);
-    }
-    if resume && out_dir.is_none() {
-        eprintln!("--resume needs --out DIR (that's where the journal lives)");
-        return usage();
     }
     let mut exec = match jobs {
         Some(n) => Executor::new(n),
@@ -847,6 +678,18 @@ fn main() -> ExitCode {
             ),
         }
     }
+    sweep(&targets, &exec, &plan, out_dir.as_deref())
+}
+
+/// Artefact mode: computes every target on one shared executor, prints
+/// it, writes its files under `out_dir`, and quarantines the ones that
+/// panic.
+fn sweep(
+    targets: &[String],
+    exec: &Executor,
+    plan: &RunPlan,
+    out_dir: Option<&Path>,
+) -> Result<ExitCode, RunError> {
     eprintln!(
         "# repro: scale={} max_cycles={} jobs={} artefacts={:?}",
         plan.scale,
@@ -854,53 +697,15 @@ fn main() -> ExitCode {
         exec.jobs(),
         targets
     );
-    if let Some(dir) = &out_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    let done_already: Vec<String> = match (&out_dir, resume) {
-        (Some(dir), true) => match completed_artefacts(dir, &plan) {
-            Ok(names) => names
-                .into_iter()
-                .filter(|name| dir.join(format!("{name}.txt")).is_file())
-                .collect(),
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!(
-                    "(delete {} or rerun without --resume to start fresh)",
-                    dir.join("repro.journal").display()
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => Vec::new(),
-    };
-    if let Some(dir) = &out_dir {
-        // A non-resume run starts a fresh journal; a resume keeps the
-        // verified one (creating it if the previous run died before the
-        // header landed).
-        if !resume || !dir.join("repro.journal").is_file() {
-            if let Err(e) = start_journal(dir, &plan) {
-                eprintln!("cannot start journal in {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let started_all = Instant::now();
     let mut timings: Vec<(String, f64)> = Vec::new();
     let mut quarantined: Vec<(String, String)> = Vec::new();
-    for t in &targets {
-        if done_already.iter().any(|d| d == t) {
-            eprintln!("# {t} already complete (resume) — skipped");
-            continue;
-        }
+    for t in targets {
         let started = Instant::now();
         // Isolate each artefact: a panic (after the runner's own retries)
         // quarantines this artefact and the sweep moves on.
-        let computed = catch_unwind(AssertUnwindSafe(|| run_artefact(t, &exec, &plan)));
-        let outcome = match computed {
+        let computed = catch_unwind(AssertUnwindSafe(|| run_artefact(t, exec, plan)));
+        let (text, csv) = match computed {
             Ok(o) => o,
             Err(payload) => {
                 let why = panic_message(payload.as_ref());
@@ -909,27 +714,11 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let Some((text, csv)) = outcome else {
-            eprintln!("unknown artefact: {t}");
-            return usage();
-        };
         println!("{text}");
-        if let Some(dir) = &out_dir {
-            if let Err(e) = write_atomic(&dir.join(format!("{t}.txt")), text.as_bytes()) {
-                eprintln!("cannot write {t}.txt: {e}");
-                return ExitCode::FAILURE;
-            }
+        if out_dir.is_some() {
+            write_in(out_dir, &format!("{t}.txt"), &text)?;
             if let Some(csv) = csv {
-                if let Err(e) = write_atomic(&dir.join(format!("{t}.csv")), csv.as_bytes()) {
-                    eprintln!("cannot write {t}.csv: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            // Journal only after the artefact's files are durably on
-            // disk, so a crash between write and journal re-runs it.
-            if let Err(e) = append_journal(dir, &journal_line(t)) {
-                eprintln!("cannot update journal: {e}");
-                return ExitCode::FAILURE;
+                write_in(out_dir, &format!("{t}.csv"), &csv)?;
             }
         }
         let secs = started.elapsed().as_secs_f64();
@@ -962,17 +751,10 @@ fn main() -> ExitCode {
             store.root().display()
         );
     }
-    let json = bench_json(exec.jobs(), &plan, &timings, stats, store_report, total_s);
-    let bench_path = out_dir
-        .as_deref()
-        .map(|d| d.join("BENCH_repro.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_repro.json"));
-    if let Err(e) = write_atomic(&bench_path, json.as_bytes()) {
-        eprintln!("cannot write {}: {e}", bench_path.display());
-        return ExitCode::FAILURE;
-    }
+    let json = bench_json(exec.jobs(), plan, &timings, stats, store_report, total_s);
+    let bench_path = write_in(out_dir, "BENCH_repro.json", &json)?;
     eprintln!("# timings written to {}", bench_path.display());
-    if check {
+    if plan.check {
         if stats.violations > 0 {
             eprintln!(
                 "# CHECK FAILED: {} invariant violation(s) across {} runs",
@@ -981,7 +763,7 @@ fn main() -> ExitCode {
             for s in exec.violation_samples() {
                 eprintln!("#   {s}");
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!(
             "# check passed: 0 invariant violations across {} runs",
@@ -993,22 +775,18 @@ fn main() -> ExitCode {
         for (name, why) in &quarantined {
             report.push_str(&format!("{name}\t{why}\n"));
         }
-        let q_path = out_dir
-            .as_deref()
-            .map(|d| d.join("QUARANTINE.txt"))
-            .unwrap_or_else(|| PathBuf::from("QUARANTINE.txt"));
-        if let Err(e) = write_atomic(&q_path, report.as_bytes()) {
-            eprintln!("cannot write {}: {e}", q_path.display());
+        match write_in(out_dir, "QUARANTINE.txt", &report) {
+            Ok(path) => eprintln!(
+                "# {} artefact(s) quarantined (see {}):",
+                quarantined.len(),
+                path.display()
+            ),
+            Err(e) => eprintln!("# {} artefact(s) quarantined ({e}):", quarantined.len()),
         }
-        eprintln!(
-            "# {} artefact(s) quarantined (see {}):",
-            quarantined.len(),
-            q_path.display()
-        );
         for (name, why) in &quarantined {
             eprintln!("#   {name}: {why}");
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,12 +1,17 @@
-//! Typed validation for `repro`'s numeric flags.
+//! The one argument parser shared by `repro`, `explore` and `diag`.
 //!
-//! The binary used to silently fall back to the usage text on any bad
-//! value; these helpers turn each rejection into a [`RunError`] that
-//! names the flag, the offending value, and the accepted range — and
-//! they put *upper* bounds on values where a typo (`--jobs 100000`)
-//! would otherwise exhaust the machine before anything useful ran.
+//! Each binary walks its arguments with [`Args`], takes a flag's value
+//! with [`Args::value`] and hands it to a bounded `parse_*` function.
+//! Every rejection is a [`RunError::InvalidConfig`] that names the flag,
+//! the offending value and the accepted range, so a bad value never
+//! falls back to a default or panics deep in the simulator. Upper bounds
+//! catch typos (`--jobs 100000`) that would otherwise exhaust the
+//! machine before anything useful ran.
+
+use std::str::FromStr;
 
 use sttgpu_core::LlcPolicy;
+use sttgpu_device::mtj::{ATTEMPT_PERIOD_NS, MAX_DELTA, MIN_DELTA};
 
 use crate::error::RunError;
 
@@ -22,66 +27,141 @@ pub const MAX_RUN_TIMEOUT_S: u64 = 86_400;
 /// the tree goes past single digits, so beyond this a typo is certain.
 pub const MAX_SCALE: f64 = 64.0;
 
-fn invalid(what: String) -> RunError {
-    RunError::InvalidConfig { what }
-}
+/// Upper bound on a cache-part capacity, KB (64 MB, some 40× the
+/// paper's 1.5 MB LLC), so `KB * 1024` cannot overflow.
+pub const MAX_KB: u64 = 65_536;
 
-fn value_of<'a>(flag: &str, value: Option<&'a str>) -> Result<&'a str, RunError> {
-    value.ok_or_else(|| invalid(format!("{flag} needs a value")))
-}
+/// The command line after the program name, consumed front to back.
+pub struct Args(std::vec::IntoIter<String>);
 
-/// Parses and bounds-checks `--jobs N` (executor worker threads).
-pub fn parse_jobs(value: Option<&str>) -> Result<usize, RunError> {
-    let raw = value_of("--jobs", value)?;
-    let n: usize = raw
-        .parse()
-        .map_err(|_| invalid(format!("--jobs wants an integer, got '{raw}'")))?;
-    if n == 0 || n > MAX_JOBS {
-        return Err(invalid(format!(
-            "--jobs must be in 1..={MAX_JOBS}, got {n}"
-        )));
+impl Args {
+    /// The process's own arguments.
+    pub fn from_env() -> Self {
+        Args(std::env::args().skip(1).collect::<Vec<_>>().into_iter())
     }
-    Ok(n)
+
+    /// The value that must follow `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<String, RunError> {
+        self.0
+            .next()
+            .ok_or_else(|| RunError::invalid(format!("{flag} needs a value")))
+    }
 }
 
-/// Parses and bounds-checks `--run-timeout SECS`.
-pub fn parse_run_timeout(value: Option<&str>) -> Result<u64, RunError> {
-    let raw = value_of("--run-timeout", value)?;
-    let n: u64 = raw
-        .parse()
-        .map_err(|_| invalid(format!("--run-timeout wants seconds, got '{raw}'")))?;
-    if n == 0 || n > MAX_RUN_TIMEOUT_S {
-        return Err(invalid(format!(
-            "--run-timeout must be in 1..={MAX_RUN_TIMEOUT_S} seconds, got {n}"
-        )));
+impl Iterator for Args {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
     }
-    Ok(n)
+}
+
+/// The rejection for a flag the binary does not know.
+pub fn unknown_flag(flag: &str) -> RunError {
+    RunError::invalid(format!("unknown flag '{flag}'"))
+}
+
+/// Parses `raw` as a `T` that satisfies `ok`; anything else is rejected
+/// with "`flag` wants `range`".
+fn bounded<T: FromStr>(
+    flag: &str,
+    raw: &str,
+    ok: impl Fn(&T) -> bool,
+    range: &str,
+) -> Result<T, RunError> {
+    raw.parse()
+        .ok()
+        .filter(ok)
+        .ok_or_else(|| RunError::invalid(format!("{flag} wants {range}, got '{raw}'")))
+}
+
+/// Parses `--jobs N` (executor worker threads).
+pub fn parse_jobs(raw: &str) -> Result<usize, RunError> {
+    let range = format!("an integer in 1..={MAX_JOBS}");
+    bounded("--jobs", raw, |n| (1..=MAX_JOBS).contains(n), &range)
+}
+
+/// Parses `--run-timeout SECS`.
+pub fn parse_run_timeout(raw: &str) -> Result<u64, RunError> {
+    let range = format!("1..={MAX_RUN_TIMEOUT_S} seconds");
+    bounded(
+        "--run-timeout",
+        raw,
+        |n| (1..=MAX_RUN_TIMEOUT_S).contains(n),
+        &range,
+    )
 }
 
 /// Parses `--llc-policy NAME` against the shipped policy registry.
-pub fn parse_llc_policy(value: Option<&str>) -> Result<LlcPolicy, RunError> {
-    let raw = value_of("--llc-policy", value)?;
+pub fn parse_llc_policy(raw: &str) -> Result<LlcPolicy, RunError> {
     LlcPolicy::parse(raw).ok_or_else(|| {
         let names: Vec<&str> = LlcPolicy::ALL.iter().map(|p| p.name()).collect();
-        invalid(format!(
+        RunError::invalid(format!(
             "--llc-policy wants one of {}, got '{raw}'",
             names.join("|")
         ))
     })
 }
 
-/// Parses and bounds-checks `--scale F`.
-pub fn parse_scale(value: Option<&str>) -> Result<f64, RunError> {
-    let raw = value_of("--scale", value)?;
-    let v: f64 = raw
-        .parse()
-        .map_err(|_| invalid(format!("--scale wants a number, got '{raw}'")))?;
-    if !v.is_finite() || v <= 0.0 || v > MAX_SCALE {
-        return Err(invalid(format!(
-            "--scale must be a finite value in (0, {MAX_SCALE}], got {raw}"
-        )));
-    }
-    Ok(v)
+/// Parses `--scale F`.
+pub fn parse_scale(raw: &str) -> Result<f64, RunError> {
+    let range = format!("a finite number in (0, {MAX_SCALE}]");
+    bounded("--scale", raw, |v| *v > 0.0 && *v <= MAX_SCALE, &range)
+}
+
+/// Parses `--faults RATE`, a per-mechanism probability.
+pub fn parse_faults(raw: &str) -> Result<f64, RunError> {
+    bounded(
+        "--faults",
+        raw,
+        |r| (0.0..=1.0).contains(r),
+        "a rate in [0, 1]",
+    )
+}
+
+/// Parses `--fuzz N`, the differential-fuzz case count.
+pub fn parse_fuzz(raw: &str) -> Result<u64, RunError> {
+    bounded("--fuzz", raw, |n| *n >= 1, "a case count of at least 1")
+}
+
+/// Parses a seed flag (`--fault-seed`, `--fuzz-seed`).
+pub fn parse_seed(flag: &str, raw: &str) -> Result<u64, RunError> {
+    bounded(flag, raw, |_| true, "an integer in 0..=2^64-1")
+}
+
+/// Parses a comma-separated list, each element through `parse`.
+pub fn parse_list<T>(
+    raw: &str,
+    parse: impl Fn(&str) -> Result<T, RunError>,
+) -> Result<Vec<T>, RunError> {
+    raw.split(',').map(|v| parse(v.trim())).collect()
+}
+
+/// Parses a cache-part capacity flag (`--lr-kb`, `--hr-kb`). Only the
+/// overflow bound is checked here; whether the capacity divides into
+/// sets is [`TwoPartConfig::validate`](sttgpu_core::TwoPartConfig::validate)'s call.
+pub fn parse_kb(flag: &str, raw: &str) -> Result<u64, RunError> {
+    let range = format!("KB in 0..={MAX_KB}");
+    bounded(flag, raw, |kb| *kb <= MAX_KB, &range)
+}
+
+/// Parses a retention flag whose unit is `unit_ns` nanoseconds. A value
+/// is accepted exactly when the device model can build an MTJ for it:
+/// thermal stability Δ = ln(τ/τ₀) within `[MIN_DELTA, MAX_DELTA]`.
+pub fn parse_retention(flag: &str, raw: &str, unit_ns: f64) -> Result<f64, RunError> {
+    let in_unit = |delta: f64| ATTEMPT_PERIOD_NS * delta.exp() / unit_ns;
+    let range = format!(
+        "a retention in [{:.3e}, {:.3e}]",
+        in_unit(MIN_DELTA),
+        in_unit(MAX_DELTA)
+    );
+    let delta = |v: &f64| (v * unit_ns / ATTEMPT_PERIOD_NS).ln();
+    bounded(
+        flag,
+        raw,
+        |v| (MIN_DELTA..=MAX_DELTA).contains(&delta(v)),
+        &range,
+    )
 }
 
 #[cfg(test)]
@@ -99,39 +179,59 @@ mod tests {
 
     #[test]
     fn jobs_bounds_and_typos_are_typed() {
-        assert_eq!(parse_jobs(Some("8")).unwrap(), 8);
-        assert_eq!(parse_jobs(Some("4096")).unwrap(), MAX_JOBS);
-        rejects(parse_jobs(Some("0")), "1..=4096");
-        rejects(parse_jobs(Some("4097")), "1..=4096");
-        rejects(parse_jobs(Some("eight")), "integer");
-        rejects(parse_jobs(None), "needs a value");
+        assert_eq!(parse_jobs("8").unwrap(), 8);
+        assert_eq!(parse_jobs("4096").unwrap(), MAX_JOBS);
+        rejects(parse_jobs("0"), "1..=4096");
+        rejects(parse_jobs("4097"), "1..=4096");
+        rejects(parse_jobs("eight"), "integer");
+        rejects(
+            Args(Vec::new().into_iter()).value("--jobs"),
+            "needs a value",
+        );
     }
 
     #[test]
     fn run_timeout_bounds_are_typed() {
-        assert_eq!(parse_run_timeout(Some("30")).unwrap(), 30);
-        rejects(parse_run_timeout(Some("0")), "seconds, got 0");
-        rejects(parse_run_timeout(Some("90000")), "1..=86400");
-        rejects(parse_run_timeout(Some("soon")), "seconds, got 'soon'");
+        assert_eq!(parse_run_timeout("30").unwrap(), 30);
+        rejects(parse_run_timeout("0"), "seconds, got '0'");
+        rejects(parse_run_timeout("90000"), "1..=86400");
+        rejects(parse_run_timeout("soon"), "seconds, got 'soon'");
     }
 
     #[test]
     fn llc_policy_names_round_trip_and_typos_are_typed() {
         for policy in LlcPolicy::ALL {
-            assert_eq!(parse_llc_policy(Some(policy.name())).unwrap(), policy);
+            assert_eq!(parse_llc_policy(policy.name()).unwrap(), policy);
         }
-        rejects(parse_llc_policy(Some("adaptive")), "fixed|");
-        rejects(parse_llc_policy(None), "needs a value");
+        rejects(parse_llc_policy("adaptive"), "fixed|");
     }
 
     #[test]
     fn scale_rejects_nonsense() {
-        assert_eq!(parse_scale(Some("0.25")).unwrap(), 0.25);
-        rejects(parse_scale(Some("0")), "(0, 64]");
-        rejects(parse_scale(Some("-1")), "(0, 64]");
-        rejects(parse_scale(Some("inf")), "(0, 64]");
-        rejects(parse_scale(Some("NaN")), "(0, 64]");
-        rejects(parse_scale(Some("65")), "(0, 64]");
-        rejects(parse_scale(Some("big")), "number");
+        assert_eq!(parse_scale("0.25").unwrap(), 0.25);
+        rejects(parse_scale("0"), "(0, 64]");
+        rejects(parse_scale("-1"), "(0, 64]");
+        rejects(parse_scale("inf"), "(0, 64]");
+        rejects(parse_scale("NaN"), "(0, 64]");
+        rejects(parse_scale("65"), "(0, 64]");
+        rejects(parse_scale("big"), "number");
+    }
+
+    #[test]
+    fn fault_and_fuzz_flags_are_typed() {
+        assert_eq!(parse_faults("2e-4").unwrap(), 2e-4);
+        rejects(
+            parse_faults("2"),
+            "--faults wants a rate in [0, 1], got '2'",
+        );
+        rejects(parse_faults("NaN"), "[0, 1]");
+        assert_eq!(parse_fuzz("75000").unwrap(), 75_000);
+        rejects(parse_fuzz("0"), "--fuzz wants a case count of at least 1");
+        assert_eq!(parse_seed("--fuzz-seed", "7").unwrap(), 7);
+        rejects(
+            parse_seed("--fuzz-seed", "x"),
+            "--fuzz-seed wants an integer",
+        );
+        rejects(parse_seed("--fault-seed", "-1"), "--fault-seed");
     }
 }

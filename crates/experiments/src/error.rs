@@ -22,11 +22,6 @@ pub enum RunError {
         /// The last panic message observed.
         what: String,
     },
-    /// A workload name did not resolve against the suite.
-    UnknownWorkload {
-        /// The name that failed to resolve.
-        name: String,
-    },
     /// A filesystem operation failed.
     Io {
         /// The path involved.
@@ -48,13 +43,6 @@ pub enum RunError {
         /// The per-attempt budget that was exceeded, seconds.
         seconds: u64,
     },
-    /// A `--resume` journal was written by an incompatible invocation
-    /// (different format version, run plan, or store generation), so
-    /// its completion records cannot be trusted.
-    JournalMismatch {
-        /// Which header field disagreed, and how.
-        what: String,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -63,7 +51,6 @@ impl fmt::Display for RunError {
             RunError::Panicked { attempts, what } => {
                 write!(f, "run panicked on all {attempts} attempts: {what}")
             }
-            RunError::UnknownWorkload { name } => write!(f, "unknown workload '{name}'"),
             RunError::Io { path, what } => write!(f, "io error on {path}: {what}"),
             RunError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
             RunError::Timeout { attempts, seconds } => {
@@ -71,9 +58,6 @@ impl fmt::Display for RunError {
                     f,
                     "run exceeded the {seconds}s watchdog on all {attempts} attempts"
                 )
-            }
-            RunError::JournalMismatch { what } => {
-                write!(f, "resume journal mismatch: {what}")
             }
         }
     }
@@ -88,6 +72,11 @@ impl RunError {
             path: path.into(),
             what: err.to_string(),
         }
+    }
+
+    /// A rejected configuration or argument.
+    pub fn invalid(what: impl Into<String>) -> Self {
+        RunError::InvalidConfig { what: what.into() }
     }
 }
 
@@ -118,12 +107,6 @@ mod tests {
                 "panicked on all 3 attempts: boom",
             ),
             (
-                RunError::UnknownWorkload {
-                    name: "nope".into(),
-                },
-                "unknown workload 'nope'",
-            ),
-            (
                 RunError::Io {
                     path: "/tmp/x".into(),
                     what: "denied".into(),
@@ -140,12 +123,6 @@ mod tests {
                     seconds: 30,
                 },
                 "exceeded the 30s watchdog on all 3 attempts",
-            ),
-            (
-                RunError::JournalMismatch {
-                    what: "store_gen 1 != 2".into(),
-                },
-                "resume journal mismatch: store_gen 1 != 2",
             ),
         ];
         for (err, fragment) in cases {

@@ -38,10 +38,11 @@ use sttgpu_trace::CheckReport;
 use crate::configs::L2Choice;
 use crate::runner::{RunOutput, RunPlan};
 
-/// Generation stamp folded into every store key and the repro journal
-/// header. Bump it whenever simulator output semantics change in a way
-/// byte-level reproduction must not paper over: old entries become
-/// unreachable (a clean cold start) instead of silently stale.
+/// Generation stamp folded into every store key. Bump it by hand whenever
+/// simulator output semantics change in a way byte-level reproduction
+/// must not paper over: old entries become unreachable (a clean cold
+/// start) instead of silently stale. Nothing checks that it was bumped,
+/// which is why a store is only ever used when `--store DIR` asks for one.
 ///
 /// Generation 2 dropped the SM-stepping thread count from the key (the
 /// simulator steps SMs serially only); its simulated output is unchanged.

@@ -1,0 +1,81 @@
+//! Bad command-line input to `repro`, `explore` and `diag` is a typed
+//! rejection: a nonzero exit that is not a panic (101), a message that
+//! names the offending flag, and nothing simulated or printed to stdout.
+
+use std::process::Command;
+
+fn rejects(bin: &str, args: &[&str], fragment: &str) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let code = out.status.code();
+    assert!(
+        code.is_some_and(|c| c != 0 && c != 101) && !stderr.contains("panicked"),
+        "{args:?}: exit {code:?}, want a typed rejection:\n{stderr}"
+    );
+    assert!(
+        stderr.contains(fragment),
+        "{args:?}: stderr lacks '{fragment}':\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+}
+
+#[test]
+fn diag_rejects_bad_input() {
+    let diag = env!("CARGO_BIN_EXE_diag");
+    for scale in ["abc", "0", "-1"] {
+        rejects(diag, &["--scale", scale], "--scale wants");
+    }
+    rejects(diag, &["--bogus"], "unknown flag '--bogus'");
+    rejects(diag, &["--trace-jsonl"], "--trace-jsonl needs a value");
+    rejects(diag, &["bfs", "nosuch"], "unknown workload 'nosuch'");
+}
+
+#[test]
+fn explore_rejects_every_bad_design_point_before_simulating() {
+    let explore = env!("CARGO_BIN_EXE_explore");
+    let cases: [(&[&str], &str); 14] = [
+        (&["--scale", "0"], "--scale wants"),
+        (&["--scale", "NaN"], "--scale wants"),
+        (&["--lr-kb", "48,0"], "design point 0KB @ 10us"),
+        (&["--hr-kb", "0"], "against 0 KB HR"),
+        (&["--lr-retention-us", "-5"], "--lr-retention-us wants"),
+        (
+            &["--lr-retention-us", "26.5,inf"],
+            "--lr-retention-us wants",
+        ),
+        (&["--lr-retention-us", "10,0.1"], "retention in [1.484e-1,"),
+        (&["--hr-retention-ms", "0"], "--hr-retention-ms wants"),
+        (
+            &["--lr-kb", "48,x"],
+            "--lr-kb wants KB in 0..=65536, got 'x'",
+        ),
+        (&["--hr-kb", "65537"], "--hr-kb wants"),
+        (&["--jobs", "100000"], "--jobs wants an integer in 1..=4096"),
+        (&["--workload", "nosuch"], "--workload wants one of"),
+        (&["--llc-policy", "adaptive"], "--llc-policy wants"),
+        (&["--bogus"], "unknown flag '--bogus'"),
+    ];
+    for (args, fragment) in cases {
+        rejects(explore, args, fragment);
+    }
+}
+
+#[test]
+fn repro_rejects_bad_flags_by_name() {
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["--faults", "2", "fig8"],
+            "--faults wants a rate in [0, 1]",
+        ),
+        (&["--fuzz", "0"], "--fuzz wants"),
+        (&["--fuzz", "10", "--fuzz-seed", "x"], "--fuzz-seed wants"),
+        (&["--jobs", "0", "all"], "--jobs wants"),
+        (&["--bogus", "all"], "unknown flag '--bogus'"),
+        (&["table1", "fig9"], "unknown artefact 'fig9'"),
+        (&["--resume", "all"], "unknown flag '--resume'"),
+    ];
+    for (args, fragment) in cases {
+        rejects(repro, args, fragment);
+    }
+}

@@ -1,12 +1,15 @@
 //! End-to-end contract of `repro --store`: byte-identical artefacts
 //! from a warm store with zero simulations executed, transparent
-//! recovery from corrupted entries, survival of a SIGKILL mid-sweep,
-//! and watchdog quarantine of hung runs.
+//! recovery from corrupted entries, survival of a SIGKILL mid-sweep
+//! (rerunning with the same store is how a killed sweep resumes), and
+//! quarantine of panicking or hung artefacts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
+
+use sttgpu_experiments::canary::json_number;
 
 const ARTEFACTS: [&str; 4] = ["table1", "table2", "fig3", "fig6"];
 const SCALE: &str = "0.02";
@@ -30,8 +33,8 @@ fn repro_cmd(out_dir: &Path, store_dir: &Path, extra: &[&str]) -> Command {
     cmd
 }
 
-/// All .txt/.csv artefact files, sorted by name (the bench JSON and the
-/// journal carry timings and are outside the byte-identity contract).
+/// All .txt/.csv artefact files, sorted by name (the bench JSON carries
+/// timings and is outside the byte-identity contract).
 fn artefact_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
         .expect("read out dir")
@@ -54,24 +57,16 @@ fn assert_identical(golden: &[(String, Vec<u8>)], other: &[(String, Vec<u8>)], w
     }
 }
 
-/// Extracts `"key": <number>` from the hand-rolled bench JSON.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let tail = &text[text.find(&format!("\"{key}\""))?..];
-    let tail = &tail[tail.find(':')? + 1..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == ' '))
-        .unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
-}
-
 fn bench_number(dir: &Path, key: &str) -> f64 {
     let text = fs::read_to_string(dir.join("BENCH_repro.json")).expect("bench json");
     json_number(&text, key).unwrap_or_else(|| panic!("no {key} in bench json:\n{text}"))
 }
 
+/// The committed entries (none while the objects directory is missing).
 fn entry_files(store_dir: &Path) -> Vec<PathBuf> {
     fs::read_dir(store_dir.join("objects"))
-        .expect("objects dir")
+        .into_iter()
+        .flatten()
         .map(|e| e.expect("entry").path())
         .filter(|p| p.extension().is_some_and(|x| x == "ent"))
         .collect()
@@ -174,24 +169,15 @@ fn sigkilled_sweep_leaves_a_usable_store() {
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn");
-    // Kill as soon as the journal shows progress (SIGKILL via kill()).
-    let journal = out1.join("repro.journal");
+    // Kill (SIGKILL via kill()) as soon as the first simulation result
+    // is committed to the store.
     let deadline = Instant::now() + Duration::from_secs(120);
-    let mut finished_early = false;
-    loop {
-        if fs::read_to_string(&journal).is_ok_and(|t| t.lines().any(|l| l.starts_with("ok "))) {
-            break;
-        }
-        if child.try_wait().expect("poll").is_some() {
-            finished_early = true;
-            break;
-        }
-        assert!(Instant::now() < deadline, "no journal progress within 120s");
+    while entry_files(&store).is_empty() && child.try_wait().expect("poll").is_none() {
+        assert!(Instant::now() < deadline, "no store entry within 120s");
         std::thread::sleep(Duration::from_millis(20));
     }
-    if !finished_early {
-        child.kill().expect("kill repro");
-    }
+    // A child that already finished is reaped, not signalled.
+    let _ = child.kill();
     let _ = child.wait();
 
     // The dead writer's lock must not wedge the rerun (its PID is gone,
@@ -256,10 +242,41 @@ fn run_timeout_quarantines_hung_artefacts() {
         quarantine.contains("watchdog"),
         "the reason must name the watchdog:\n{quarantine}"
     );
-    // The static artefact still landed and was journalled.
+    // The static artefact still landed; the quarantined one did not.
     assert!(out.join("table1.txt").is_file(), "sweep aborted on hang");
-    let journal = fs::read_to_string(out.join("repro.journal")).expect("journal");
-    assert!(journal.lines().any(|l| l == "ok table1"));
-    assert!(!journal.lines().any(|l| l == "ok fig3"));
+    assert!(!out.join("fig3.txt").is_file());
     fs::remove_dir_all(&out).ok();
+}
+
+/// A panicking artefact is quarantined: the sweep continues, the failure
+/// is reported in QUARANTINE.txt, and the exit code is nonzero.
+#[test]
+fn panicking_artefact_is_quarantined_without_aborting_the_sweep() {
+    let dir = fresh_dir("quarantine");
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", SCALE, "--jobs", "2", "--out"])
+        .arg(&dir)
+        .args(["table1", "table2"])
+        .env("STTGPU_REPRO_PANIC", "table1")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    assert!(
+        !output.status.success(),
+        "a quarantined artefact must force a nonzero exit"
+    );
+    let quarantine = fs::read_to_string(dir.join("QUARANTINE.txt"))
+        .expect("QUARANTINE.txt must exist after a quarantined artefact");
+    assert!(
+        quarantine.lines().any(|l| l.starts_with("table1\t")),
+        "QUARANTINE.txt must name the poisoned artefact:\n{quarantine}"
+    );
+    // The sweep moved past the poisoned artefact: table2 still landed,
+    // and table1 was not written.
+    assert!(
+        dir.join("table2.txt").is_file(),
+        "sweep aborted after panic"
+    );
+    assert!(!dir.join("table1.txt").is_file());
+    fs::remove_dir_all(&dir).ok();
 }
