@@ -11,7 +11,9 @@
 #                      # canary against the checked-in throughput
 #                      # baseline, a budgeted differential fuzz pass vs
 #                      # the oracle (corner geometries + scenario
-#                      # families), a checked scenario run, a
+#                      # families), a checked scenario run whose
+#                      # requests trace file is replayed with the
+#                      # checker and the oracle differential, a
 #                      # record -> trace file -> replay round trip,
 #                      # checked runs under both adaptive LLC policies,
 #                      # and an --llc-policy fixed vs default
@@ -54,6 +56,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     reject ./target/release/repro --faults 2 fig8
     reject ./target/release/explore --lr-retention-us -5
     reject ./target/release/diag --scale abc
+    reject ./target/release/diag --scale 1e-9
+    reject ./target/release/explore --scale 1e-9
 
     echo "==> repro invariant-checker run (scale 0.05, all artefacts, --check)"
     ./target/release/repro --scale 0.05 all --check > /dev/null
@@ -73,13 +77,16 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "==> repro differential fuzz vs the oracle (75000 cases, seed 7, 4 shards; corners + scenarios)"
     ./target/release/repro --fuzz 75000 --fuzz-seed 7 --jobs 4 > /dev/null
 
-    echo "==> repro scenario run (zipf-hot:7, --check)"
-    ./target/release/repro --scenario zipf-hot:7 --check > /dev/null
+    trace_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
+    scenario_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
+    smoke_tmp="$(mktemp -d -t sttgpu-smoke-store-XXXXXX)"
+    trap 'rm -f "$trace_tmp" "$scenario_tmp"; rm -rf "$smoke_tmp"' EXIT
+
+    echo "==> repro scenario run (zipf-hot:7, --check) -> requests trace file -> --check replay + oracle differential"
+    ./target/release/repro --scenario zipf-hot:7 --check --trace-out "$scenario_tmp" > /dev/null
+    ./target/release/repro --trace "$scenario_tmp" --check > /dev/null
 
     echo "==> repro record/replay round trip (nw @ 0.05 -> trace file -> --check replay)"
-    trace_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
-    smoke_tmp="$(mktemp -d -t sttgpu-smoke-store-XXXXXX)"
-    trap 'rm -f "$trace_tmp"; rm -rf "$smoke_tmp"' EXIT
     ./target/release/repro --record nw --trace-out "$trace_tmp" --scale 0.05 > /dev/null
     ./target/release/repro --trace "$trace_tmp" --check > /dev/null
 

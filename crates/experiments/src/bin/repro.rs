@@ -96,7 +96,7 @@ fn usage() -> ExitCode {
          [--store DIR] [--run-timeout SECS] <all|{}> ...\n\
          \x20      repro --fuzz N [--fuzz-seed S] [--jobs N]  # differential fuzz vs the oracle\n\
          \x20      repro --canary [--out DIR]       # perf canary vs checked-in baseline\n\
-         \x20      repro --scenario NAME[:seed] [--check]   # scenario family vs oracle + C1 replay ('list' lists)\n\
+         \x20      repro --scenario NAME[:seed] [--check] [--trace-out FILE]  # scenario family vs oracle + C1 replay ('list' lists)\n\
          \x20      repro --trace FILE [--check]     # replay a trace file against the C1 geometry\n\
          \x20      repro --record WORKLOAD --trace-out FILE [--scale F]  # dump a workload's LLC call stream",
         ARTEFACTS.join("|")
@@ -234,9 +234,10 @@ fn run_fuzz(cases: u64, seed: u64, shards: u64) -> ExitCode {
 /// Scenario mode: `--scenario NAME[:seed]` lowers one named scenario,
 /// differential-tests it across every corner geometry and replays it on
 /// the C1 geometry for a stats block. `--scenario list` lists the
-/// families. Any divergence (or checker violation under `--check`)
-/// fails the run.
-fn run_scenario_mode(arg: &str, check: bool) -> ExitCode {
+/// families. With `trace_out`, the lowered scenario is also saved as a
+/// requests-mode trace that `--trace` replays to the same stats block.
+/// Any divergence (or checker violation under `--check`) fails the run.
+fn run_scenario_mode(arg: &str, check: bool, trace_out: Option<&Path>) -> ExitCode {
     if arg == "list" {
         println!("scenario families (use --scenario NAME[:seed]):");
         for fam in sttgpu_oracle::scenario_families() {
@@ -270,6 +271,20 @@ fn run_scenario_mode(arg: &str, check: bool) -> ExitCode {
         sttgpu_oracle::corner_geometries().len(),
         out.replay.end_ns
     );
+    if let Some(path) = trace_out {
+        let line_bytes =
+            sttgpu_experiments::configs::two_part_config(sttgpu_experiments::L2Choice::TwoPartC1)
+                .expect("C1 is two-part")
+                .line_bytes;
+        let saved = sttgpu_experiments::scenario_ops(name, seed).and_then(|ops| {
+            sttgpu_oracle::save_ops(path, line_bytes, &ops).map_err(|e| e.to_string())
+        });
+        if let Err(e) = saved {
+            eprintln!("cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("# wrote {} ({} requests)", path.display(), out.ops);
+    }
     println!("{}", sttgpu_experiments::render_stats(&out.replay.stats));
     for (corner, d) in &out.divergences {
         println!("divergence [{corner} scenario {}]: {d}", out.spec_name);
@@ -298,54 +313,36 @@ fn run_scenario_mode(arg: &str, check: bool) -> ExitCode {
 /// Trace-replay mode: `--trace FILE` replays a trace file against the
 /// C1 geometry. Requests-mode traces additionally run the oracle
 /// differential (raw traces encode an exact call sequence the oracle's
-/// discipline cannot re-derive). Nonzero exit on divergence or checker
-/// violation.
+/// discipline cannot re-derive). Both are streaming passes over the
+/// file, so memory stays constant in its length. Nonzero exit on a
+/// malformed file, a divergence or a checker violation.
 fn run_trace_mode(path: &Path, check: bool) -> ExitCode {
-    let (header, records) = match sttgpu_tracefile::load(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot load {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = match header.mode {
-        sttgpu_tracefile::TraceMode::Requests => "requests",
-        sttgpu_tracefile::TraceMode::Raw => "raw",
-    };
-    eprintln!(
-        "# repro --trace: {} ({mode} mode, {} records, {} B lines) on the C1 geometry",
-        path.display(),
-        records.len(),
-        header.line_bytes
-    );
     let cfg = sttgpu_experiments::configs::two_part_config(sttgpu_experiments::L2Choice::TwoPartC1)
         .expect("C1 is two-part");
-    let replay = match sttgpu_experiments::replay_records(&cfg, &header, &records, check) {
-        Ok(out) => out,
+    let run = match sttgpu_experiments::replay_trace_file(&cfg, path, check) {
+        Ok(run) => run,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("cannot replay {e}");
             return ExitCode::FAILURE;
         }
     };
-    println!("{}", sttgpu_experiments::render_stats(&replay.stats));
+    let requests = run.header.mode == sttgpu_tracefile::TraceMode::Requests;
+    eprintln!(
+        "# repro --trace: {} ({} mode, {} records, {} B lines) on the C1 geometry",
+        path.display(),
+        if requests { "requests" } else { "raw" },
+        run.replay.records,
+        run.header.line_bytes
+    );
+    println!("{}", sttgpu_experiments::render_stats(&run.replay.stats));
     let mut failed = false;
-    if header.mode == sttgpu_tracefile::TraceMode::Requests {
-        let ops = match sttgpu_oracle::records_to_ops(&records) {
-            Ok(ops) => ops,
-            Err(e) => {
-                eprintln!("cannot interpret records as requests: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match sttgpu_oracle::run_case(&cfg, &ops) {
-            None => eprintln!("# differential vs the oracle: clean"),
-            Some(d) => {
-                println!("divergence [C1 trace {}]: {d}", path.display());
-                failed = true;
-            }
-        }
+    if let Some(d) = &run.divergence {
+        println!("divergence [C1 trace {}]: {d}", path.display());
+        failed = true;
+    } else if requests {
+        eprintln!("# differential vs the oracle: clean");
     }
-    if let Some(report) = &replay.check {
+    if let Some(report) = &run.replay.check {
         if report.is_clean() {
             eprintln!("# check passed: 0 invariant violations in the replay");
         } else {
@@ -621,9 +618,14 @@ fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
             "{mode} does not take artefact targets"
         )));
     }
-    if trace_out.is_some() && record.is_none() {
+    if trace_out.is_some() && record.is_none() && scenario.is_none() {
         return Err(RunError::invalid(
-            "--trace-out only makes sense with --record WORKLOAD",
+            "--trace-out pairs with --record WORKLOAD or --scenario NAME[:seed]",
+        ));
+    }
+    if trace_out.is_some() && scenario.as_deref() == Some("list") {
+        return Err(RunError::invalid(
+            "--scenario list writes no trace; name a family for --trace-out",
         ));
     }
     if canary {
@@ -639,7 +641,7 @@ fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
         return Ok(run_fuzz(cases, fuzz_seed, shards as u64));
     }
     if let Some(arg) = scenario {
-        return Ok(run_scenario_mode(&arg, check));
+        return Ok(run_scenario_mode(&arg, check, trace_out.as_deref()));
     }
     if let Some(workload) = record {
         let Some(out_path) = trace_out else {

@@ -12,6 +12,7 @@ use std::str::FromStr;
 
 use sttgpu_core::LlcPolicy;
 use sttgpu_device::mtj::{ATTEMPT_PERIOD_NS, MAX_DELTA, MIN_DELTA};
+use sttgpu_workloads::suite;
 
 use crate::error::RunError;
 
@@ -103,10 +104,20 @@ pub fn parse_llc_policy(raw: &str) -> Result<LlcPolicy, RunError> {
     })
 }
 
-/// Parses `--scale F`.
+/// Parses `--scale F`. Besides the range, every suite workload must
+/// keep a kernel above the floors at `F` ([`suite::try_scaled`]), so a
+/// too-small factor is rejected here rather than panicking mid-run.
 pub fn parse_scale(raw: &str) -> Result<f64, RunError> {
     let range = format!("a finite number in (0, {MAX_SCALE}]");
-    bounded("--scale", raw, |v| *v > 0.0 && *v <= MAX_SCALE, &range)
+    let scale = bounded("--scale", raw, |v| *v > 0.0 && *v <= MAX_SCALE, &range)?;
+    for w in suite::all() {
+        suite::try_scaled(&w, scale).map_err(|e| {
+            RunError::invalid(format!(
+                "--scale wants a factor every workload can shrink to, got '{raw}' ({e})"
+            ))
+        })?;
+    }
+    Ok(scale)
 }
 
 /// Parses `--faults RATE`, a per-mechanism probability.
@@ -215,6 +226,10 @@ mod tests {
         rejects(parse_scale("NaN"), "(0, 64]");
         rejects(parse_scale("65"), "(0, 64]");
         rejects(parse_scale("big"), "number");
+        rejects(
+            parse_scale("1e-9"),
+            "--scale wants a factor every workload can shrink to",
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Trace-driven replay: driving a [`TwoPartLlc`] from a trace file or a
 //! generated scenario, without the SM front-end.
 //!
-//! Three entry points:
+//! The entry points:
 //!
 //! * [`record_workload`] runs a built-in workload with the simulator's
 //!   LLC call log on and returns the verbatim probe/fill/maintain
@@ -9,11 +9,13 @@
 //!   [`replay_records`] reproduces the run's [`TwoPartStats`] bit for
 //!   bit, which is the property the record/replay equivalence test
 //!   pins.
-//! * [`replay_records`] replays either trace mode against a fresh LLC:
-//!   raw records are issued exactly as written; requests-mode records
-//!   run under the oracle's fill-on-miss discipline (maintenance swept
-//!   at the cadence, miss filled immediately, dirty iff the access was
-//!   a write).
+//! * [`replay_records`] replays either trace mode against a fresh LLC,
+//!   one record at a time: raw records are issued exactly as written;
+//!   requests-mode records run under the oracle's fill-on-miss
+//!   discipline (maintenance swept at the cadence, miss filled
+//!   immediately, dirty iff the access was a write).
+//!   [`replay_trace_file`] is `repro --trace`: the same replay, then
+//!   the oracle differential, each a streaming pass over the file.
 //! * [`Executor::run_scenario`] lowers a named scenario family under a
 //!   seed, differential-tests the resulting trace across every oracle
 //!   corner geometry, replays it on the C1 geometry for a stats block,
@@ -21,17 +23,19 @@
 //!   `(family, seed, check)`.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sttgpu_cache::AccessKind;
 use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
 use sttgpu_device::energy::EnergyEvent;
 use sttgpu_oracle::{
-    corner_geometries, records_to_ops, run_case, scenario_by_name, Divergence, Op,
+    corner_geometries, ops_to_records, request_ops, run_case, run_case_records, scenario_by_name,
+    Divergence, Op, ScenarioFamily, ScenarioSpec,
 };
 use sttgpu_sim::Gpu;
 use sttgpu_trace::{CheckReport, Checker, EventSink, Trace, TraceEvent, ENERGY_CATEGORIES};
-use sttgpu_tracefile::{TraceHeader, TraceMode, TraceRecord};
+use sttgpu_tracefile::{TraceError, TraceHeader, TraceMode, TraceRecord};
 use sttgpu_workloads::suite;
 
 use crate::configs::{gpu_config, two_part_config, L2Choice};
@@ -103,24 +107,42 @@ fn close_replay_check(checker: &Arc<Mutex<Checker>>, llc: &TwoPartLlc) -> CheckR
 }
 
 /// Replays trace records against a fresh [`TwoPartLlc`] built from
-/// `cfg`.
-///
-/// Raw-mode records are issued verbatim — every probe, fill and
-/// maintain exactly as recorded, in recorded order — so the resulting
-/// statistics block matches the recording run's. Requests-mode records
-/// run under the oracle's replay discipline: the clock starts one tick
-/// past the epoch, maintenance sweeps at the cadence before each
-/// access, and every miss fills immediately (dirty iff the access was
-/// a write).
-///
-/// Fails (with a printable message, never a panic) when the trace's
-/// line size does not match the geometry's.
+/// `cfg`, streaming the slice through the same replay as
+/// [`replay_trace_file`].
 pub fn replay_records(
     cfg: &TwoPartConfig,
     header: &TraceHeader,
     records: &[TraceRecord],
     check: bool,
 ) -> Result<ReplayOutput, String> {
+    replay_stream(cfg, header, records.iter().map(|&rec| Ok(rec)), check)
+}
+
+/// Replays a record stream against a fresh [`TwoPartLlc`] built from
+/// `cfg`, one record at a time, so memory does not grow with the
+/// stream's length.
+///
+/// Raw-mode records are issued verbatim — every probe, fill and
+/// maintain exactly as recorded, in recorded order — so the resulting
+/// statistics block matches the recording run's. Requests-mode records
+/// pass through the oracle's [`request_ops`] adapter and run under its
+/// replay discipline: the clock starts one tick past the epoch,
+/// maintenance sweeps at the cadence before each access, and every miss
+/// fills immediately (dirty iff the access was a write).
+///
+/// Fails (with a printable message, never a panic) when the trace's
+/// line size does not match the geometry's, or when the stream yields
+/// an error, such as a truncated file or a requests-discipline
+/// violation.
+fn replay_stream<I>(
+    cfg: &TwoPartConfig,
+    header: &TraceHeader,
+    records: I,
+    check: bool,
+) -> Result<ReplayOutput, String>
+where
+    I: IntoIterator<Item = Result<TraceRecord, TraceError>>,
+{
     if header.line_bytes != cfg.line_bytes {
         return Err(format!(
             "trace is {}-byte-line granular but the replay geometry uses {}-byte lines",
@@ -133,51 +155,65 @@ pub fn replay_records(
         llc.set_trace(Trace::to_sink(Arc::clone(&checker)));
         checker
     });
-    let line_bytes = cfg.line_bytes as u64;
-    let mut end_ns = 0u64;
-    match header.mode {
-        TraceMode::Raw => {
-            for rec in records {
-                end_ns = rec.at_ns();
-                match *rec {
-                    TraceRecord::Access { at_ns, line, write } => {
-                        let kind = if write {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        };
-                        llc.probe(line * line_bytes, kind, at_ns);
-                    }
-                    TraceRecord::Fill { at_ns, line, dirty } => {
-                        llc.fill(line * line_bytes, dirty, at_ns);
-                    }
-                    TraceRecord::Maintain { at_ns } => llc.maintain(at_ns),
-                }
-            }
-        }
-        TraceMode::Requests => {
-            let ops = records_to_ops(records).map_err(|e| e.to_string())?;
-            end_ns = replay_ops(&mut llc, &ops);
-        }
+    let (replayed, end_ns) = match header.mode {
+        TraceMode::Raw => replay_raw(&mut llc, records),
+        TraceMode::Requests => replay_requests(&mut llc, request_ops(records)),
     }
+    .map_err(|e| e.to_string())?;
     let check = checker.map(|c| close_replay_check(&c, &llc));
     Ok(ReplayOutput {
         stats: *llc.stats(),
-        records: records.len() as u64,
+        records: replayed,
         end_ns,
         check,
     })
 }
 
-/// Drives `llc` through `ops` under the oracle's replay discipline;
-/// returns the final clock.
-fn replay_ops(llc: &mut TwoPartLlc, ops: &[Op]) -> u64 {
+/// Issues raw records verbatim; returns how many, and the last one's
+/// timestamp.
+fn replay_raw(
+    llc: &mut TwoPartLlc,
+    records: impl IntoIterator<Item = Result<TraceRecord, TraceError>>,
+) -> Result<(u64, u64), TraceError> {
+    let line_bytes = u64::from(llc.config().line_bytes);
+    let (mut replayed, mut end_ns) = (0, 0);
+    for rec in records {
+        let rec = rec?;
+        replayed += 1;
+        end_ns = rec.at_ns();
+        match rec {
+            TraceRecord::Access { at_ns, line, write } => {
+                let kind = if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                llc.probe(line * line_bytes, kind, at_ns);
+            }
+            TraceRecord::Fill { at_ns, line, dirty } => {
+                llc.fill(line * line_bytes, dirty, at_ns);
+            }
+            TraceRecord::Maintain { at_ns } => llc.maintain(at_ns),
+        }
+    }
+    Ok((replayed, end_ns))
+}
+
+/// Drives `llc` through requests under the oracle's replay discipline;
+/// returns how many, and the final clock.
+fn replay_requests(
+    llc: &mut TwoPartLlc,
+    ops: impl Iterator<Item = Result<Op, TraceError>>,
+) -> Result<(u64, u64), TraceError> {
     let cadence = llc.maintenance_interval_ns();
-    let line_bytes = llc.config().line_bytes as u64;
+    let line_bytes = u64::from(llc.config().line_bytes);
+    let mut replayed = 0;
     let mut now = 1u64;
     let mut last_maintain = now;
     for op in ops {
-        now += op.dt_ns.max(1);
+        let op = op?;
+        replayed += 1;
+        now += op.dt_ns;
         while now - last_maintain >= cadence {
             last_maintain += cadence;
             llc.maintain(last_maintain);
@@ -192,7 +228,47 @@ fn replay_ops(llc: &mut TwoPartLlc, ops: &[Op]) -> u64 {
             llc.fill(byte_addr, op.write, now);
         }
     }
-    now
+    Ok((replayed, now))
+}
+
+/// What `repro --trace` learns from one trace file.
+#[derive(Debug, Clone)]
+pub struct TraceFileRun {
+    /// The file's header.
+    pub header: TraceHeader,
+    /// The replay on the given geometry.
+    pub replay: ReplayOutput,
+    /// The first divergence from the oracle. Only requests-mode files
+    /// are compared: a raw file encodes an exact call sequence that the
+    /// oracle's discipline cannot re-derive, so it is always `None`.
+    pub divergence: Option<Divergence>,
+}
+
+/// Replays the trace file at `path` against `cfg` in two streaming
+/// passes, so memory stays constant however long the file is: the
+/// replay (with the invariant checker when `check`), then, for a
+/// requests-mode file, the oracle differential ([`run_case_records`]).
+/// Every failure to read the file is a message naming it.
+pub fn replay_trace_file(
+    cfg: &TwoPartConfig,
+    path: &Path,
+    check: bool,
+) -> Result<TraceFileRun, String> {
+    let named = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    let records = sttgpu_tracefile::open(path).map_err(|e| named(&e))?;
+    let header = records.header();
+    let replay = replay_stream(cfg, &header, records, check).map_err(|e| named(&e))?;
+    let divergence = match header.mode {
+        TraceMode::Raw => None,
+        TraceMode::Requests => sttgpu_tracefile::open(path)
+            .and_then(|records| run_case_records(cfg, records))
+            .map_err(|e| named(&e))?,
+    };
+    Ok(TraceFileRun {
+        header,
+        replay,
+        divergence,
+    })
 }
 
 /// Runs `workload` (scaled by the plan) on the `choice` GPU with the
@@ -274,24 +350,39 @@ pub struct ScenarioCache {
     cells: Mutex<HashMap<ScenarioKey, Arc<OnceLock<Arc<ScenarioOutcome>>>>>,
 }
 
+/// The spec and request stream scenario family `fam` lowers to under
+/// `seed`.
+fn lower_family(fam: &ScenarioFamily, seed: u64) -> (ScenarioSpec, Vec<Op>) {
+    let spec = (fam.make)(seed);
+    let ops = spec.lower(seed.rotate_left(17));
+    (spec, ops)
+}
+
+fn family_named(family: &str) -> Result<ScenarioFamily, String> {
+    scenario_by_name(family).ok_or_else(|| format!("unknown scenario family: {family}"))
+}
+
+/// The request stream [`Executor::run_scenario`] replays for `family`
+/// under `seed`, in the oracle's [`Op`] form.
+pub fn scenario_ops(family: &str, seed: u64) -> Result<Vec<Op>, String> {
+    Ok(lower_family(&family_named(family)?, seed).1)
+}
+
 fn run_scenario_uncached(
-    family: &'static str,
-    make: fn(u64) -> sttgpu_oracle::ScenarioSpec,
+    fam: &ScenarioFamily,
     seed: u64,
     check: bool,
 ) -> Result<ScenarioOutcome, String> {
-    let spec = make(seed);
-    let ops = spec.lower(seed.rotate_left(17));
+    let (spec, ops) = lower_family(fam, seed);
     let divergences: Vec<(&'static str, Divergence)> = corner_geometries()
         .iter()
         .filter_map(|corner| run_case(&corner.cfg, &ops).map(|d| (corner.name, d)))
         .collect();
     let cfg = two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part");
-    let records = sttgpu_oracle::ops_to_records(&ops);
     let header = TraceHeader::requests(cfg.line_bytes);
-    let replay = replay_records(&cfg, &header, &records, check)?;
+    let replay = replay_records(&cfg, &header, &ops_to_records(&ops), check)?;
     Ok(ScenarioOutcome {
-        family,
+        family: fam.name,
         seed,
         spec_name: spec.name,
         ops: ops.len(),
@@ -312,8 +403,7 @@ impl Executor {
         seed: u64,
         check: bool,
     ) -> Result<Arc<ScenarioOutcome>, String> {
-        let fam =
-            scenario_by_name(family).ok_or_else(|| format!("unknown scenario family: {family}"))?;
+        let fam = family_named(family)?;
         let cell = {
             let mut cells = self
                 .scenario_cache()
@@ -331,7 +421,7 @@ impl Executor {
         if let Some(out) = cell.get() {
             return Ok(Arc::clone(out));
         }
-        let out = Arc::new(run_scenario_uncached(fam.name, fam.make, seed, check)?);
+        let out = Arc::new(run_scenario_uncached(&fam, seed, check)?);
         Ok(Arc::clone(cell.get_or_init(|| out)))
     }
 }

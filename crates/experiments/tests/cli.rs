@@ -22,7 +22,7 @@ fn rejects(bin: &str, args: &[&str], fragment: &str) {
 #[test]
 fn diag_rejects_bad_input() {
     let diag = env!("CARGO_BIN_EXE_diag");
-    for scale in ["abc", "0", "-1"] {
+    for scale in ["abc", "0", "-1", "1e-9"] {
         rejects(diag, &["--scale", scale], "--scale wants");
     }
     rejects(diag, &["--bogus"], "unknown flag '--bogus'");
@@ -33,9 +33,10 @@ fn diag_rejects_bad_input() {
 #[test]
 fn explore_rejects_every_bad_design_point_before_simulating() {
     let explore = env!("CARGO_BIN_EXE_explore");
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["--scale", "0"], "--scale wants"),
         (&["--scale", "NaN"], "--scale wants"),
+        (&["--scale", "1e-9"], "collapses to the floor"),
         (&["--lr-kb", "48,0"], "design point 0KB @ 10us"),
         (&["--hr-kb", "0"], "against 0 KB HR"),
         (&["--lr-retention-us", "-5"], "--lr-retention-us wants"),
@@ -63,7 +64,16 @@ fn explore_rejects_every_bad_design_point_before_simulating() {
 #[test]
 fn repro_rejects_bad_flags_by_name() {
     let repro = env!("CARGO_BIN_EXE_repro");
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 10] = [
+        (&["--scale", "1e-9", "fig8"], "collapses to the floor"),
+        (
+            &["--trace-out", "x.trc", "fig8"],
+            "--trace-out pairs with --record WORKLOAD or --scenario",
+        ),
+        (
+            &["--scenario", "list", "--trace-out", "x.trc"],
+            "--scenario list writes no trace",
+        ),
         (
             &["--faults", "2", "fig8"],
             "--faults wants a rate in [0, 1]",

@@ -1,12 +1,15 @@
 //! The differential driver: run a trace through the implementation and
 //! the reference model in lockstep and report the first divergence.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use sttgpu_cache::AccessKind;
 use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
+use sttgpu_tracefile::{TraceError, TraceRecord};
 
 use crate::corner::corner_geometries;
+use crate::io::request_ops;
 use crate::model::OracleLlc;
 use crate::scenario::scenario_families;
 use crate::shrink::shrink;
@@ -147,23 +150,48 @@ fn compare_state(
 /// machines agree on — and returns the first divergence, or `None`
 /// when the machines stay observationally identical end to end.
 pub fn run_case(cfg: &TwoPartConfig, ops: &[Op]) -> Option<Divergence> {
+    let Ok(verdict) = lockstep(cfg, ops.iter().map(|&op| Ok::<_, Infallible>(op)));
+    verdict
+}
+
+/// [`run_case`] over a requests-mode record stream, such as an
+/// [`open`](sttgpu_tracefile::open)ed trace file, converted one record
+/// at a time by [`request_ops`], so memory stays constant in the stream
+/// length. A malformed stream stops the run with its typed error.
+pub fn run_case_records<I>(
+    cfg: &TwoPartConfig,
+    records: I,
+) -> Result<Option<Divergence>, TraceError>
+where
+    I: IntoIterator<Item = Result<TraceRecord, TraceError>>,
+{
+    lockstep(cfg, request_ops(records))
+}
+
+/// The differential driver behind [`run_case`] and
+/// [`run_case_records`]: stops at the first divergence or stream error.
+fn lockstep<E>(
+    cfg: &TwoPartConfig,
+    ops: impl Iterator<Item = Result<Op, E>>,
+) -> Result<Option<Divergence>, E> {
     let mut dut = TwoPartLlc::new(cfg.clone());
     let mut model = OracleLlc::new(cfg);
 
     let cadence = dut.maintenance_interval_ns();
     if cadence != model.maintenance_interval_ns() {
-        return Some(Divergence {
+        return Ok(Some(Divergence {
             op_index: None,
             field: "maintenance_interval_ns",
             model: model.maintenance_interval_ns(),
             dut: cadence,
-        });
+        }));
     }
 
     let line_bytes = cfg.line_bytes as u64;
     let mut now = 1u64;
     let mut last_maintain = now;
-    for (i, op) in ops.iter().enumerate() {
+    for (i, op) in ops.enumerate() {
+        let op = op?;
         now += op.dt_ns.max(1);
         while now - last_maintain >= cadence {
             last_maintain += cadence;
@@ -180,12 +208,12 @@ pub fn run_case(cfg: &TwoPartConfig, ops: &[Op]) -> Option<Divergence> {
         let dut_probe = dut.probe(byte_addr, kind, now);
         let (model_hit, model_probe_wb) = model.probe(op.line, op.write, now);
         if dut_probe.hit != model_hit {
-            return Some(Divergence {
+            return Ok(Some(Divergence {
                 op_index: Some(i),
                 field: "hit",
                 model: model_hit as u64,
                 dut: dut_probe.hit as u64,
-            });
+            }));
         }
 
         let mut dut_wb = dut_probe.writebacks;
@@ -197,19 +225,19 @@ pub fn run_case(cfg: &TwoPartConfig, ops: &[Op]) -> Option<Divergence> {
             model_wb += model.fill(op.line, op.write, now);
         }
         if dut_wb != model_wb {
-            return Some(Divergence {
+            return Ok(Some(Divergence {
                 op_index: Some(i),
                 field: "writebacks",
                 model: model_wb as u64,
                 dut: dut_wb as u64,
-            });
+            }));
         }
 
         if let Some(d) = compare_state(i, op.line, byte_addr, &dut, &model) {
-            return Some(d);
+            return Ok(Some(d));
         }
     }
-    None
+    Ok(None)
 }
 
 /// One diverging fuzz case, minimized and ready to report.

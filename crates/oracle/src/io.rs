@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use sttgpu_tracefile::{load, save, TraceError, TraceHeader, TraceMode, TraceRecord};
+use sttgpu_tracefile::{open, save, TraceError, TraceHeader, TraceMode, TraceRecord};
 
 use crate::trace_gen::Op;
 
@@ -33,32 +33,66 @@ pub fn ops_to_records(ops: &[Op]) -> Vec<TraceRecord> {
         .collect()
 }
 
-/// Converts requests-mode records back to oracle ops by differencing
-/// the absolute clock. Rejects raw-only records and non-monotone
-/// timestamps with the same typed errors the readers use.
-pub fn records_to_ops(records: &[TraceRecord]) -> Result<Vec<Op>, TraceError> {
-    let mut prev = 0u64;
-    records
-        .iter()
-        .enumerate()
-        .map(|(i, rec)| match *rec {
-            TraceRecord::Access { at_ns, line, write } => {
-                if at_ns <= prev {
-                    return Err(TraceError::Discipline {
-                        record: i as u64,
-                        what: "timestamps must strictly increase",
-                    });
-                }
-                let dt_ns = at_ns - prev;
-                prev = at_ns;
+/// Adapts a requests-mode record stream (an [`open`]ed file, or a slice
+/// mapped through `Ok`) to oracle ops, one record at a time, by
+/// differencing the absolute clock. The first record that is not an
+/// access, or whose timestamp fails to strictly increase, yields
+/// [`TraceError::Discipline`] with its index, and errors from the record
+/// stream itself pass through; the adapter ends after either.
+pub fn request_ops<I>(records: I) -> impl Iterator<Item = Result<Op, TraceError>>
+where
+    I: IntoIterator<Item = Result<TraceRecord, TraceError>>,
+{
+    RequestOps {
+        records: records.into_iter(),
+        prev_ns: 0,
+        index: 0,
+        failed: false,
+    }
+}
+
+/// The state of [`request_ops`]' adapter.
+struct RequestOps<I> {
+    records: I,
+    prev_ns: u64,
+    index: u64,
+    failed: bool,
+}
+
+impl<I: Iterator<Item = Result<TraceRecord, TraceError>>> Iterator for RequestOps<I> {
+    type Item = Result<Op, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let record = self.index;
+        let op = match self.records.next()? {
+            Ok(TraceRecord::Access { at_ns, line, write }) if at_ns > self.prev_ns => {
+                let dt_ns = at_ns - self.prev_ns;
+                self.prev_ns = at_ns;
                 Ok(Op { dt_ns, line, write })
             }
-            _ => Err(TraceError::Discipline {
-                record: i as u64,
+            Ok(TraceRecord::Access { .. }) => Err(TraceError::Discipline {
+                record,
+                what: "timestamps must strictly increase",
+            }),
+            Ok(_) => Err(TraceError::Discipline {
+                record,
                 what: "only accesses are allowed",
             }),
-        })
-        .collect()
+            Err(e) => Err(e),
+        };
+        self.failed = op.is_err();
+        self.index += 1;
+        Some(op)
+    }
+}
+
+/// Converts requests-mode records back to oracle ops (see
+/// [`request_ops`]).
+pub fn records_to_ops(records: &[TraceRecord]) -> Result<Vec<Op>, TraceError> {
+    request_ops(records.iter().map(|&rec| Ok(rec))).collect()
 }
 
 /// Saves an oracle trace as a requests-mode file (binary, or the text
@@ -76,14 +110,18 @@ pub fn save_ops(path: &Path, line_bytes: u32, ops: &[Op]) -> Result<(), TraceErr
 /// they encode an exact call sequence, not a request stream, and only
 /// the raw replayer may interpret them.
 pub fn load_ops(path: &Path) -> Result<(u32, Vec<Op>), TraceError> {
-    let (header, records) = load(path)?;
+    let records = open(path)?;
+    let header = records.header();
     if header.mode != TraceMode::Requests {
         return Err(TraceError::Discipline {
             record: 0,
             what: "requests-mode trace required (this file is raw mode)",
         });
     }
-    Ok((header.line_bytes, records_to_ops(&records)?))
+    Ok((
+        header.line_bytes,
+        request_ops(records).collect::<Result<_, _>>()?,
+    ))
 }
 
 #[cfg(test)]

@@ -33,7 +33,8 @@
 //!   targets — and lowers them to the same [`Op`] vocabulary, so the
 //!   named families in [`scenario_families`] fuzz, shrink and pin
 //!   through the identical machinery; [`ops_to_records`]/[`save_ops`]
-//!   bridge to the on-disk trace format.
+//!   bridge to the on-disk trace format, and [`request_ops`] streams a
+//!   requests-mode file back as ops.
 //! * [`fuzz`] round-robins seeded cases across [`corner_geometries`],
 //!   interleaving legacy corner mixes with scenario-family draws —
 //!   paper-shape, direct-mapped, fully-associative, parallel-search,
@@ -59,8 +60,10 @@ mod shrink;
 mod trace_gen;
 
 pub use corner::{corner_geometries, Corner};
-pub use diff::{fuzz, fuzz_sharded, run_case, Divergence, FuzzFailure, FuzzReport};
-pub use io::{load_ops, ops_to_records, records_to_ops, save_ops};
+pub use diff::{
+    fuzz, fuzz_sharded, run_case, run_case_records, Divergence, FuzzFailure, FuzzReport,
+};
+pub use io::{load_ops, ops_to_records, records_to_ops, request_ops, save_ops};
 pub use model::OracleLlc;
 pub use scenario::{scenario_by_name, scenario_families, Phase, ScenarioFamily, ScenarioSpec};
 pub use shrink::shrink;

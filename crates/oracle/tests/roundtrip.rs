@@ -7,7 +7,8 @@ use std::io::Cursor;
 use sttgpu_oracle::{generate, ops_to_records, records_to_ops, Op, TraceSpec};
 use sttgpu_stats::Rng;
 use sttgpu_tracefile::{
-    read_text, TextTraceWriter, TraceError, TraceHeader, TraceReader, TraceRecord, TraceWriter,
+    read_text, TextTraceWriter, TraceError, TraceHeader, TraceReader, TraceRecord, TraceStream,
+    TraceWriter,
 };
 
 /// A seeded spec with seed-dependent shape, so different seeds exercise
@@ -196,4 +197,58 @@ fn mangled_text_traces_are_typed_errors() {
             other => panic!("{bad:?}: expected a typed error, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn text_truncation_at_every_byte_streams_like_read_text() {
+    let ops = generate(3, &spec_for(3));
+    let records = ops_to_records(&ops[..20.min(ops.len())]);
+    let mut w = TextTraceWriter::new(Vec::new(), TraceHeader::requests(256)).expect("header");
+    for rec in &records {
+        w.write(rec).expect("record");
+    }
+    let mut text = b"# a comment\n\n".to_vec();
+    text.append(&mut w.finish().expect("flush"));
+    // FNV-1a over `read_text`'s result on every prefix, pinned from the
+    // reader that held the whole file before reading streamed.
+    let mut pin = 0xcbf2_9ce4_8422_2325u64;
+    for cut in 0..=text.len() {
+        let prefix = &text[..cut];
+        let eager = format!("{:?}", read_text(Cursor::new(prefix)));
+        pin = eager.bytes().fold(pin, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let streamed = match TraceStream::new(Cursor::new(prefix)) {
+            Err(e) => Err(e),
+            Ok(stream) => {
+                let header = stream.header();
+                let items: Vec<Result<TraceRecord, TraceError>> = stream.collect();
+                let failed = items.iter().filter(|r| r.is_err()).count();
+                assert!(
+                    failed == 0 || (failed == 1 && items.last().is_some_and(Result::is_err)),
+                    "cut {cut}: the stream must end at its first error"
+                );
+                items
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(|recs| (header, recs))
+            }
+        };
+        assert_eq!(format!("{streamed:?}"), eager, "cut {cut}");
+        if let Err(e) = streamed {
+            assert!(
+                matches!(
+                    e,
+                    TraceError::Text { .. }
+                        | TraceError::UnsupportedVersion(_)
+                        | TraceError::BadLineBytes(_)
+                ),
+                "cut {cut}: {e}"
+            );
+        }
+    }
+    assert_eq!(
+        pin, 0xff19_b1c7_988d_6f92,
+        "read_text moved on a truncated prefix"
+    );
 }

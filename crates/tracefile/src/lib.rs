@@ -37,8 +37,8 @@
 //! The same stream, line-oriented and diff-friendly: a header line
 //! `sttgpu-trace v1 <mode> line_bytes=<n>`, then one record per line
 //! (`r`/`w`/`fc`/`fd` `<at_ns> <line>`, or `m <at_ns>`). Blank lines and
-//! `#` comments are ignored. [`load`] sniffs the magic, so both
-//! encodings open through one entry point.
+//! `#` comments are ignored. [`open`] sniffs the magic, so both
+//! encodings stream through one entry point; [`load`] collects it.
 //!
 //! # Invariants
 //!
@@ -626,42 +626,144 @@ impl<W: Write> TextTraceWriter<W> {
     }
 }
 
-/// Parses the text twin from a buffered reader.
-pub fn read_text<R: BufRead>(r: R) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
-    let mut lines = r.lines().enumerate();
-    let header = loop {
-        let Some((i, line)) = lines.next() else {
+/// Streaming text-twin reader: an iterator over records, one line held
+/// at a time.
+#[derive(Debug)]
+struct TextReader<R: BufRead> {
+    r: R,
+    line: String,
+    lineno: usize,
+    header: TraceHeader,
+    read: u64,
+    last_ns: Option<u64>,
+    failed: bool,
+}
+
+impl<R: BufRead> TextReader<R> {
+    /// Parses the header line and returns a reader for the records.
+    fn new(mut r: R) -> Result<Self, TraceError> {
+        let mut line = String::new();
+        let mut lineno = 0;
+        if !next_content_line(&mut r, &mut line, &mut lineno)? {
             return Err(TraceError::Text {
                 line: 1,
                 what: "empty file (missing header line)".into(),
             });
-        };
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
         }
-        break parse_text_header(trimmed, i + 1)?;
-    };
-    let mut records = Vec::new();
-    let mut last_ns = None;
-    for (i, line) in lines {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+        let header = parse_text_header(line.trim(), lineno)?;
+        Ok(TextReader {
+            r,
+            line,
+            lineno,
+            header,
+            read: 0,
+            last_ns: None,
+            failed: false,
+        })
+    }
+
+    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
+        if !next_content_line(&mut self.r, &mut self.line, &mut self.lineno)? {
+            return Ok(None);
         }
-        let rec = parse_text_record(trimmed, i + 1)?;
-        check_discipline(header.mode, last_ns, &rec, records.len() as u64).map_err(|e| {
+        let rec = parse_text_record(self.line.trim(), self.lineno)?;
+        check_discipline(self.header.mode, self.last_ns, &rec, self.read).map_err(|e| {
             TraceError::Text {
-                line: i + 1,
+                line: self.lineno,
                 what: e.to_string(),
             }
         })?;
-        last_ns = Some(rec.at_ns());
-        records.push(rec);
+        self.last_ns = Some(rec.at_ns());
+        self.read += 1;
+        Ok(Some(rec))
     }
-    Ok((header, records))
+}
+
+impl<R: BufRead> Iterator for TextReader<R> {
+    type Item = Result<TraceRecord, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let item = self.next_record().transpose();
+        self.failed = matches!(item, Some(Err(_)));
+        item
+    }
+}
+
+/// Reads the next line that is neither blank nor a `#` comment into
+/// `line`, counting lines in `lineno`; `false` at end of input.
+fn next_content_line<R: BufRead>(
+    r: &mut R,
+    line: &mut String,
+    lineno: &mut usize,
+) -> Result<bool, TraceError> {
+    loop {
+        line.clear();
+        if r.read_line(line)? == 0 {
+            return Ok(false);
+        }
+        *lineno += 1;
+        let trimmed = line.trim();
+        if !trimmed.is_empty() && !trimmed.starts_with('#') {
+            return Ok(true);
+        }
+    }
+}
+
+/// A trace in either encoding, read lazily: [`open`] and
+/// [`TraceStream::new`] sniff the magic, and the stream yields records
+/// one at a time with the typed errors of [`TraceReader`] or of
+/// [`read_text`].
+#[derive(Debug)]
+pub struct TraceStream<R: BufRead>(Encoding<R>);
+
+#[derive(Debug)]
+enum Encoding<R: BufRead> {
+    Binary(TraceReader<R>),
+    Text(TextReader<R>),
+}
+
+impl<R: BufRead> TraceStream<R> {
+    /// Parses the header of a binary trace (by magic) or of its text twin.
+    pub fn new(mut r: R) -> Result<Self, TraceError> {
+        Ok(TraceStream(if r.fill_buf()?.starts_with(&MAGIC) {
+            Encoding::Binary(TraceReader::new(r)?)
+        } else {
+            Encoding::Text(TextReader::new(r)?)
+        }))
+    }
+
+    /// The parsed header.
+    pub fn header(&self) -> TraceHeader {
+        match &self.0 {
+            Encoding::Binary(r) => r.header(),
+            Encoding::Text(r) => r.header,
+        }
+    }
+
+    /// Reads the remaining records into memory.
+    fn collect_all(self) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
+        let header = self.header();
+        Ok((header, self.collect::<Result<_, _>>()?))
+    }
+}
+
+impl<R: BufRead> Iterator for TraceStream<R> {
+    type Item = Result<TraceRecord, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            Encoding::Binary(r) => r.next(),
+            Encoding::Text(r) => r.next(),
+        }
+    }
+}
+
+/// Parses the text twin from a buffered reader, all at once.
+pub fn read_text<R: BufRead>(r: R) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
+    TraceStream(Encoding::Text(TextReader::new(r)?)).collect_all()
 }
 
 fn parse_text_header(line: &str, lineno: usize) -> Result<TraceHeader, TraceError> {
@@ -766,19 +868,15 @@ pub fn save(path: &Path, header: TraceHeader, records: &[TraceRecord]) -> Result
     Ok(())
 }
 
-/// Reads a whole trace from `path`, sniffing binary vs text by magic.
+/// Opens the trace at `path` for streaming, sniffing binary vs text by
+/// magic. Memory stays constant however long the trace is.
+pub fn open(path: &Path) -> Result<TraceStream<BufReader<fs::File>>, TraceError> {
+    TraceStream::new(BufReader::new(fs::File::open(path)?))
+}
+
+/// Reads a whole trace from `path` into memory (see [`open`]).
 pub fn load(path: &Path) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
-    let file = fs::File::open(path)?;
-    let mut buf = BufReader::new(file);
-    let sniff = buf.fill_buf()?;
-    if sniff.starts_with(&MAGIC) {
-        let mut reader = TraceReader::new(buf)?;
-        let header = reader.header();
-        let records: Result<Vec<_>, _> = reader.by_ref().collect();
-        Ok((header, records?))
-    } else {
-        read_text(buf)
-    }
+    open(path)?.collect_all()
 }
 
 #[cfg(test)]

@@ -20,11 +20,14 @@ const MIN_INSTRUCTIONS_PER_WARP: u32 = 50;
 /// preserving its statistical character. Used to shrink runs for quick
 /// benchmarking; `factor = 1.0` is the reference scale.
 ///
-/// Panics when `factor` is so small that every kernel collapses to the
-/// floors — at that point distinct factors would round to identical
-/// workloads, which silently breaks anything sweeping over scales.
-pub fn scaled(workload: &Workload, factor: f64) -> Workload {
-    assert!(factor > 0.0, "scale factor must be positive");
+/// Fails when `factor` is not positive, or so small that every kernel
+/// collapses to the floors — at that point distinct factors would round
+/// to identical workloads, which silently breaks anything sweeping over
+/// scales.
+pub fn try_scaled(workload: &Workload, factor: f64) -> Result<Workload, String> {
+    if factor.is_nan() || factor <= 0.0 {
+        return Err(format!("scale factor must be positive, got {factor}"));
+    }
     let mut collapsed = true;
     let kernels: Vec<_> = workload
         .kernels
@@ -41,14 +44,21 @@ pub fn scaled(workload: &Workload, factor: f64) -> Workload {
             k
         })
         .collect();
-    assert!(
-        !collapsed,
-        "scale factor {factor} is too small for workload '{}': every kernel \
-         collapses to the floor ({MIN_BLOCKS} blocks, {MIN_INSTRUCTIONS_PER_WARP} \
-         instructions/warp), so distinct factors would produce identical runs",
-        workload.name
-    );
-    Workload::new(&workload.name, kernels, workload.seed)
+    if collapsed {
+        return Err(format!(
+            "scale factor {factor} is too small for workload '{}': every kernel \
+             collapses to the floor ({MIN_BLOCKS} blocks, {MIN_INSTRUCTIONS_PER_WARP} \
+             instructions/warp), so distinct factors would produce identical runs",
+            workload.name
+        ));
+    }
+    Ok(Workload::new(&workload.name, kernels, workload.seed))
+}
+
+/// [`try_scaled`] for factors already known to be valid; panics with its
+/// message otherwise.
+pub fn scaled(workload: &Workload, factor: f64) -> Workload {
+    try_scaled(workload, factor).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn bfs() -> Workload {
@@ -522,6 +532,16 @@ mod tests {
     fn scaling_rejects_factors_that_collapse_to_the_floors() {
         let w = by_name("lud").expect("lud");
         let _ = scaled(&w, 0.001);
+    }
+
+    #[test]
+    fn try_scaled_reports_what_scaled_panics_on() {
+        let w = by_name("lud").expect("lud");
+        let err = try_scaled(&w, 0.001).expect_err("collapses");
+        assert!(err.contains("collapses to the floor"), "{err}");
+        assert!(try_scaled(&w, 0.0).is_err());
+        assert!(try_scaled(&w, f64::NAN).is_err());
+        assert_eq!(try_scaled(&w, 0.25).ok(), Some(scaled(&w, 0.25)));
     }
 
     #[test]
