@@ -92,10 +92,12 @@ if [[ "${1:-}" == "--smoke" ]]; then
 
     echo "==> repro persistent store: cold fill -> warm byte-identity with zero simulations"
     store_dir="$smoke_tmp/store"
-    store_args=(--scale 0.05 --store "$store_dir" table1 table2 fig3 fig6)
+    store_args=(--scale 0.05 --store "$store_dir" table1 table2 fig3 fig4 fig6)
     ./target/release/repro "${store_args[@]}" --out "$smoke_tmp/cold" > /dev/null
     ./target/release/repro "${store_args[@]}" --out "$smoke_tmp/warm" > /dev/null
-    for f in table1.txt table1.csv table2.txt table2.csv fig3.txt fig3.csv fig6.txt fig6.csv; do
+    store_files=(table1.txt table1.csv table2.txt table2.csv fig3.txt fig3.csv
+        fig4.txt fig4.csv fig6.txt fig6.csv)
+    for f in "${store_files[@]}"; do
         cmp "$smoke_tmp/cold/$f" "$smoke_tmp/warm/$f" \
             || { echo "store smoke: $f differs between cold and warm runs"; exit 1; }
     done
@@ -108,8 +110,10 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro "${store_args[@]}" --out "$smoke_tmp/healed" > /dev/null
     [[ -n "$(ls -A "$store_dir/quarantine" 2> /dev/null)" ]] \
         || { echo "store smoke: corrupted entry was not quarantined"; exit 1; }
-    cmp "$smoke_tmp/cold/table1.txt" "$smoke_tmp/healed/table1.txt" \
-        || { echo "store smoke: recomputed artefact differs"; exit 1; }
+    for f in "${store_files[@]}"; do
+        cmp "$smoke_tmp/cold/$f" "$smoke_tmp/healed/$f" \
+            || { echo "store smoke: recomputed artefact $f differs"; exit 1; }
+    done
 
     echo "==> repro --llc-policy fixed is byte-identical to the default"
     policy_args=(--scale 0.05 table1 fig3 fig6)

@@ -8,7 +8,8 @@
 //! outcome, counter, or energy ledger entry, and the checker must report
 //! zero invariant violations on every stream.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use sttgpu_cache::AccessKind;
 use sttgpu_core::{LlcModel, LlcStats, TwoPartConfig, TwoPartLlc};
@@ -45,10 +46,10 @@ fn replay(
     let checker = check.then(|| {
         // Deadlines are serviced up to one maintenance interval late, so
         // the age-based invariants get exactly that much slack.
-        let c = Arc::new(Mutex::new(Checker::new(
+        let c = Rc::new(RefCell::new(Checker::new(
             cfg.check_config().with_slack_ns(cadence),
         )));
-        llc.set_trace(Trace::to_sink(Arc::clone(&c)));
+        llc.set_trace(Trace::to_sink(Rc::clone(&c)));
         c
     });
     let mut hits = Vec::with_capacity(ops.len());
@@ -75,7 +76,7 @@ fn replay(
     let stats = llc.summary();
     let energy = llc.energy().dynamic_nj();
     let report = checker.map(|c| {
-        let mut c = c.lock().unwrap();
+        let mut c = c.borrow_mut();
         // Feed the model's own ledgers back so the conservation
         // invariants (accesses = hits + misses, energy totals = sum of
         // per-event deposits) are enforced as well.

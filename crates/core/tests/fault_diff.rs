@@ -15,7 +15,8 @@
 //!    fault-free twin in every outcome, counter and event except the
 //!    correction bookkeeping itself.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use sttgpu_cache::AccessKind;
 use sttgpu_core::{FaultConfig, LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
@@ -62,8 +63,8 @@ struct Observed {
 
 fn replay(cfg: &TwoPartConfig, ops: &[Op]) -> Observed {
     let mut llc = TwoPartLlc::new(cfg.clone());
-    let sink = Arc::new(Mutex::new(VecSink::new()));
-    llc.set_trace(Trace::to_sink(Arc::clone(&sink)));
+    let sink = Rc::new(RefCell::new(VecSink::new()));
+    llc.set_trace(Trace::to_sink(Rc::clone(&sink)));
     let cadence = llc.maintenance_interval_ns();
     let mut hits = Vec::with_capacity(ops.len());
     let mut now = 1u64;
@@ -92,10 +93,9 @@ fn replay(cfg: &TwoPartConfig, ops: &[Op]) -> Observed {
     }
     let stats = *llc.stats();
     drop(llc);
-    let events = Arc::try_unwrap(sink)
+    let events = Rc::try_unwrap(sink)
         .unwrap_or_else(|_| unreachable!("llc dropped its trace handle"))
         .into_inner()
-        .unwrap()
         .take();
     Observed {
         hits,
@@ -141,10 +141,10 @@ fn zero_rate_fault_plan_is_byte_transparent() {
 fn replay_checked(cfg: &TwoPartConfig, ops: &[Op]) -> (TwoPartStats, sttgpu_trace::CheckReport) {
     let mut llc = TwoPartLlc::new(cfg.clone());
     let cadence = llc.maintenance_interval_ns();
-    let checker = Arc::new(Mutex::new(Checker::new(
+    let checker = Rc::new(RefCell::new(Checker::new(
         cfg.check_config().with_slack_ns(cadence),
     )));
-    llc.set_trace(Trace::to_sink(Arc::clone(&checker)));
+    llc.set_trace(Trace::to_sink(Rc::clone(&checker)));
     let mut now = 1u64;
     let mut last_maintain = now;
     for &(is_write, line, dt) in ops {
@@ -164,7 +164,7 @@ fn replay_checked(cfg: &TwoPartConfig, ops: &[Op]) -> (TwoPartStats, sttgpu_trac
         }
     }
     let stats = llc.summary();
-    let mut c = checker.lock().unwrap();
+    let mut c = checker.borrow_mut();
     c.emit(&TraceEvent::MetricsReport {
         read_hits: stats.read_hits,
         read_misses: stats.read_misses,

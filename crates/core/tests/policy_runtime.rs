@@ -16,7 +16,8 @@
 //!    `PolicySwitch`-driven window updates keep every post-switch
 //!    refresh legal (the stale-window bugfix).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use sttgpu_cache::AccessKind;
 use sttgpu_core::{LlcModel, LlcPolicy, TwoPartConfig, TwoPartLlc, TwoPartStats};
@@ -38,15 +39,14 @@ fn paper_shape() -> TwoPartConfig {
 /// the full event stream.
 fn replay_traced(cfg: &TwoPartConfig, ops: &[Op]) -> (TwoPartStats, Vec<TraceEvent>) {
     let mut llc = TwoPartLlc::new(cfg.clone());
-    let sink = Arc::new(Mutex::new(VecSink::new()));
-    llc.set_trace(Trace::to_sink(Arc::clone(&sink)));
+    let sink = Rc::new(RefCell::new(VecSink::new()));
+    llc.set_trace(Trace::to_sink(Rc::clone(&sink)));
     drive(&mut llc, cfg, ops);
     let stats = *llc.stats();
     drop(llc);
-    let events = Arc::try_unwrap(sink)
+    let events = Rc::try_unwrap(sink)
         .unwrap_or_else(|_| unreachable!("llc dropped its trace handle"))
         .into_inner()
-        .unwrap()
         .take();
     (stats, events)
 }
@@ -56,13 +56,13 @@ fn replay_traced(cfg: &TwoPartConfig, ops: &[Op]) -> (TwoPartStats, Vec<TraceEve
 fn replay_checked(cfg: &TwoPartConfig, ops: &[Op]) -> CheckReport {
     let mut llc = TwoPartLlc::new(cfg.clone());
     let cadence = llc.maintenance_interval_ns();
-    let checker = Arc::new(Mutex::new(Checker::new(
+    let checker = Rc::new(RefCell::new(Checker::new(
         cfg.check_config().with_slack_ns(cadence),
     )));
-    llc.set_trace(Trace::to_sink(Arc::clone(&checker)));
+    llc.set_trace(Trace::to_sink(Rc::clone(&checker)));
     drive(&mut llc, cfg, ops);
     let summary = llc.summary();
-    let mut c = checker.lock().unwrap();
+    let mut c = checker.borrow_mut();
     c.emit(&TraceEvent::MetricsReport {
         read_hits: summary.read_hits,
         read_misses: summary.read_misses,

@@ -9,8 +9,9 @@
 //! documented fallback (write-in-place for a full HR→LR buffer, forced
 //! eviction for a full LR→HR buffer) at the same decision points.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use sttgpu_cache::AccessKind;
 use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc};
@@ -219,9 +220,8 @@ fn read_only_traffic_never_populates_lr() {
 
 /// Overflow directions the production model emitted for one operation,
 /// drained from the attached [`VecSink`].
-fn drain_overflows(sink: &Arc<Mutex<VecSink>>) -> VecDeque<BufferDir> {
-    sink.lock()
-        .unwrap()
+fn drain_overflows(sink: &Rc<RefCell<VecSink>>) -> VecDeque<BufferDir> {
+    sink.borrow_mut()
         .take()
         .into_iter()
         .filter_map(|ev| match ev {
@@ -246,8 +246,8 @@ fn production_matches_reference_under_buffer_overflow() {
             .collect();
         let config = TwoPartConfig::new(8, 2, 56, 7, 256).with_buffer_blocks(1);
         let mut prod = TwoPartLlc::new(config.clone());
-        let sink = Arc::new(Mutex::new(VecSink::new()));
-        prod.set_trace(Trace::to_sink(Arc::clone(&sink)));
+        let sink = Rc::new(RefCell::new(VecSink::new()));
+        prod.set_trace(Trace::to_sink(Rc::clone(&sink)));
         let mut reference = RefTwoPart::new(&config);
         // Advance time barely at all so single-slot buffers stay occupied
         // across consecutive migrations and the overflow paths trigger.

@@ -189,17 +189,16 @@ pub fn hr_retention(exec: &Executor, plan: &RunPlan) -> Vec<HrRetentionRow> {
         ..RunPlan::full()
     };
     let w = suite::by_name("streamcluster").expect("streamcluster");
-    // Point 0 is the unmodified C1 (the IPC normalisation base); it goes
-    // through the memoized path, the swept retentions are ad-hoc configs.
+    // Point 0 is the unmodified C1 (the IPC normalisation base).
     let points: Vec<Option<f64>> = std::iter::once(None)
         .chain(HR_RETENTIONS_MS.iter().map(|&ms| Some(ms)))
         .collect();
-    let outs = exec.map(&points, |&point| match point {
-        None => exec.run(L2Choice::TwoPartC1, &w, plan),
-        Some(ms) => {
-            let tp = c1_two_part().with_hr_retention(RetentionTime::from_millis(ms));
-            exec.run_config(c1_gpu_with(tp), &w, plan)
-        }
+    let outs = exec.map(&points, |&point| {
+        let tp = match point {
+            None => c1_two_part(),
+            Some(ms) => c1_two_part().with_hr_retention(RetentionTime::from_millis(ms)),
+        };
+        exec.run_config(c1_gpu_with(tp), &w, plan)
     });
     let default_ipc = outs[0].metrics.ipc();
     HR_RETENTIONS_MS
@@ -244,15 +243,8 @@ pub fn lr_size(exec: &Executor, plan: &RunPlan) -> Vec<LrSizeRow> {
         .flat_map(|si| (0..heavy.len()).map(move |wi| (si, wi)))
         .collect();
     let outs = exec.map(&points, |&(si, wi)| {
-        let lr_kb = LR_SIZES_KB[si];
-        if lr_kb == 192 {
-            // 192 KB against the 1344 KB HR *is* the named C1 geometry —
-            // route it through the memoized path.
-            exec.run(L2Choice::TwoPartC1, &heavy[wi], plan)
-        } else {
-            let tp = sttgpu_core::TwoPartConfig::new(lr_kb, 2, 1344, 7, 256);
-            exec.run_config(c1_gpu_with(tp), &heavy[wi], plan)
-        }
+        let tp = sttgpu_core::TwoPartConfig::new(LR_SIZES_KB[si], 2, 1344, 7, 256);
+        exec.run_config(c1_gpu_with(tp), &heavy[wi], plan)
     });
     LR_SIZES_KB
         .iter()
@@ -439,18 +431,11 @@ pub fn refresh_timing(exec: &Executor, plan: &RunPlan) -> Vec<RefreshRow> {
         .flat_map(|si| (0..lingering.len()).map(move |wi| (si, wi)))
         .collect();
     let outs = exec.map(&points, |&(si, wi)| {
-        let slack = REFRESH_SLACKS[si];
-        if slack == 0 {
-            // Slack 0 is the paper's default policy, i.e. plain C1 —
-            // share it via the memoized path.
-            exec.run(L2Choice::TwoPartC1, &lingering[wi], plan)
-        } else {
-            exec.run_config(
-                c1_gpu_with(c1_two_part().with_refresh_slack_ticks(slack)),
-                &lingering[wi],
-                plan,
-            )
-        }
+        exec.run_config(
+            c1_gpu_with(c1_two_part().with_refresh_slack_ticks(REFRESH_SLACKS[si])),
+            &lingering[wi],
+            plan,
+        )
     });
     REFRESH_SLACKS
         .iter()

@@ -6,10 +6,11 @@
 //! with a streaming JSONL sink attached, writing one typed event per line
 //! to PATH for offline inspection.
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use sttgpu_experiments::cli;
 use sttgpu_experiments::configs::{gpu_config, L2Choice};
@@ -33,15 +34,14 @@ fn lookup(name: &str) -> Result<Workload, RunError> {
 fn dump_trace(path: &str, w: &Workload, plan: &RunPlan) -> Result<(), RunError> {
     let scaled = suite::scaled(w, plan.scale);
     let file = BufWriter::new(File::create(path).map_err(|e| RunError::io(path, e))?);
-    let sink = Arc::new(Mutex::new(JsonlSink::new(file)));
+    let sink = Rc::new(RefCell::new(JsonlSink::new(file)));
     let mut gpu = Gpu::new(gpu_config(L2Choice::TwoPartC1));
-    gpu.set_trace(Trace::to_sink(Arc::clone(&sink)));
+    gpu.set_trace(Trace::to_sink(Rc::clone(&sink)));
     let metrics = gpu.run_workload(&scaled, plan.max_cycles);
     drop(gpu);
-    let sink = Arc::try_unwrap(sink)
+    let sink = Rc::try_unwrap(sink)
         .unwrap_or_else(|_| unreachable!("gpu dropped its trace handles"))
-        .into_inner()
-        .expect("trace sink poisoned");
+        .into_inner();
     let written = sink.written();
     sink.into_inner()
         .flush()

@@ -13,10 +13,11 @@
 //! repro --fuzz 10000 --fuzz-seed 7        # differential fuzz vs the oracle
 //! ```
 //!
-//! All artefacts share one [`Executor`], so a simulation needed by several
-//! of them — e.g. the SRAM-baseline suite (fig3, fig8, workloads) or the
-//! C1 suite (fig4 TH1, fig5 2-way, fig6, fig8, ablations) — runs exactly
-//! once. The run summary printed at the end reports executed runs vs.
+//! All artefacts share one [`Executor`], which memoizes every simulation
+//! under its configuration, workload and plan, so a simulation needed by
+//! several of them — e.g. the SRAM-baseline suite (fig3, fig8, workloads)
+//! or the C1 suite (fig4 TH1, fig5 2-way, fig6, fig8, ablation points
+//! equal to C1) — runs exactly once. The run summary printed at the end reports executed runs vs.
 //! cache hits and simulated-cycle throughput; the same numbers plus
 //! per-artefact wall-clock timings land in `BENCH_repro.json`.
 //!
@@ -26,11 +27,9 @@
 //! file, sync, rename), so a killed sweep never leaves a torn one. To
 //! continue a killed sweep, rerun it with the same `--store DIR`: every
 //! simulation that finished is served from the store. An artefact that
-//! panics (after the runner's internal retries) is **quarantined**: the
-//! sweep continues, the failure lands in `<dir>/QUARANTINE.txt` (one
-//! `artefact<TAB>reason` line each), and the exit code is nonzero. `--run-timeout SECS` arms a
-//! per-attempt wall-clock watchdog that turns hung simulations into the
-//! same retry-then-quarantine path.
+//! panics is **quarantined**: the sweep continues, the failure lands in
+//! `<dir>/QUARANTINE.txt` (one `artefact<TAB>reason` line each), and the
+//! exit code is nonzero.
 //!
 //! # Persistent result store
 //!
@@ -93,7 +92,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: repro [--quick] [--scale F] [--jobs N] [--out DIR] \
          [--check] [--faults RATE] [--fault-seed N] [--llc-policy NAME] \
-         [--store DIR] [--run-timeout SECS] <all|{}> ...\n\
+         [--store DIR] <all|{}> ...\n\
          \x20      repro --fuzz N [--fuzz-seed S] [--jobs N]  # differential fuzz vs the oracle\n\
          \x20      repro --canary [--out DIR]       # perf canary vs checked-in baseline\n\
          \x20      repro --scenario NAME[:seed] [--check] [--trace-out FILE]  # scenario family vs oracle + C1 replay ('list' lists)\n\
@@ -255,8 +254,7 @@ fn run_scenario_mode(arg: &str, check: bool, trace_out: Option<&Path>) -> ExitCo
         },
         None => (arg, 7),
     };
-    let exec = Executor::sequential();
-    let out = match exec.run_scenario(name, seed, check) {
+    let out = match sttgpu_experiments::run_scenario(name, seed, check) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("{e}");
@@ -557,15 +555,11 @@ fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
     let mut record: Option<String> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut store_dir: Option<PathBuf> = None;
-    let mut run_timeout: Option<u64> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => plan = RunPlan::quick(),
             "--scale" => plan = plan.with_scale(cli::parse_scale(&args.value("--scale")?)?),
             "--jobs" => jobs = Some(cli::parse_jobs(&args.value("--jobs")?)?),
-            "--run-timeout" => {
-                run_timeout = Some(cli::parse_run_timeout(&args.value("--run-timeout")?)?)
-            }
             "--store" => store_dir = Some(args.value("--store")?.into()),
             "--out" => out_dir = Some(args.value("--out")?.into()),
             "--check" => check = true,
@@ -662,9 +656,6 @@ fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
         .with_check(check)
         .with_faults(fault_rate, fault_seed)
         .with_policy(policy);
-    if let Some(secs) = run_timeout {
-        plan = plan.with_run_timeout(secs);
-    }
     let mut exec = match jobs {
         Some(n) => Executor::new(n),
         None => Executor::auto(),
@@ -704,8 +695,8 @@ fn sweep(
     let mut quarantined: Vec<(String, String)> = Vec::new();
     for t in targets {
         let started = Instant::now();
-        // Isolate each artefact: a panic (after the runner's own retries)
-        // quarantines this artefact and the sweep moves on.
+        // Isolate each artefact: a panic quarantines this artefact and
+        // the sweep moves on.
         let computed = catch_unwind(AssertUnwindSafe(|| run_artefact(t, exec, plan)));
         let (text, csv) = match computed {
             Ok(o) => o,

@@ -20,10 +20,6 @@ use crate::error::RunError;
 /// that a mistyped value cannot spawn tens of thousands of threads.
 pub const MAX_JOBS: usize = 4096;
 
-/// Upper bound on `--run-timeout`, seconds (one day — anything longer
-/// is indistinguishable from no watchdog at all).
-pub const MAX_RUN_TIMEOUT_S: u64 = 86_400;
-
 /// Upper bound on `--scale`: the reference scale is 1.0 and nothing in
 /// the tree goes past single digits, so beyond this a typo is certain.
 pub const MAX_SCALE: f64 = 64.0;
@@ -80,17 +76,6 @@ fn bounded<T: FromStr>(
 pub fn parse_jobs(raw: &str) -> Result<usize, RunError> {
     let range = format!("an integer in 1..={MAX_JOBS}");
     bounded("--jobs", raw, |n| (1..=MAX_JOBS).contains(n), &range)
-}
-
-/// Parses `--run-timeout SECS`.
-pub fn parse_run_timeout(raw: &str) -> Result<u64, RunError> {
-    let range = format!("1..={MAX_RUN_TIMEOUT_S} seconds");
-    bounded(
-        "--run-timeout",
-        raw,
-        |n| (1..=MAX_RUN_TIMEOUT_S).contains(n),
-        &range,
-    )
 }
 
 /// Parses `--llc-policy NAME` against the shipped policy registry.
@@ -199,14 +184,6 @@ mod tests {
             Args(Vec::new().into_iter()).value("--jobs"),
             "needs a value",
         );
-    }
-
-    #[test]
-    fn run_timeout_bounds_are_typed() {
-        assert_eq!(parse_run_timeout("30").unwrap(), 30);
-        rejects(parse_run_timeout("0"), "seconds, got '0'");
-        rejects(parse_run_timeout("90000"), "1..=86400");
-        rejects(parse_run_timeout("soon"), "seconds, got 'soon'");
     }
 
     #[test]

@@ -2,26 +2,18 @@
 //!
 //! The simulation core is assertion-heavy by design — the invariant
 //! checker and `debug_assert`s are how it earns trust — but the harness
-//! boundary (CLI parsing, artefact execution, file IO) must not abort a
-//! whole sweep because one run misbehaved. [`RunError`] is the carrier:
-//! [`try_run_config`](crate::runner::try_run_config) catches panics and
-//! converts them, the `repro` binary quarantines artefacts that fail all
-//! retries, and IO/argument problems surface as structured variants
-//! instead of `expect` aborts.
+//! boundary (CLI parsing, file IO) reports its failures as [`RunError`]
+//! values instead of `expect` aborts. A simulation that panics is not a
+//! `RunError`: `Executor::map` finishes the rest of its batch before
+//! re-raising the panic, and the `repro` binary catches it per artefact
+//! and quarantines that artefact ([`panic_message`] renders the reason).
 
 use std::fmt;
 
-/// Why an experiment run (or an artefact wrapping several runs) failed.
+/// Why the harness refused or failed an operation: a rejected argument
+/// or configuration, or a failed filesystem operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
-    /// The simulation panicked on every attempt; `what` is the final
-    /// panic payload.
-    Panicked {
-        /// How many attempts were made before giving up.
-        attempts: u32,
-        /// The last panic message observed.
-        what: String,
-    },
     /// A filesystem operation failed.
     Io {
         /// The path involved.
@@ -34,31 +26,13 @@ pub enum RunError {
         /// Human-readable description of the rejection.
         what: String,
     },
-    /// Every attempt exceeded the wall-clock watchdog
-    /// (`--run-timeout`). The hung simulation threads were abandoned;
-    /// the artefact is quarantined like a panicking one.
-    Timeout {
-        /// How many attempts were made before giving up.
-        attempts: u32,
-        /// The per-attempt budget that was exceeded, seconds.
-        seconds: u64,
-    },
 }
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunError::Panicked { attempts, what } => {
-                write!(f, "run panicked on all {attempts} attempts: {what}")
-            }
             RunError::Io { path, what } => write!(f, "io error on {path}: {what}"),
             RunError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
-            RunError::Timeout { attempts, seconds } => {
-                write!(
-                    f,
-                    "run exceeded the {seconds}s watchdog on all {attempts} attempts"
-                )
-            }
         }
     }
 }
@@ -100,13 +74,6 @@ mod tests {
     fn display_covers_every_variant() {
         let cases = [
             (
-                RunError::Panicked {
-                    attempts: 3,
-                    what: "boom".into(),
-                },
-                "panicked on all 3 attempts: boom",
-            ),
-            (
                 RunError::Io {
                     path: "/tmp/x".into(),
                     what: "denied".into(),
@@ -116,13 +83,6 @@ mod tests {
             (
                 RunError::InvalidConfig { what: "bad".into() },
                 "invalid configuration: bad",
-            ),
-            (
-                RunError::Timeout {
-                    attempts: 3,
-                    seconds: 30,
-                },
-                "exceeded the 30s watchdog on all 3 attempts",
             ),
         ];
         for (err, fragment) in cases {

@@ -47,15 +47,7 @@ pub fn compute(exec: &Executor, plan: &RunPlan) -> Vec<Fig4Row> {
         .flat_map(|wi| (0..THRESHOLDS.len()).map(move |ti| (wi, ti)))
         .collect();
     let outs = exec.map(&points, |&(wi, ti)| {
-        let w = &workloads[wi];
-        let th = THRESHOLDS[ti];
-        if th == 1 {
-            // TH = 1 *is* the named C1 configuration — route it through
-            // the memoized path so fig6/fig8 share the same run.
-            exec.run(L2Choice::TwoPartC1, w, plan)
-        } else {
-            exec.run_config(c1_with_threshold(th), w, plan)
-        }
+        exec.run_config(c1_with_threshold(THRESHOLDS[ti]), &workloads[wi], plan)
     });
     workloads
         .iter()

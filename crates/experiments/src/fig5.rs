@@ -61,15 +61,7 @@ pub fn compute(exec: &Executor, plan: &RunPlan) -> Vec<Fig5Row> {
         })
         .collect();
     let utils = exec.map(&points, |&(wi, ways)| {
-        let w = &workloads[wi];
-        if ways == Some(2) {
-            // 2-way LR *is* the named C1 configuration — route it through
-            // the memoized path so fig6/fig8 share the same run.
-            let out = exec.run(L2Choice::TwoPartC1, w, plan);
-            out.two_part.expect("two-part").direct_lr_write_hit_rate()
-        } else {
-            lr_utilization(exec, c1_with_lr_ways(ways), w, plan)
-        }
+        lr_utilization(exec, c1_with_lr_ways(ways), &workloads[wi], plan)
     });
     workloads
         .iter()

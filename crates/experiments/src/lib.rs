@@ -52,7 +52,7 @@ pub use configs::{gpu_config, L2Choice};
 pub use error::RunError;
 pub use persist::{ResultStore, StoreReport, STORE_GENERATION};
 pub use replay::{
-    record_workload, render_stats, replay_records, replay_trace_file, scenario_ops, Recording,
-    ReplayOutput, ScenarioOutcome, TraceFileRun,
+    record_workload, render_stats, replay_records, replay_trace_file, run_scenario, scenario_ops,
+    Recording, ReplayOutput, ScenarioOutcome, TraceFileRun,
 };
 pub use runner::{Executor, ExecutorStats, FaultSpec, RunOutput, RunPlan};

@@ -3,9 +3,10 @@
 //!
 //! Three concerns live here:
 //!
-//! * **Stable keys** — [`run_store_key`] / [`config_store_key`] hash a
-//!   `(configuration, workload, RunPlan)` triple into a content address
-//!   that is identical across processes and invocations, so a warm
+//! * **One stable key** — [`config_store_key`] hashes a
+//!   `(GpuConfig, workload, RunPlan)` triple into a content address
+//!   that is identical across processes and invocations. The executor
+//!   memoizes under it in memory and in the store alike, so a warm
 //!   store serves every repeat run without simulating. The
 //!   [`STORE_GENERATION`] constant is folded into every key: bumping it
 //!   when the simulator's output semantics change silently retires all
@@ -35,7 +36,6 @@ use sttgpu_store::codec::{CodecError, Dec, Enc};
 use sttgpu_store::{Fetch, Key, StableHasher, Store, StoreError};
 use sttgpu_trace::CheckReport;
 
-use crate::configs::L2Choice;
 use crate::runner::{RunOutput, RunPlan};
 
 /// Generation stamp folded into every store key. Bump it by hand whenever
@@ -55,39 +55,25 @@ pub const STORE_GENERATION: u32 = 2;
 /// the field layout below.
 const PAYLOAD_VERSION: u8 = 1;
 
-/// Hashes the key-relevant fields of a [`RunPlan`]. The wall-clock
-/// watchdog (`run_timeout_s`) is deliberately excluded: a timeout can
-/// only abort a run, never alter the bytes of one that completed.
-fn hash_plan(h: &mut StableHasher, plan: &RunPlan) {
-    h.f64_bits(plan.scale)
+/// Content address of one run, named Table 2 configuration or ad-hoc
+/// sweep point alike: the executor's in-memory memo key and the store's
+/// key. `GpuConfig` has no compact identity, so the key hashes its full
+/// `Debug` rendering: the derive chain prints every field, so any
+/// config difference changes the key, and a future field addition
+/// changes the rendering — which safely *misses* and recomputes rather
+/// than serving a result for the wrong configuration. Every [`RunPlan`]
+/// field is hashed too.
+pub fn config_store_key(cfg: &GpuConfig, workload: &str, plan: &RunPlan) -> Key {
+    let mut h = StableHasher::new("sttgpu-config-run");
+    h.u32(STORE_GENERATION)
+        .str(&format!("{cfg:?}"))
+        .str(workload)
+        .f64_bits(plan.scale)
         .u64(plan.max_cycles)
         .bool(plan.check)
         .f64_bits(plan.fault.rate)
         .u64(plan.fault.seed)
         .str(plan.policy.name());
-}
-
-/// Content address of a named-configuration run — the persistent twin
-/// of the executor's in-memory memo key.
-pub fn run_store_key(choice: L2Choice, workload: &str, plan: &RunPlan) -> Key {
-    let mut h = StableHasher::new("sttgpu-run");
-    h.u32(STORE_GENERATION).str(choice.label()).str(workload);
-    hash_plan(&mut h, plan);
-    h.finish()
-}
-
-/// Content address of an ad-hoc configuration run (ablation sweeps).
-/// `GpuConfig` has no compact identity, so the key hashes its full
-/// `Debug` rendering: the derive chain prints every field, so any
-/// config difference changes the key, and a future field addition
-/// changes the rendering — which safely *misses* and recomputes rather
-/// than serving a result for the wrong configuration.
-pub fn config_store_key(cfg: &GpuConfig, workload: &str, plan: &RunPlan) -> Key {
-    let mut h = StableHasher::new("sttgpu-config-run");
-    h.u32(STORE_GENERATION)
-        .str(&format!("{cfg:?}"))
-        .str(workload);
-    hash_plan(&mut h, plan);
     h.finish()
 }
 
@@ -546,6 +532,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs::{gpu_config, L2Choice};
     use crate::runner::{run, FaultSpec};
     use sttgpu_workloads::suite;
 
@@ -556,8 +543,11 @@ mod tests {
             check: false,
             fault: FaultSpec::NONE,
             policy: sttgpu_core::LlcPolicy::Fixed,
-            run_timeout_s: None,
         }
+    }
+
+    fn key(choice: L2Choice, workload: &str, plan: &RunPlan) -> Key {
+        config_store_key(&gpu_config(choice), workload, plan)
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -639,19 +629,31 @@ mod tests {
     #[test]
     fn store_keys_separate_every_dimension() {
         let plan = tiny_plan();
-        let base = run_store_key(L2Choice::TwoPartC1, "lud", &plan);
-        assert_eq!(base, run_store_key(L2Choice::TwoPartC1, "lud", &plan));
+        let base = key(L2Choice::TwoPartC1, "lud", &plan);
+        assert_eq!(base, key(L2Choice::TwoPartC1, "lud", &plan));
+        let mut slower_icnt = gpu_config(L2Choice::TwoPartC1);
+        slower_icnt.icnt_latency_ns += 1;
         let variants = [
-            run_store_key(L2Choice::TwoPartC2, "lud", &plan),
-            run_store_key(L2Choice::TwoPartC1, "nw", &plan),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_scale(0.06)),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_check(true)),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_faults(1e-4, 3)),
-            run_store_key(
+            key(L2Choice::TwoPartC2, "lud", &plan),
+            key(L2Choice::TwoPartC1, "nw", &plan),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_scale(0.06)),
+            key(
+                L2Choice::TwoPartC1,
+                "lud",
+                &RunPlan {
+                    max_cycles: plan.max_cycles + 1,
+                    ..plan
+                },
+            ),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_check(true)),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_faults(1e-4, 3)),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_faults(1e-4, 4)),
+            key(
                 L2Choice::TwoPartC1,
                 "lud",
                 &plan.with_policy(sttgpu_core::LlcPolicy::AdaptiveWays),
             ),
+            config_store_key(&slower_icnt, "lud", &plan),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base, *v, "variant {i} collided with the base key");
@@ -659,31 +661,18 @@ mod tests {
     }
 
     #[test]
-    fn run_timeout_does_not_change_the_key() {
-        let plan = tiny_plan();
-        assert_eq!(
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_run_timeout(30)),
-        );
-    }
-
-    #[test]
     fn config_keys_track_the_configuration() {
         let plan = tiny_plan();
-        let a = config_store_key(
-            &crate::configs::gpu_config(L2Choice::TwoPartC1),
-            "lud",
-            &plan,
-        );
-        let b = config_store_key(
-            &crate::configs::gpu_config(L2Choice::TwoPartC2),
-            "lud",
-            &plan,
-        );
+        let a = key(L2Choice::TwoPartC1, "lud", &plan);
+        let b = key(L2Choice::TwoPartC2, "lud", &plan);
         assert_ne!(a, b);
-        // Named keys and config keys live in separate namespaces even for
-        // the same underlying configuration.
-        assert_ne!(a, run_store_key(L2Choice::TwoPartC1, "lud", &plan));
+        // A named configuration and the same configuration built by hand
+        // share one key, so sweep points equal to C1 reuse its run.
+        let mut by_hand = gpu_config(L2Choice::SramBaseline);
+        by_hand.l2 = sttgpu_sim::L2ModelConfig::TwoPart(
+            crate::configs::two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part"),
+        );
+        assert_eq!(config_store_key(&by_hand, "lud", &plan), a);
     }
 
     #[test]
@@ -692,7 +681,7 @@ mod tests {
         let store = ResultStore::open(&dir).expect("open");
         let w = suite::by_name("lud").expect("lud");
         let plan = tiny_plan();
-        let key = run_store_key(L2Choice::SramBaseline, "lud", &plan);
+        let key = key(L2Choice::SramBaseline, "lud", &plan);
         assert!(store.load(&key).is_none(), "cold store must miss");
         let out = run(L2Choice::SramBaseline, &w, &plan);
         store.save(&key, &out);
@@ -719,7 +708,7 @@ mod tests {
         let store = ResultStore::open(&dir).expect("open");
         let w = suite::by_name("lud").expect("lud");
         let plan = tiny_plan();
-        let key = run_store_key(L2Choice::SramBaseline, "lud", &plan);
+        let key = key(L2Choice::SramBaseline, "lud", &plan);
         store.save(&key, &run(L2Choice::SramBaseline, &w, &plan));
         // Flip one payload byte on disk, past the header.
         let path = dir.join("objects").join(format!("{}.ent", key.hex()));

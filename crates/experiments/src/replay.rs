@@ -16,15 +16,13 @@
 //!   immediately, dirty iff the access was a write).
 //!   [`replay_trace_file`] is `repro --trace`: the same replay, then
 //!   the oracle differential, each a streaming pass over the file.
-//! * [`Executor::run_scenario`] lowers a named scenario family under a
-//!   seed, differential-tests the resulting trace across every oracle
-//!   corner geometry, replays it on the C1 geometry for a stats block,
-//!   and memoizes the outcome under the scenario axes
-//!   `(family, seed, check)`.
+//! * [`run_scenario`] lowers a named scenario family under a seed,
+//!   differential-tests the resulting trace across every oracle corner
+//!   geometry and replays it on the C1 geometry for a stats block.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
 
 use sttgpu_cache::AccessKind;
 use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
@@ -39,7 +37,7 @@ use sttgpu_tracefile::{TraceError, TraceHeader, TraceMode, TraceRecord};
 use sttgpu_workloads::suite;
 
 use crate::configs::{gpu_config, two_part_config, L2Choice};
-use crate::runner::{Executor, RunPlan};
+use crate::runner::RunPlan;
 
 /// Everything captured from one trace replay.
 #[derive(Debug, Clone)]
@@ -70,23 +68,23 @@ pub struct Recording {
 /// geometry plus the same timing slack the simulator harness uses —
 /// recorded probes time-stamp at interconnect arrival, so they can
 /// trail the maintenance engines by up to a cadence plus traversal lag.
-fn replay_checker(cfg: &TwoPartConfig, llc: &TwoPartLlc) -> Arc<Mutex<Checker>> {
+fn replay_checker(cfg: &TwoPartConfig, llc: &TwoPartLlc) -> Rc<RefCell<Checker>> {
     let interval = llc.maintenance_interval_ns();
     let slack = if interval == u64::MAX {
         0
     } else {
         interval + 4 * gpu_config(L2Choice::TwoPartC1).icnt_latency_ns + 2_000
     };
-    Arc::new(Mutex::new(Checker::new(
+    Rc::new(RefCell::new(Checker::new(
         cfg.check_config().with_slack_ns(slack),
     )))
 }
 
 /// Feeds the end-of-run conservation reports into `checker` and closes
 /// the run, returning the accumulated report.
-fn close_replay_check(checker: &Arc<Mutex<Checker>>, llc: &TwoPartLlc) -> CheckReport {
+fn close_replay_check(checker: &RefCell<Checker>, llc: &TwoPartLlc) -> CheckReport {
     let s = llc.summary();
-    let mut c = checker.lock().expect("checker poisoned");
+    let mut c = checker.borrow_mut();
     c.emit(&TraceEvent::MetricsReport {
         read_hits: s.read_hits,
         read_misses: s.read_misses,
@@ -152,7 +150,7 @@ where
     let mut llc = TwoPartLlc::new(cfg.clone());
     let checker = check.then(|| {
         let checker = replay_checker(cfg, &llc);
-        llc.set_trace(Trace::to_sink(Arc::clone(&checker)));
+        llc.set_trace(Trace::to_sink(Rc::clone(&checker)));
         checker
     });
     let (replayed, end_ns) = match header.mode {
@@ -339,17 +337,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// Memoization key of one scenario run: the scenario axes.
-type ScenarioKey = (String, u64, bool);
-
-/// The scenario memo cache hanging off an [`Executor`] (see
-/// [`Executor::run_scenario`]); keyed by the scenario axes, shared by
-/// every artefact holding the same executor.
-#[derive(Debug, Default)]
-pub struct ScenarioCache {
-    cells: Mutex<HashMap<ScenarioKey, Arc<OnceLock<Arc<ScenarioOutcome>>>>>,
-}
-
 /// The spec and request stream scenario family `fam` lowers to under
 /// `seed`.
 fn lower_family(fam: &ScenarioFamily, seed: u64) -> (ScenarioSpec, Vec<Op>) {
@@ -362,18 +349,18 @@ fn family_named(family: &str) -> Result<ScenarioFamily, String> {
     scenario_by_name(family).ok_or_else(|| format!("unknown scenario family: {family}"))
 }
 
-/// The request stream [`Executor::run_scenario`] replays for `family`
+/// The request stream [`run_scenario`] replays for `family`
 /// under `seed`, in the oracle's [`Op`] form.
 pub fn scenario_ops(family: &str, seed: u64) -> Result<Vec<Op>, String> {
     Ok(lower_family(&family_named(family)?, seed).1)
 }
 
-fn run_scenario_uncached(
-    fam: &ScenarioFamily,
-    seed: u64,
-    check: bool,
-) -> Result<ScenarioOutcome, String> {
-    let (spec, ops) = lower_family(fam, seed);
+/// Lowers scenario `family` under `seed`, differential-tests the trace
+/// across every corner geometry and replays it on C1 (with the
+/// invariant checker when `check`).
+pub fn run_scenario(family: &str, seed: u64, check: bool) -> Result<ScenarioOutcome, String> {
+    let fam = family_named(family)?;
+    let (spec, ops) = lower_family(&fam, seed);
     let divergences: Vec<(&'static str, Divergence)> = corner_geometries()
         .iter()
         .filter_map(|corner| run_case(&corner.cfg, &ops).map(|d| (corner.name, d)))
@@ -389,41 +376,6 @@ fn run_scenario_uncached(
         divergences,
         replay,
     })
-}
-
-impl Executor {
-    /// Memoized scenario run: lowers `family` under `seed`,
-    /// differential-tests the trace across every corner geometry and
-    /// replays it on C1. The outcome is cached under the scenario axes
-    /// `(family, seed, check)`, so artefacts sharing this executor run
-    /// each unique scenario exactly once.
-    pub fn run_scenario(
-        &self,
-        family: &str,
-        seed: u64,
-        check: bool,
-    ) -> Result<Arc<ScenarioOutcome>, String> {
-        let fam = family_named(family)?;
-        let cell = {
-            let mut cells = self
-                .scenario_cache()
-                .cells
-                .lock()
-                .expect("scenario cache poisoned");
-            Arc::clone(
-                cells
-                    .entry((fam.name.to_string(), seed, check))
-                    .or_insert_with(|| Arc::new(OnceLock::new())),
-            )
-        };
-        // OnceLock::get_or_init has no fallible variant; initialize
-        // manually so an error is returned, not cached.
-        if let Some(out) = cell.get() {
-            return Ok(Arc::clone(out));
-        }
-        let out = Arc::new(run_scenario_uncached(&fam, seed, check)?);
-        Ok(Arc::clone(cell.get_or_init(|| out)))
-    }
 }
 
 /// Renders a [`TwoPartStats`] block, one `name value` line per counter —
@@ -495,43 +447,22 @@ mod tests {
     }
 
     #[test]
-    fn scenario_runs_are_memoized_per_axes() {
-        let exec = Executor::sequential();
-        let a = exec
-            .run_scenario("zipf-hot", 7, false)
-            .expect("known family");
-        let b = exec
-            .run_scenario("zipf-hot", 7, false)
-            .expect("known family");
-        assert!(Arc::ptr_eq(&a, &b), "same axes must hit the cache");
-        let c = exec
-            .run_scenario("zipf-hot", 8, false)
-            .expect("known family");
-        assert!(!Arc::ptr_eq(&a, &c), "a different seed is a different run");
-        assert!(a.is_clean(), "zipf-hot:7 must be divergence-free");
-        assert!(a.ops > 0);
-    }
-
-    #[test]
     fn unknown_scenario_families_fail_cleanly() {
-        let err = Executor::sequential()
-            .run_scenario("no-such-family", 1, false)
-            .unwrap_err();
+        let err = run_scenario("no-such-family", 1, false).unwrap_err();
         assert!(err.contains("unknown scenario family"), "{err}");
     }
 
     #[test]
     fn scenario_replay_with_checker_stays_green() {
-        let exec = Executor::sequential();
-        let out = exec
-            .run_scenario("grid-burst", 3, true)
-            .expect("known family");
+        let out = run_scenario("grid-burst", 3, true).expect("known family");
         let report = out.replay.check.as_ref().expect("checker attached");
         assert!(
             report.is_clean(),
             "checker violations: {:?}",
             report.samples
         );
+        assert!(out.is_clean(), "grid-burst:3 must be divergence-free");
+        assert!(out.ops > 0);
     }
 
     #[test]

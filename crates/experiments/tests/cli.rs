@@ -64,7 +64,7 @@ fn explore_rejects_every_bad_design_point_before_simulating() {
 #[test]
 fn repro_rejects_bad_flags_by_name() {
     let repro = env!("CARGO_BIN_EXE_repro");
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["--scale", "1e-9", "fig8"], "collapses to the floor"),
         (
             &["--trace-out", "x.trc", "fig8"],
@@ -84,6 +84,10 @@ fn repro_rejects_bad_flags_by_name() {
         (&["--bogus", "all"], "unknown flag '--bogus'"),
         (&["table1", "fig9"], "unknown artefact 'fig9'"),
         (&["--resume", "all"], "unknown flag '--resume'"),
+        (
+            &["--run-timeout", "600", "all"],
+            "unknown flag '--run-timeout'",
+        ),
     ];
     for (args, fragment) in cases {
         rejects(repro, args, fragment);

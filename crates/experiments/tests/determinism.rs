@@ -2,13 +2,15 @@
 //! an artefact computes on a single-threaded executor, it must compute
 //! byte-for-byte identically on a many-threaded one. These tests pin that
 //! contract at both the run level (metrics and two-part internals) and
-//! the artefact level (rendered tables and CSVs).
+//! the artefact level (rendered tables and CSVs), and pin the artefact
+//! bytes themselves to committed digests.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use sttgpu_experiments::{fig3, fig8, Executor, L2Choice, RunPlan};
+use sttgpu_experiments::{ablations, fig3, fig8, Executor, L2Choice, RunPlan};
+use sttgpu_store::StableHasher;
 use sttgpu_workloads::suite;
 
 fn tiny_plan() -> RunPlan {
@@ -75,6 +77,16 @@ fn shared_executor_deduplicates_across_artefacts() {
         "fig6 after fig8 must be served entirely from the run cache"
     );
     assert!(exec.stats().cache_hits >= rows.len() as u64);
+
+    // The search-mode ablation's sequential arm is C1 spelled out as an
+    // ad-hoc configuration; only its parallel arm is a new simulation.
+    let runs_after_fig6 = exec.stats().runs_executed;
+    let rows = ablations::search_mode(&exec, &plan);
+    assert_eq!(
+        exec.stats().runs_executed - runs_after_fig6,
+        rows.len() as u64,
+        "search_mode after fig8 must execute one run per workload"
+    );
 }
 
 /// Runs the real `repro` binary with `--out dir` and returns the artefact
@@ -115,11 +127,48 @@ fn run_repro(out_dir: &Path, jobs: u32) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// 64-bit digest of one artefact file: the first lane of a
+/// [`StableHasher`] over its name and bytes.
+fn digest(name: &str, bytes: &[u8]) -> u64 {
+    let key = StableHasher::new("sttgpu-artefact")
+        .str(name)
+        .bytes(bytes)
+        .finish();
+    u64::from_le_bytes(key.0[..8].try_into().expect("8-byte lane"))
+}
+
+/// Digest of every artefact `repro --scale 0.01 --jobs 1 all` writes. A
+/// change that moves an artefact updates its row here and says in
+/// CHANGES.md which artefacts moved and why.
+const GOLDEN_DIGESTS: [(&str, u64); 21] = [
+    ("ablations.txt", 0xd94c1fab30b9f52d),
+    ("adaptive.csv", 0x375de9b962f3fcbe),
+    ("adaptive.txt", 0x84784a7fce0eb594),
+    ("faults.csv", 0xec5e2ffb401d19ca),
+    ("faults.txt", 0x919a30220b6dac8f),
+    ("fig3.csv", 0x4ca94b6736a1e2a6),
+    ("fig3.txt", 0xb185216408a61760),
+    ("fig4.csv", 0xafd8c6470f3562a0),
+    ("fig4.txt", 0x0761b71a62d6d20d),
+    ("fig5.csv", 0x62053cac3c4d87b7),
+    ("fig5.txt", 0x815daca0b17d3792),
+    ("fig6.csv", 0x7a77b7bea77a8c21),
+    ("fig6.txt", 0xb6f1acfc4377e1c3),
+    ("fig8.csv", 0x4268e07091b44e78),
+    ("fig8.txt", 0x913b8ab19e0ae9e4),
+    ("table1.csv", 0x34d6cf70a9e712fb),
+    ("table1.txt", 0x723922cbef0c7981),
+    ("table2.csv", 0x24604735c1484fb8),
+    ("table2.txt", 0xd65faa6004e9392b),
+    ("workloads.csv", 0x4f31a26308c720d0),
+    ("workloads.txt", 0xd971a003b4893e68),
+];
+
 /// Golden snapshot of `repro -- all`: the full set of summary CSVs and
-/// rendered tables must come out byte-identical regardless of the
-/// `--jobs` count, i.e. of how many executor threads run the sweep.
+/// rendered tables must match the committed digests, and come out
+/// byte-identical regardless of the `--jobs` count.
 #[test]
-fn repro_all_artefacts_are_byte_identical_across_job_and_thread_counts() {
+fn repro_all_artefacts_are_byte_identical_and_pinned_across_job_counts() {
     let base = std::env::temp_dir().join(format!("sttgpu-golden-{}", std::process::id()));
     let run = |jobs: u32| -> Vec<(String, Vec<u8>)> {
         let dir: PathBuf = base.join(format!("jobs{jobs}"));
@@ -132,6 +181,14 @@ fn repro_all_artefacts_are_byte_identical_across_job_and_thread_counts() {
         files
     };
     let golden = run(1);
+    let digests: Vec<(&str, u64)> = golden
+        .iter()
+        .map(|(name, bytes)| (name.as_str(), digest(name, bytes)))
+        .collect();
+    assert_eq!(
+        digests, GOLDEN_DIGESTS,
+        "artefact bytes moved from the pinned digests"
+    );
     for jobs in [8, 2] {
         let other = run(jobs);
         assert_eq!(

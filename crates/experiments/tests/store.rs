@@ -2,7 +2,7 @@
 //! from a warm store with zero simulations executed, transparent
 //! recovery from corrupted entries, survival of a SIGKILL mid-sweep
 //! (rerunning with the same store is how a killed sweep resumes), and
-//! quarantine of panicking or hung artefacts.
+//! quarantine of panicking artefacts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -204,48 +204,6 @@ fn sigkilled_sweep_leaves_a_usable_store() {
     for dir in [&golden_store, &golden_out, &store, &out1, &out2, &out3] {
         fs::remove_dir_all(dir).ok();
     }
-}
-
-/// `--run-timeout` converts a hung simulation into a quarantined
-/// artefact: the sweep continues, the reason names the watchdog, and
-/// the exit code is nonzero.
-#[test]
-fn run_timeout_quarantines_hung_artefacts() {
-    let out = fresh_dir("timeout-out");
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--scale",
-            SCALE,
-            "--jobs",
-            "2",
-            "--run-timeout",
-            "1",
-            "--out",
-        ])
-        .arg(&out)
-        .args(["table1", "fig3"])
-        .env("STTGPU_RUN_HANG", "lud")
-        .current_dir(&out)
-        .output()
-        .expect("spawn");
-    assert!(
-        !output.status.success(),
-        "a quarantined artefact must force a nonzero exit"
-    );
-    let quarantine =
-        fs::read_to_string(out.join("QUARANTINE.txt")).expect("QUARANTINE.txt must exist");
-    assert!(
-        quarantine.lines().any(|l| l.starts_with("fig3\t")),
-        "fig3 (which runs the hung workload) must be quarantined:\n{quarantine}"
-    );
-    assert!(
-        quarantine.contains("watchdog"),
-        "the reason must name the watchdog:\n{quarantine}"
-    );
-    // The static artefact still landed; the quarantined one did not.
-    assert!(out.join("table1.txt").is_file(), "sweep aborted on hang");
-    assert!(!out.join("fig3.txt").is_file());
-    fs::remove_dir_all(&out).ok();
 }
 
 /// A panicking artefact is quarantined: the sweep continues, the failure

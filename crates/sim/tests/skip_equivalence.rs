@@ -12,7 +12,9 @@
 //! reasons about: warp dependency stalls, memory-system events, MSHR-full
 //! replays, block launch waves, multi-kernel barriers and truncated runs.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use sttgpu_sim::{Gpu, GpuConfig, KernelParams, L2ModelConfig, WarpScheduler};
 use sttgpu_stats::Rng;
@@ -24,12 +26,12 @@ fn assert_equivalent(label: &str, cfg: &GpuConfig, kernels: &[KernelParams], see
     let kernels: Vec<Arc<KernelParams>> = kernels.iter().cloned().map(Arc::new).collect();
 
     let run = |single_step: bool| {
-        let sink = Arc::new(Mutex::new(VecSink::new()));
+        let sink = Rc::new(RefCell::new(VecSink::new()));
         let mut gpu = Gpu::new(cfg.clone());
         gpu.set_trace(Trace::to_sink(sink.clone()));
         gpu.set_single_step(single_step);
         let metrics = gpu.run_seeded(&kernels, seed, max);
-        let events = sink.lock().unwrap().take();
+        let events = sink.borrow_mut().take();
         (metrics, events, gpu.cycle())
     };
 

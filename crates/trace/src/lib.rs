@@ -21,10 +21,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Which physical part of the LLC an event concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -338,14 +339,13 @@ pub trait EventSink {
 /// what keeps the instrumented hot paths free in normal runs. Clones
 /// share the underlying sink, so one checker observes a whole [`Gpu`].
 ///
-/// The sink is behind `Arc<Mutex<_>>` (rather than `Rc<RefCell<_>>`) so
-/// handle owners — in particular `Sm` — are `Send` and can be stepped on
-/// worker threads. The parallel driver gives each SM a private buffering
-/// sink, so the lock is uncontended in practice.
+/// The sink is behind `Rc<RefCell<_>>`: a simulation runs on one thread
+/// from start to finish, so the handle needs no lock, and the caller
+/// keeps its own `Rc` to read the sink back once the run ends.
 ///
 /// [`Gpu`]: ../sttgpu_sim/struct.Gpu.html
 #[derive(Clone, Default)]
-pub struct Trace(Option<Arc<Mutex<dyn EventSink + Send>>>);
+pub struct Trace(Option<Rc<RefCell<dyn EventSink>>>);
 
 impl fmt::Debug for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -362,7 +362,7 @@ impl Trace {
     }
 
     /// A handle forwarding every event to `sink`.
-    pub fn to_sink<S: EventSink + Send + 'static>(sink: Arc<Mutex<S>>) -> Self {
+    pub fn to_sink<S: EventSink + 'static>(sink: Rc<RefCell<S>>) -> Self {
         Trace(Some(sink))
     }
 
@@ -382,12 +382,12 @@ impl Trace {
 
     /// Outlined delivery path. Kept cold and non-generic so the disabled
     /// branch in `emit` compiles down to a single load-and-compare in the
-    /// simulation hot loops instead of dragging the lock + dynamic
+    /// simulation hot loops instead of dragging the borrow + dynamic
     /// dispatch machinery into every caller.
     #[cold]
     #[inline(never)]
-    fn forward(sink: &Arc<Mutex<dyn EventSink + Send>>, event: TraceEvent) {
-        sink.lock().expect("trace sink poisoned").emit(&event);
+    fn forward(sink: &Rc<RefCell<dyn EventSink>>, event: TraceEvent) {
+        sink.borrow_mut().emit(&event);
     }
 }
 
@@ -1115,14 +1115,11 @@ mod tests {
 
     #[test]
     fn enabled_trace_records() {
-        let sink = Arc::new(Mutex::new(VecSink::new()));
-        let t = Trace::to_sink(Arc::clone(&sink));
+        let sink = Rc::new(RefCell::new(VecSink::new()));
+        let t = Trace::to_sink(Rc::clone(&sink));
         assert!(t.is_enabled());
         t.emit(|| TraceEvent::ResetMeasurement);
-        assert_eq!(
-            sink.lock().unwrap().events(),
-            &[TraceEvent::ResetMeasurement]
-        );
+        assert_eq!(sink.borrow().events(), &[TraceEvent::ResetMeasurement]);
     }
 
     #[test]
