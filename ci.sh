@@ -69,9 +69,9 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro --scale 0.05 --llc-policy adaptive-retention fig8 --check > /dev/null
     ./target/release/repro --scale 0.05 --llc-policy adaptive-ways fig8 --check > /dev/null
 
-    echo "==> repro perf canary (fixed workload vs results/BENCH_repro.json baseline)"
-    [[ -f results/BENCH_repro.json ]] \
-        || { echo "canary: the committed baseline results/BENCH_repro.json is missing"; exit 1; }
+    echo "==> repro perf canary (fixed workload vs results/canary_baseline.json baseline)"
+    grep -q '"canary_baseline_cycles_per_second":' results/canary_baseline.json \
+        || { echo "canary: results/canary_baseline.json is missing or has no baseline key"; exit 1; }
     ./target/release/repro --canary > /dev/null
 
     echo "==> repro differential fuzz vs the oracle (75000 cases, seed 7, 4 shards; corners + scenarios)"

@@ -53,12 +53,6 @@ impl<M> Line<M> {
         self.dirty
     }
 
-    /// Marks the line dirty without going through a lookup (used by
-    /// migration paths that move dirty data between arrays).
-    pub fn set_dirty(&mut self, dirty: bool) {
-        self.dirty = dirty;
-    }
-
     /// Saturating count of writes this line has received since fill.
     pub fn write_count(&self) -> u32 {
         self.write_count

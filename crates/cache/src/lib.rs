@@ -5,8 +5,7 @@
 //! per-physical-line write accounting (the raw material of the paper's
 //! Fig. 3 write-variation study), miss-status holding registers
 //! ([`MshrTable`]), bank arbitration for occupancy modelling
-//! ([`BankArbiter`]), division-free address mapping ([`Divisor`]) and GPU
-//! write-policy vocabulary ([`write_policy`]).
+//! ([`BankArbiter`]) and division-free address mapping ([`Divisor`]).
 //!
 //! The cache array is generic over a per-line metadata type `M`, which is
 //! how the two-part LLC of `sttgpu-core` attaches retention counters and
@@ -35,7 +34,6 @@ mod linemap;
 mod mshr;
 mod replacement;
 mod stats;
-pub mod write_policy;
 
 pub use arbiter::BankArbiter;
 pub use cache::{AccessKind, Evicted, Line, SetAssocCache, Slot};

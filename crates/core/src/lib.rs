@@ -16,7 +16,9 @@
 //! eviction, through a pair of small swap buffers that absorb the
 //! write-latency gap between the arrays. A search selector orders the
 //! sequential two-part lookup by access type: writes probe LR first, reads
-//! probe HR first.
+//! probe HR first. The threshold rule and its two runtime-adaptive
+//! variants (retention scaling, HR way reconfiguration) are one
+//! [`PolicyEngine`], selected by [`LlcPolicy`].
 //!
 //! [`TwoPartLlc`] implements all of that behind the [`LlcModel`] trait,
 //! alongside the evaluation's baselines ([`SingleLlc`] over SRAM or
@@ -51,18 +53,15 @@ mod retention;
 mod search;
 mod swap;
 mod two_part;
-mod wws;
 
 pub use config::{ConfigError, SearchMode, TwoPartConfig};
 pub use llc::{AnyLlc, FillOutcome, LlcModel, LlcStats, ProbeOutcome, SingleLlc};
 pub use policy::{
-    lr_maintenance_floor_ns, lr_tracker_at, EpochActions, HallsRetention, LlcPolicy,
-    MigrationPolicy, PartitionPolicy, PolicyEngine, RetentionPolicy, StaticPartition,
-    StaticRetention, ThresholdMigration, WritePressurePartition, POLICY_EPOCH_NS, RETENTION_LADDER,
+    lr_maintenance_floor_ns, lr_tracker_at, EpochActions, LlcPolicy, PolicyEngine, POLICY_EPOCH_NS,
+    RETENTION_LADDER,
 };
 pub use retention::RetentionTracker;
 pub use search::{Part, SearchSelector};
 pub use sttgpu_fault::{FaultConfig, FaultOutcome, FaultPart, FaultPlan};
 pub use swap::SwapBuffer;
 pub use two_part::{TwoPartLlc, TwoPartStats};
-pub use wws::WwsMonitor;

@@ -1,17 +1,17 @@
-//! Pluggable runtime LLC policies behind trait seams.
+//! The runtime LLC policy engine.
 //!
 //! The paper fixes three decisions at design time: the WWS write-threshold
 //! migration rule, the per-part retention targets, and the LR/HR capacity
-//! split. This module lifts each behind a trait — [`MigrationPolicy`],
-//! [`RetentionPolicy`], [`PartitionPolicy`] — and unifies them (plus the
-//! existing replacement hook) in one [`PolicyEngine`] registry selected
-//! from [`TwoPartConfig`] by name.
+//! split. [`PolicyEngine`] holds all three as plain data selected from
+//! [`TwoPartConfig`]: the threshold comparisons are inline, and each
+//! runtime variant is one [`LlcPolicy`] value with one epoch step chosen
+//! by a `match` in [`PolicyEngine::poll`].
 //!
 //! Three policies ship:
 //!
 //! * [`LlcPolicy::Fixed`] — the paper-exact configuration. The engine
-//!   never evaluates an epoch, so the refactored cache is observationally
-//!   identical (to the byte) to the pre-trait implementation.
+//!   never evaluates an epoch, so the cache is observationally identical
+//!   (to the byte) to one with the decisions hard-coded.
 //! * [`LlcPolicy::AdaptiveRetention`] — HALLS-style runtime retention
 //!   scaling: per epoch, if the LR part refreshes more than it absorbs
 //!   demand writes, the retention ladder steps up (fewer refreshes);
@@ -33,7 +33,6 @@
 
 use std::fmt;
 
-use sttgpu_cache::ReplacementPolicy;
 use sttgpu_device::mtj::RetentionTime;
 
 use crate::config::TwoPartConfig;
@@ -91,176 +90,6 @@ impl fmt::Display for LlcPolicy {
     }
 }
 
-/// Decides when HR-resident blocks join the write working set and where
-/// fills land — the seam replacing the hard-coded threshold comparisons.
-pub trait MigrationPolicy: fmt::Debug + Send {
-    /// Whether a block whose (post-write) HR write count is `write_count`
-    /// migrates to LR now.
-    fn should_migrate(&self, write_count: u32) -> bool;
-
-    /// Whether the *next* demand write to a block currently at
-    /// `count_before_write` will trigger migration (the fault model's ECC
-    /// prediction hook — must match `should_migrate` after one more
-    /// write).
-    fn migration_due(&self, count_before_write: u32) -> bool;
-
-    /// Whether a DRAM fill with the given dirtiness goes straight to LR.
-    fn fill_to_lr(&self, dirty: bool) -> bool;
-
-    /// Clones the policy behind its trait object.
-    fn clone_box(&self) -> Box<dyn MigrationPolicy>;
-}
-
-/// The paper's rule: migrate at a fixed saturating write-count threshold;
-/// dirty fills go to LR iff one write already meets the threshold.
-#[derive(Debug, Clone)]
-pub struct ThresholdMigration {
-    threshold: u32,
-}
-
-impl ThresholdMigration {
-    /// Creates the rule for the configured threshold.
-    pub fn new(threshold: u32) -> Self {
-        ThresholdMigration { threshold }
-    }
-}
-
-impl MigrationPolicy for ThresholdMigration {
-    fn should_migrate(&self, write_count: u32) -> bool {
-        write_count >= self.threshold
-    }
-
-    fn migration_due(&self, count_before_write: u32) -> bool {
-        count_before_write.saturating_add(1) >= self.threshold
-    }
-
-    fn fill_to_lr(&self, dirty: bool) -> bool {
-        dirty && 1 >= self.threshold
-    }
-
-    fn clone_box(&self) -> Box<dyn MigrationPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Chooses the LR retention ladder level once per epoch from the stats
-/// delta accumulated over that epoch.
-pub trait RetentionPolicy: fmt::Debug + Send {
-    /// Returns `Some(new_level)` to switch ladder levels, `None` to stay.
-    fn epoch(&mut self, delta: &TwoPartStats, level: u32) -> Option<u32>;
-
-    /// Clones the policy behind its trait object.
-    fn clone_box(&self) -> Box<dyn RetentionPolicy>;
-}
-
-/// Static retention — never switches (the paper's design).
-#[derive(Debug, Clone)]
-pub struct StaticRetention;
-
-impl RetentionPolicy for StaticRetention {
-    fn epoch(&mut self, _delta: &TwoPartStats, _level: u32) -> Option<u32> {
-        None
-    }
-
-    fn clone_box(&self) -> Box<dyn RetentionPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// HALLS-style adaptation: refresh-dominated epochs climb the ladder
-/// (longer retention, fewer refreshes); write-dominated epochs (demand
-/// writes outnumbering refreshes 4:1) descend it (cheaper LR writes).
-#[derive(Debug, Clone)]
-pub struct HallsRetention;
-
-impl RetentionPolicy for HallsRetention {
-    fn epoch(&mut self, delta: &TwoPartStats, level: u32) -> Option<u32> {
-        let top = (RETENTION_LADDER.len() - 1) as u32;
-        if delta.refreshes > delta.demand_writes_lr && level < top {
-            Some(level + 1)
-        } else if delta.refreshes * 4 < delta.demand_writes_lr && level > 0 {
-            Some(level - 1)
-        } else {
-            None
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn RetentionPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Chooses the HR part's active associativity once per epoch.
-pub trait PartitionPolicy: fmt::Debug + Send {
-    /// Returns `Some(new_ways)` (within `[min_ways, max_ways]`) to
-    /// reconfigure, `None` to stay. `hr_sets` sizes one way in lines.
-    fn epoch(
-        &mut self,
-        delta: &TwoPartStats,
-        active_ways: u32,
-        min_ways: u32,
-        max_ways: u32,
-        hr_sets: u64,
-    ) -> Option<u32>;
-
-    /// Clones the policy behind its trait object.
-    fn clone_box(&self) -> Box<dyn PartitionPolicy>;
-}
-
-/// Static partition — never reconfigures (the paper's design).
-#[derive(Debug, Clone)]
-pub struct StaticPartition;
-
-impl PartitionPolicy for StaticPartition {
-    fn epoch(
-        &mut self,
-        _delta: &TwoPartStats,
-        _active_ways: u32,
-        _min_ways: u32,
-        _max_ways: u32,
-        _hr_sets: u64,
-    ) -> Option<u32> {
-        None
-    }
-
-    fn clone_box(&self) -> Box<dyn PartitionPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Way reconfiguration driven by HR write pressure. The per-epoch signal
-/// `hr_write_hits + demotions_to_hr + fills_to_hr` equals the growth of
-/// the HR write-count matrix (every term bumps exactly one HR
-/// `position_writes` cell and nothing else does), re-expressed over the
-/// statistics block so the differential oracle can mirror it exactly.
-#[derive(Debug, Clone)]
-pub struct WritePressurePartition;
-
-impl PartitionPolicy for WritePressurePartition {
-    fn epoch(
-        &mut self,
-        delta: &TwoPartStats,
-        active_ways: u32,
-        min_ways: u32,
-        max_ways: u32,
-        hr_sets: u64,
-    ) -> Option<u32> {
-        let traffic = delta.hr_write_hits + delta.demotions_to_hr + delta.fills_to_hr;
-        let active_lines = hr_sets * active_ways as u64;
-        if traffic > active_lines && active_ways < max_ways {
-            Some(active_ways + 1)
-        } else if traffic * 8 < active_lines && active_ways > min_ways {
-            Some(active_ways - 1)
-        } else {
-            None
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn PartitionPolicy> {
-        Box::new(self.clone())
-    }
-}
-
 /// Reconfigurations one epoch evaluation requested. At most one field is
 /// populated per shipped policy (each adapts a single dimension).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -279,61 +108,28 @@ impl EpochActions {
     };
 }
 
-/// The runtime policy registry both the cache implementation and the
+/// The runtime policy engine both the cache implementation and the
 /// differential oracle embed.
 ///
 /// All decision state (epoch clock, stats baseline, ladder level) lives
 /// here, in one shared type — the two machines cannot drift apart by
 /// hand-mirroring a state machine, because there is only one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PolicyEngine {
     policy: LlcPolicy,
-    migration: Box<dyn MigrationPolicy>,
-    retention: Box<dyn RetentionPolicy>,
-    partition: Box<dyn PartitionPolicy>,
-    replacement: ReplacementPolicy,
+    write_threshold: u32,
     retention_level: u32,
     next_epoch_ns: u64,
     baseline: TwoPartStats,
     switches: u64,
 }
 
-impl Clone for PolicyEngine {
-    fn clone(&self) -> Self {
-        PolicyEngine {
-            policy: self.policy,
-            migration: self.migration.clone_box(),
-            retention: self.retention.clone_box(),
-            partition: self.partition.clone_box(),
-            replacement: self.replacement,
-            retention_level: self.retention_level,
-            next_epoch_ns: self.next_epoch_ns,
-            baseline: self.baseline,
-            switches: self.switches,
-        }
-    }
-}
-
 impl PolicyEngine {
-    /// Instantiates the registry the configuration names.
+    /// Instantiates the engine the configuration names.
     pub fn new(cfg: &TwoPartConfig) -> Self {
-        let migration: Box<dyn MigrationPolicy> =
-            Box::new(ThresholdMigration::new(cfg.write_threshold));
-        let (retention, partition): (Box<dyn RetentionPolicy>, Box<dyn PartitionPolicy>) = match cfg
-            .policy
-        {
-            LlcPolicy::Fixed => (Box::new(StaticRetention), Box::new(StaticPartition)),
-            LlcPolicy::AdaptiveRetention => (Box::new(HallsRetention), Box::new(StaticPartition)),
-            LlcPolicy::AdaptiveWays => {
-                (Box::new(StaticRetention), Box::new(WritePressurePartition))
-            }
-        };
         PolicyEngine {
             policy: cfg.policy,
-            migration,
-            retention,
-            partition,
-            replacement: cfg.replacement,
+            write_threshold: cfg.write_threshold,
             retention_level: 0,
             next_epoch_ns: POLICY_EPOCH_NS,
             baseline: TwoPartStats::default(),
@@ -341,20 +137,15 @@ impl PolicyEngine {
         }
     }
 
-    /// The selected policy bundle.
+    /// The selected policy.
     pub fn policy(&self) -> LlcPolicy {
         self.policy
     }
 
-    /// Whether this is the paper-exact fixed bundle (the epoch hook
+    /// Whether this is the paper-exact fixed policy (the epoch hook
     /// early-returns, leaving the hot loop untouched).
     pub fn is_fixed(&self) -> bool {
         self.policy == LlcPolicy::Fixed
-    }
-
-    /// The replacement policy the registry unifies.
-    pub fn replacement(&self) -> ReplacementPolicy {
-        self.replacement
     }
 
     /// Current LR retention ladder level.
@@ -367,19 +158,23 @@ impl PolicyEngine {
         self.switches
     }
 
-    /// Migration decision for a block at (post-write) `write_count`.
+    /// Whether a block whose (post-write) HR write count is `write_count`
+    /// migrates to LR now: the paper's saturating threshold rule.
     pub fn should_migrate(&self, write_count: u32) -> bool {
-        self.migration.should_migrate(write_count)
+        write_count >= self.write_threshold
     }
 
-    /// Whether the next demand write at `count_before_write` migrates.
+    /// Whether the next demand write to a block at `count_before_write`
+    /// migrates — `should_migrate` one write later (the fault model's ECC
+    /// prediction hook).
     pub fn migration_due(&self, count_before_write: u32) -> bool {
-        self.migration.migration_due(count_before_write)
+        count_before_write.saturating_add(1) >= self.write_threshold
     }
 
-    /// Whether a fill of the given dirtiness lands in LR.
+    /// Whether a DRAM fill of the given dirtiness lands in LR: a dirty
+    /// fill is one write, so it does iff one write meets the threshold.
     pub fn fill_to_lr(&self, dirty: bool) -> bool {
-        self.migration.fill_to_lr(dirty)
+        dirty && 1 >= self.write_threshold
     }
 
     /// Evaluates at most one policy epoch. Call from `maintain` before
@@ -402,24 +197,40 @@ impl PolicyEngine {
         // sparse maintenance (long idle gaps) costs one evaluation, not
         // one per elapsed epoch.
         self.next_epoch_ns = (now_ns / POLICY_EPOCH_NS + 1) * POLICY_EPOCH_NS;
-        let delta = stats_delta(stats, &self.baseline);
+        // This epoch's growth of one counter (saturating across resets).
+        let delta =
+            |field: fn(&TwoPartStats) -> u64| field(stats).saturating_sub(field(&self.baseline));
+        let actions = match self.policy {
+            LlcPolicy::Fixed => EpochActions::NONE,
+            LlcPolicy::AdaptiveRetention => EpochActions {
+                retention_level: halls_step(
+                    delta(|s| s.refreshes),
+                    delta(|s| s.demand_writes_lr),
+                    self.retention_level,
+                ),
+                hr_ways: None,
+            },
+            LlcPolicy::AdaptiveWays => EpochActions {
+                retention_level: None,
+                hr_ways: write_pressure_step(
+                    delta(|s| s.hr_write_hits)
+                        + delta(|s| s.demotions_to_hr)
+                        + delta(|s| s.fills_to_hr),
+                    active_ways,
+                    max_ways,
+                    hr_sets,
+                ),
+            },
+        };
         self.baseline = *stats;
-        let retention_level = self.retention.epoch(&delta, self.retention_level);
-        if let Some(level) = retention_level {
+        if let Some(level) = actions.retention_level {
             self.retention_level = level;
             self.switches += 1;
         }
-        let min_ways = (max_ways / 2).max(1);
-        let hr_ways = self
-            .partition
-            .epoch(&delta, active_ways, min_ways, max_ways, hr_sets);
-        if hr_ways.is_some() {
+        if actions.hr_ways.is_some() {
             self.switches += 1;
         }
-        EpochActions {
-            retention_level,
-            hr_ways,
-        }
+        actions
     }
 
     /// Re-zeroes the stats-delta baseline; call wherever the embedding
@@ -430,40 +241,37 @@ impl PolicyEngine {
     }
 }
 
-/// Field-wise saturating difference of two statistics snapshots.
-fn stats_delta(now: &TwoPartStats, then: &TwoPartStats) -> TwoPartStats {
-    TwoPartStats {
-        lr_read_hits: now.lr_read_hits.saturating_sub(then.lr_read_hits),
-        hr_read_hits: now.hr_read_hits.saturating_sub(then.hr_read_hits),
-        lr_write_hits: now.lr_write_hits.saturating_sub(then.lr_write_hits),
-        hr_write_hits: now.hr_write_hits.saturating_sub(then.hr_write_hits),
-        read_misses: now.read_misses.saturating_sub(then.read_misses),
-        write_misses: now.write_misses.saturating_sub(then.write_misses),
-        demand_writes_lr: now.demand_writes_lr.saturating_sub(then.demand_writes_lr),
-        demand_writes_hr: now.demand_writes_hr.saturating_sub(then.demand_writes_hr),
-        lr_array_writes: now.lr_array_writes.saturating_sub(then.lr_array_writes),
-        hr_array_writes: now.hr_array_writes.saturating_sub(then.hr_array_writes),
-        migrations_to_lr: now.migrations_to_lr.saturating_sub(then.migrations_to_lr),
-        demotions_to_hr: now.demotions_to_hr.saturating_sub(then.demotions_to_hr),
-        refreshes: now.refreshes.saturating_sub(then.refreshes),
-        lr_expirations: now.lr_expirations.saturating_sub(then.lr_expirations),
-        hr_expirations: now.hr_expirations.saturating_sub(then.hr_expirations),
-        writebacks: now.writebacks.saturating_sub(then.writebacks),
-        overflow_writebacks: now
-            .overflow_writebacks
-            .saturating_sub(then.overflow_writebacks),
-        second_search_hits: now
-            .second_search_hits
-            .saturating_sub(then.second_search_hits),
-        fills_to_lr: now.fills_to_lr.saturating_sub(then.fills_to_lr),
-        fills_to_hr: now.fills_to_hr.saturating_sub(then.fills_to_hr),
-        lr_rotations: now.lr_rotations.saturating_sub(then.lr_rotations),
-        ecc_corrections: now.ecc_corrections.saturating_sub(then.ecc_corrections),
-        ecc_uncorrectable: now.ecc_uncorrectable.saturating_sub(then.ecc_uncorrectable),
-        data_loss_events: now.data_loss_events.saturating_sub(then.data_loss_events),
-        refresh_drops: now.refresh_drops.saturating_sub(then.refresh_drops),
-        buffer_stalls: now.buffer_stalls.saturating_sub(then.buffer_stalls),
-        bank_faults: now.bank_faults.saturating_sub(then.bank_faults),
+/// HALLS-style retention step over one epoch's LR refreshes and demand
+/// writes: a refresh-dominated epoch climbs the ladder (longer retention,
+/// fewer refreshes); a write-dominated one (demand writes outnumbering
+/// refreshes 4:1) descends it (cheaper LR writes). Returns the new level,
+/// or `None` to stay.
+fn halls_step(refreshes: u64, demand_writes: u64, level: u32) -> Option<u32> {
+    let top = (RETENTION_LADDER.len() - 1) as u32;
+    if refreshes > demand_writes && level < top {
+        Some(level + 1)
+    } else if refreshes * 4 < demand_writes && level > 0 {
+        Some(level - 1)
+    } else {
+        None
+    }
+}
+
+/// Write-pressure way step within `[max/2, max]` active HR ways. The
+/// per-epoch `traffic`, `hr_write_hits + demotions_to_hr + fills_to_hr`,
+/// equals the growth of the HR write-count matrix (every term bumps
+/// exactly one HR `position_writes` cell and nothing else does),
+/// re-expressed over the statistics block so the differential oracle can
+/// mirror it exactly. Returns the new way count, or `None` to stay.
+fn write_pressure_step(traffic: u64, active_ways: u32, max_ways: u32, hr_sets: u64) -> Option<u32> {
+    let min_ways = (max_ways / 2).max(1);
+    let active_lines = hr_sets * active_ways as u64;
+    if traffic > active_lines && active_ways < max_ways {
+        Some(active_ways + 1)
+    } else if traffic * 8 < active_lines && active_ways > min_ways {
+        Some(active_ways - 1)
+    } else {
+        None
     }
 }
 
@@ -510,17 +318,45 @@ mod tests {
         assert_eq!(LlcPolicy::default(), LlcPolicy::Fixed);
     }
 
+    fn fixed_at(threshold: u32) -> PolicyEngine {
+        let mut c = cfg(LlcPolicy::Fixed);
+        c.write_threshold = threshold;
+        PolicyEngine::new(&c)
+    }
+
     #[test]
     fn threshold_migration_matches_the_paper_rules() {
-        let m = ThresholdMigration::new(3);
-        assert!(!m.should_migrate(2));
-        assert!(m.should_migrate(3));
-        assert!(!m.migration_due(1), "write 2 of 3 is not due");
-        assert!(m.migration_due(2), "write 3 of 3 is due");
-        assert!(!m.fill_to_lr(true), "dirty fill stays in HR above TH=1");
-        let th1 = ThresholdMigration::new(1);
-        assert!(th1.fill_to_lr(true));
+        let th3 = fixed_at(3);
+        assert!(!th3.should_migrate(2));
+        assert!(th3.should_migrate(3));
+        assert!(!th3.migration_due(1), "write 2 of 3 is not due");
+        assert!(th3.migration_due(2), "write 3 of 3 is due");
+        assert!(!th3.fill_to_lr(true), "dirty fill stays in HR above TH=1");
+        assert!(!th3.fill_to_lr(false));
+        let th1 = fixed_at(1);
+        assert!(th1.should_migrate(1), "the first write migrates at TH=1");
+        assert!(th1.migration_due(0));
+        assert!(th1.fill_to_lr(true), "a dirty fill is the modified bit");
         assert!(!th1.fill_to_lr(false));
+    }
+
+    #[test]
+    fn migration_due_is_should_migrate_one_write_later() {
+        for threshold in [1, 2, 3, 7, 15] {
+            let e = fixed_at(threshold);
+            for c in 0..=16 {
+                assert_eq!(
+                    e.should_migrate(c),
+                    c >= threshold,
+                    "TH {threshold}, count {c}"
+                );
+                assert_eq!(
+                    e.migration_due(c),
+                    e.should_migrate(c + 1),
+                    "TH {threshold}, count {c}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -562,34 +398,55 @@ mod tests {
 
     #[test]
     fn halls_ladder_clamps_at_both_ends() {
-        let mut halls = HallsRetention;
-        let refresh_heavy = TwoPartStats {
-            refreshes: 100,
-            ..TwoPartStats::default()
-        };
+        let mut e = PolicyEngine::new(&cfg(LlcPolicy::AdaptiveRetention));
         let top = (RETENTION_LADDER.len() - 1) as u32;
-        assert_eq!(halls.epoch(&refresh_heavy, top), None, "clamped at top");
-        let write_heavy = TwoPartStats {
-            demand_writes_lr: 100,
-            ..TwoPartStats::default()
-        };
-        assert_eq!(halls.epoch(&write_heavy, 0), None, "clamped at bottom");
+        // Every epoch refresh-dominated: climb to the top, then hold.
+        let mut stats = TwoPartStats::default();
+        let mut t = 0;
+        for expected in (1..=top).map(Some).chain([None, None]) {
+            t += POLICY_EPOCH_NS;
+            stats.refreshes += 100;
+            assert_eq!(e.poll(t, &stats, 7, 7, 32).retention_level, expected);
+        }
+        assert_eq!(e.retention_level(), top, "clamped at top");
+        // Every epoch write-dominated: descend to 0, then hold.
+        for expected in (0..top).rev().map(Some).chain([None, None]) {
+            t += POLICY_EPOCH_NS;
+            stats.demand_writes_lr += 100;
+            assert_eq!(e.poll(t, &stats, 7, 7, 32).retention_level, expected);
+        }
+        assert_eq!(e.retention_level(), 0, "clamped at bottom");
+        assert_eq!(e.switches(), 2 * top as u64);
     }
 
     #[test]
     fn write_pressure_partition_grows_and_shrinks_within_bounds() {
-        let mut p = WritePressurePartition;
         let hr_sets = 32u64;
+        let step = |active_ways: u32, stats: &TwoPartStats| {
+            let mut e = PolicyEngine::new(&cfg(LlcPolicy::AdaptiveWays));
+            let a = e.poll(POLICY_EPOCH_NS, stats, active_ways, 7, hr_sets);
+            assert_eq!(a.retention_level, None, "ways never touch retention");
+            a.hr_ways
+        };
         let busy = TwoPartStats {
             hr_write_hits: 200,
             fills_to_hr: 50,
             ..TwoPartStats::default()
         }; // traffic 250 > 7*32 = 224
-        assert_eq!(p.epoch(&busy, 7, 3, 7, hr_sets), None, "already at max");
-        assert_eq!(p.epoch(&busy, 5, 3, 7, hr_sets), Some(6));
+        assert_eq!(step(7, &busy), None, "already at max");
+        assert_eq!(step(5, &busy), Some(6));
         let idle = TwoPartStats::default(); // traffic 0
-        assert_eq!(p.epoch(&idle, 7, 3, 7, hr_sets), Some(6));
-        assert_eq!(p.epoch(&idle, 3, 3, 7, hr_sets), None, "clamped at min");
+        assert_eq!(step(7, &idle), Some(6));
+        assert_eq!(step(3, &idle), None, "clamped at min = max/2");
+        // Driven epoch by epoch, idle traffic sheds ways down to max/2.
+        let mut e = PolicyEngine::new(&cfg(LlcPolicy::AdaptiveWays));
+        let mut ways = 7;
+        for epoch in 1..=6 {
+            let a = e.poll(epoch * POLICY_EPOCH_NS, &idle, ways, 7, hr_sets);
+            ways = a.hr_ways.unwrap_or(ways);
+        }
+        assert_eq!(ways, 3);
+        assert_eq!(e.switches(), 4);
     }
 
     #[test]

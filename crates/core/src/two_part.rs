@@ -15,7 +15,6 @@ use crate::policy::{lr_maintenance_floor_ns, lr_tracker_at, PolicyEngine};
 use crate::retention::RetentionTracker;
 use crate::search::{Part, SearchSelector};
 use crate::swap::SwapBuffer;
-use crate::wws::WwsMonitor;
 
 /// Energy of moving one block through a swap buffer, nJ (small SRAM FIFO).
 const BUFFER_ENERGY_NJ: f64 = 0.01;
@@ -193,7 +192,6 @@ pub struct TwoPartLlc {
     hr_design: ArrayDesign,
     lr_rc: RetentionTracker,
     hr_rc: RetentionTracker,
-    wws: WwsMonitor,
     engine: PolicyEngine,
     fault: FaultPlan,
     hr_to_lr: SwapBuffer,
@@ -202,7 +200,6 @@ pub struct TwoPartLlc {
     trace: Trace,
     stats: TwoPartStats,
     lr_rewrite_intervals: Histogram,
-    hr_rewrite_intervals: Histogram,
     next_rotation_ns: u64,
     // Sorted runs of refresh/expiry deadlines (stamp-checked, see
     // [`DeadlineEntry`](crate::deadline::DeadlineEntry)) so `maintain`
@@ -252,20 +249,17 @@ impl TwoPartLlc {
             .with_ewt_savings(cfg.ewt_savings);
         let lr_design = ArrayDesign::new(lr_geom, MemTechnology::SttRam(lr_mtj));
         let hr_design = ArrayDesign::new(hr_geom, MemTechnology::SttRam(hr_mtj));
-        // The replacement hook lives in the policy registry alongside the
-        // migration/retention/partition seams.
-        let engine = PolicyEngine::new(&cfg);
         let lr = SetAssocCache::new(
             lr_geom.sets() as usize,
             cfg.lr_ways as usize,
             cfg.line_bytes,
-            engine.replacement(),
+            cfg.replacement,
         );
         let hr = SetAssocCache::new(
             hr_geom.sets() as usize,
             cfg.hr_ways as usize,
             cfg.line_bytes,
-            engine.replacement(),
+            cfg.replacement,
         );
         let energy =
             EnergyAccount::with_leakage_mw(lr_design.leakage_mw() + hr_design.leakage_mw());
@@ -276,8 +270,7 @@ impl TwoPartLlc {
             hr_arb: BankArbiter::new(cfg.hr_banks as usize),
             lr_rc: RetentionTracker::new(cfg.lr_retention, cfg.lr_rc_bits),
             hr_rc: RetentionTracker::new(cfg.hr_retention, cfg.hr_rc_bits),
-            wws: WwsMonitor::new(cfg.write_threshold),
-            engine,
+            engine: PolicyEngine::new(&cfg),
             fault: FaultPlan::new(
                 cfg.fault,
                 cfg.lr_retention,
@@ -290,7 +283,6 @@ impl TwoPartLlc {
             trace: Trace::off(),
             stats: TwoPartStats::default(),
             lr_rewrite_intervals: Histogram::new(&REWRITE_BUCKET_BOUNDS_NS),
-            hr_rewrite_intervals: Histogram::new(&REWRITE_BUCKET_BOUNDS_NS),
             next_rotation_ns: cfg.lr_rotation_period_ns.unwrap_or(u64::MAX),
             lr_deadlines: DeadlineRun::default(),
             hr_deadlines: DeadlineRun::default(),
@@ -343,12 +335,6 @@ impl TwoPartLlc {
     /// Distribution of rewrite intervals observed in the LR part (Fig. 6).
     pub fn lr_rewrite_intervals(&self) -> &Histogram {
         &self.lr_rewrite_intervals
-    }
-
-    /// Distribution of rewrite intervals observed in the HR part (used to
-    /// justify the 4 ms HR retention).
-    pub fn hr_rewrite_intervals(&self) -> &Histogram {
-        &self.hr_rewrite_intervals
     }
 
     /// Whether `byte_addr`'s line currently resides in the LR part.
@@ -502,8 +488,7 @@ impl TwoPartLlc {
     /// Whether the next demand write to the HR line at `slot` will
     /// trigger a WWS migration — i.e. the count [`hr_write_hit`] will
     /// observe after its lookup bumps the write counter reaches the
-    /// threshold. Asks the policy's prediction hook directly so the check
-    /// does not perturb the monitor's decision statistics.
+    /// threshold.
     ///
     /// [`hr_write_hit`]: Self::hr_write_hit
     fn migration_is_due(&self, slot: Slot) -> bool {
@@ -511,18 +496,12 @@ impl TwoPartLlc {
     }
 
     /// Handles a write that hit the HR line at `slot`: either service it
-    /// in place or migrate the block to LR per the WWS monitor.
+    /// in place or migrate the block to LR per the WWS write threshold.
     fn hr_write_hit(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> (u64, u32) {
-        let prev = self.hr.line(slot).last_write_ns();
-        if prev > 0 && now_ns > prev {
-            self.hr_rewrite_intervals.record(now_ns - prev);
-        }
         let count = self.hr.hit(slot, AccessKind::Write, now_ns).write_count();
         self.stats.hr_write_hits += 1;
 
-        let migrate = self.engine.should_migrate(count);
-        self.wws.record(migrate);
-        if migrate {
+        if self.engine.should_migrate(count) {
             // Promote: read the block out of HR, stage it in the HR→LR
             // buffer, write it (merged with the demand data) into LR. The
             // whole hop runs on migration ports (the paper banks the HR
@@ -1319,8 +1298,6 @@ impl LlcModel for TwoPartLlc {
         self.energy.reset();
         self.stats = TwoPartStats::default();
         self.lr_rewrite_intervals.reset();
-        self.hr_rewrite_intervals.reset();
-        self.wws.reset_stats();
         self.engine.reset_baseline();
         self.hr_to_lr.reset();
         self.lr_to_hr.reset();

@@ -111,11 +111,6 @@ impl EnergyAccount {
         }
     }
 
-    /// Sets the leakage power rate, mW.
-    pub fn set_leakage_mw(&mut self, leakage_mw: f64) {
-        self.leakage_mw = leakage_mw;
-    }
-
     /// The configured leakage power, mW.
     pub fn leakage_mw(&self) -> f64 {
         self.leakage_mw

@@ -3,8 +3,8 @@
 //! and the fault ladder.
 //!
 //! The paper fixes its policy bundle at design time (write-threshold
-//! migration, static retention, static LR/HR split). The pluggable
-//! policy seams ([`LlcPolicy`]) make that bundle a runtime choice, so
+//! migration, static retention, static LR/HR split). The runtime
+//! policies ([`LlcPolicy`]) make that bundle a runtime choice, so
 //! the natural question is what the adaptive variants actually buy:
 //! per workload, this artefact reports IPC, dynamic L2 energy and LR
 //! refresh work under each policy (normalised to the fixed run), then

@@ -53,7 +53,10 @@ pub const STORE_GENERATION: u32 = 2;
 /// (`sttgpu_store::FORMAT_VERSION`) and of [`STORE_GENERATION`]: the
 /// container guards bytes, the generation guards semantics, this guards
 /// the field layout below.
-const PAYLOAD_VERSION: u8 = 1;
+///
+/// Version 2 dropped the HR rewrite-interval histogram; a version-1
+/// entry is quarantined and recomputed like any other damaged entry.
+const PAYLOAD_VERSION: u8 = 2;
 
 /// Content address of one run, named Table 2 configuration or ad-hoc
 /// sweep point alike: the executor's in-memory memo key and the store's
@@ -294,7 +297,6 @@ pub fn encode_run_output(out: &RunOutput) -> Vec<u8> {
     enc_metrics(&mut e, &out.metrics);
     enc_opt(&mut e, out.two_part.as_ref(), enc_two_part);
     enc_opt(&mut e, out.lr_rewrite_intervals.as_ref(), enc_histogram);
-    enc_opt(&mut e, out.hr_rewrite_intervals.as_ref(), enc_histogram);
     e.len(out.write_matrix.len());
     for row in &out.write_matrix {
         e.len(row.len());
@@ -328,7 +330,6 @@ pub fn decode_run_output(bytes: &[u8]) -> Result<RunOutput, CodecError> {
     let metrics = dec_metrics(&mut d)?;
     let two_part = dec_opt(&mut d, dec_two_part)?;
     let lr_rewrite_intervals = dec_opt(&mut d, dec_histogram)?;
-    let hr_rewrite_intervals = dec_opt(&mut d, dec_histogram)?;
     let rows = d.len()?;
     let mut write_matrix = Vec::with_capacity(rows);
     for _ in 0..rows {
@@ -358,7 +359,6 @@ pub fn decode_run_output(bytes: &[u8]) -> Result<RunOutput, CodecError> {
         metrics,
         two_part,
         lr_rewrite_intervals,
-        hr_rewrite_intervals,
         write_matrix,
         check,
     })
@@ -564,7 +564,6 @@ mod tests {
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.two_part, b.two_part);
         assert_eq!(a.lr_rewrite_intervals, b.lr_rewrite_intervals);
-        assert_eq!(a.hr_rewrite_intervals, b.hr_rewrite_intervals);
         assert_eq!(a.write_matrix, b.write_matrix);
         match (&a.check, &b.check) {
             (None, None) => {}

@@ -73,7 +73,7 @@ pub struct RunPlan {
     /// Fault injection applied to two-part configurations (`--faults`).
     pub fault: FaultSpec,
     /// Runtime LLC policy applied to two-part configurations
-    /// (`--llc-policy`). Monolithic baselines have no policy seams and
+    /// (`--llc-policy`). Monolithic baselines have no runtime policy and
     /// run unchanged. [`LlcPolicy::Fixed`] (the default) is the
     /// paper-exact bundle and is byte-transparent.
     pub policy: LlcPolicy,
@@ -147,8 +147,6 @@ pub struct RunOutput {
     pub two_part: Option<TwoPartStats>,
     /// LR rewrite-interval histogram (two-part runs only).
     pub lr_rewrite_intervals: Option<Histogram>,
-    /// HR rewrite-interval histogram (two-part runs only).
-    pub hr_rewrite_intervals: Option<Histogram>,
     /// Cumulative per-(set, way) data-array write counts.
     pub write_matrix: Vec<Vec<u64>>,
     /// Invariant-checker report when the plan ran with
@@ -220,19 +218,14 @@ pub fn run_config(mut cfg: GpuConfig, workload: &Workload, plan: &RunPlan) -> Ru
     let metrics = gpu.run_workload(&scaled, plan.max_cycles);
     let check = checker.map(|c| close_check(&mut c.borrow_mut(), &metrics));
     let llc = gpu.llc();
-    let (two_part, lr_hist, hr_hist) = match llc.as_two_part() {
-        Some(tp) => (
-            Some(*tp.stats()),
-            Some(tp.lr_rewrite_intervals().clone()),
-            Some(tp.hr_rewrite_intervals().clone()),
-        ),
-        None => (None, None, None),
+    let (two_part, lr_rewrite_intervals) = match llc.as_two_part() {
+        Some(tp) => (Some(*tp.stats()), Some(tp.lr_rewrite_intervals().clone())),
+        None => (None, None),
     };
     RunOutput {
         metrics,
         two_part,
-        lr_rewrite_intervals: lr_hist,
-        hr_rewrite_intervals: hr_hist,
+        lr_rewrite_intervals,
         write_matrix: llc.write_count_matrix(),
         check,
     }

@@ -1,8 +1,14 @@
 //! Bad command-line input to `repro`, `explore` and `diag` is a typed
 //! rejection: a nonzero exit that is not a panic (101), a message that
 //! names the offending flag, and nothing simulated or printed to stdout.
+//! Good input writes its reports under `--out` without touching the
+//! committed canary baseline.
 
+use std::fs;
+use std::path::Path;
 use std::process::Command;
+
+use sttgpu_experiments::canary::CANARY_BASELINE_PATH;
 
 fn rejects(bin: &str, args: &[&str], fragment: &str) {
     let out = Command::new(bin).args(args).output().expect("spawn");
@@ -92,4 +98,35 @@ fn repro_rejects_bad_flags_by_name() {
     for (args, fragment) in cases {
         rejects(repro, args, fragment);
     }
+}
+
+/// `repro --out results all` is the documented regeneration command, so
+/// no file `repro` writes under `--out` may carry the baseline's name.
+#[test]
+fn repro_out_never_writes_the_canary_baseline() {
+    let dir = std::env::temp_dir().join(format!("sttgpu-cli-baseline-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "0.01", "--out"])
+        .arg(&dir)
+        .arg("table1")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join("table1.txt").is_file() && dir.join("BENCH_repro.json").is_file());
+    let baseline = Path::new(CANARY_BASELINE_PATH)
+        .file_name()
+        .expect("file name");
+    assert!(
+        !dir.join(baseline).exists(),
+        "repro wrote {} under --out",
+        baseline.to_string_lossy()
+    );
+    fs::remove_dir_all(&dir).expect("clean up");
 }

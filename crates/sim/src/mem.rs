@@ -121,11 +121,6 @@ impl MemSystem {
         &self.llc
     }
 
-    /// Mutable access to the L2 (measurement resets).
-    pub fn llc_mut(&mut self) -> &mut AnyLlc {
-        &mut self.llc
-    }
-
     /// Attaches a trace sink observing the L2 and the miss tracker
     /// (MSHR space 0).
     pub fn set_trace(&mut self, trace: Trace) {

@@ -66,17 +66,6 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Fraction of DRAM reads that hit an open row.
-    pub fn dram_row_hit_rate(&self) -> f64 {
-        if self.dram_reads == 0 {
-            0.0
-        } else {
-            self.dram_row_hits as f64 / self.dram_reads as f64
-        }
-    }
-}
-
-impl RunMetrics {
     /// Instructions per cycle (thread instructions).
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -67,12 +67,6 @@ impl Rng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of the 64-bit stream).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `u64` in `[lo, hi)`. Panics if the range is empty.
     /// Uses multiply-shift rejection so the distribution is unbiased.
     #[inline]

@@ -412,13 +412,6 @@ impl VecSink {
     pub fn take(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
     }
-
-    /// Moves the recorded events onto the end of `out`, leaving this sink
-    /// empty but with its capacity intact. Used by the per-SM trace
-    /// buffers, which drain every visited cycle and must not reallocate.
-    pub fn take_into(&mut self, out: &mut Vec<TraceEvent>) {
-        out.append(&mut self.events);
-    }
 }
 
 impl EventSink for VecSink {
