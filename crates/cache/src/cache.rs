@@ -78,14 +78,42 @@ impl<M> Line<M> {
 }
 
 /// Where a resident line sits in a [`SetAssocCache`], as returned by
-/// [`find`](SetAssocCache::find).
+/// [`find`](SetAssocCache::find) and [`fill_with`](SetAssocCache::fill_with).
 ///
 /// A handle lets one address lookup serve every later step of an access
 /// (hit bookkeeping, metadata updates, extraction). It stays valid until
 /// the next call that changes residency: `fill`, `fill_with`, `extract`,
 /// `extract_slot`, `flush`, `flush_into` or `drain_ways_into`.
+///
+/// Each slot is one physical position with a dense index in
+/// `[0, capacity_lines)`, the position [`iter`](SetAssocCache::iter)
+/// visits it at, so owners can keep per-slot side tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot(usize);
+
+impl Slot {
+    /// The handle of the position at `index` (see [`index`](Self::index)).
+    pub fn new(index: usize) -> Slot {
+        Slot(index)
+    }
+
+    /// The slot's dense position index.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// What [`fill_with`](SetAssocCache::fill_with) did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement<M> {
+    /// The slot now holding the line.
+    pub slot: Slot,
+    /// `true` when the fill wrote the line into `slot`; `false` when the
+    /// line was already resident there and only its dirty bit merged.
+    pub placed: bool,
+    /// The valid line the fill displaced, if any.
+    pub evicted: Option<Evicted<M>>,
+}
 
 /// A line evicted (or extracted) from the array, with everything the owner
 /// needs to write it back or migrate it elsewhere.
@@ -438,11 +466,15 @@ impl<M: Default> SetAssocCache<M> {
     /// write-allocate).
     pub fn fill(&mut self, line_addr: u64, dirty: bool, now_ns: u64) -> Option<Evicted<M>> {
         self.fill_with(line_addr, dirty, 0, M::default(), now_ns)
+            .evicted
     }
 
     /// Fills a line carrying existing `write_count` and metadata — the
     /// migration path between the LR and HR arrays uses this so WWS history
-    /// survives the move. Semantics otherwise match [`fill`](Self::fill).
+    /// survives the move. Semantics otherwise match [`fill`](Self::fill);
+    /// the [`Placement`] also names the slot the line now occupies and
+    /// whether the fill wrote it (a merge into a resident line drops
+    /// `write_count` and `meta`).
     pub fn fill_with(
         &mut self,
         line_addr: u64,
@@ -450,11 +482,15 @@ impl<M: Default> SetAssocCache<M> {
         write_count: u32,
         meta: M,
         now_ns: u64,
-    ) -> Option<Evicted<M>> {
+    ) -> Placement<M> {
         let (set, found) = self.locate(line_addr);
         if let Some(slot) = found {
             self.lines[slot].dirty |= dirty;
-            return None;
+            return Placement {
+                slot: Slot(slot),
+                placed: false,
+                evicted: None,
+            };
         }
         let way = self.victim_way(set);
         let stamp = self.next_stamp();
@@ -487,7 +523,11 @@ impl<M: Default> SetAssocCache<M> {
         line.meta = meta;
         self.tags[slot] = line_addr;
         self.stamps[slot] = stamp;
-        evicted
+        Placement {
+            slot: Slot(slot),
+            placed: true,
+            evicted,
+        }
     }
 
     /// Removes a line from the array, returning its state for write-back
@@ -542,12 +582,14 @@ impl<M: Default> SetAssocCache<M> {
         }
     }
 
-    /// Iterates over all lines (valid and invalid) in (set, way) order.
+    /// Iterates over all lines (valid and invalid) in (set, way) order,
+    /// which is [`Slot::index`] order.
     pub fn iter(&self) -> impl Iterator<Item = &Line<M>> {
         self.lines.iter()
     }
 
-    /// Iterates mutably over all lines in (set, way) order.
+    /// Iterates mutably over all lines in (set, way) order, which is
+    /// [`Slot::index`] order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Line<M>> {
         self.lines.iter_mut()
     }
@@ -719,6 +761,31 @@ mod tests {
         c.fill_with(11, true, 6, (), 42);
         let l = c.peek(11).expect("line");
         assert_eq!(l.write_count(), 7, "6 carried + 1 for the dirty fill");
+    }
+
+    #[test]
+    fn fill_with_reports_its_slot_and_whether_it_placed() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(4, 1, 128, ReplacementPolicy::Lru);
+        let first = c.fill_with(6, false, 0, 5, 0);
+        assert!(first.placed && first.evicted.is_none());
+        assert_eq!(Some(first.slot), c.find(6));
+        assert_eq!(first.slot.index(), c.set_index(6), "one way: slot = set");
+        assert_eq!(Slot::new(first.slot.index()), first.slot);
+        // A merge names the resident slot and keeps its metadata.
+        let merged = c.fill_with(6, true, 3, 9, 1);
+        assert_eq!((merged.slot, merged.placed), (first.slot, false));
+        assert!(merged.evicted.is_none());
+        assert_eq!(c.line(merged.slot).meta, 5);
+        assert!(c.line(merged.slot).is_dirty());
+        // A conflicting fill reuses the slot and reports the victim.
+        let conflict = c.fill_with(10, false, 0, 7, 2);
+        assert_eq!((conflict.slot, conflict.placed), (first.slot, true));
+        assert_eq!(
+            conflict.evicted.map(|v| (v.line_addr, v.meta)),
+            Some((6, 5))
+        );
+        let line = c.iter().nth(conflict.slot.index()).expect("slot in range");
+        assert_eq!((line.line_addr(), line.meta), (10, 7));
     }
 
     #[test]

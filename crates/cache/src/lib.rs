@@ -36,7 +36,7 @@ mod replacement;
 mod stats;
 
 pub use arbiter::BankArbiter;
-pub use cache::{AccessKind, Evicted, Line, SetAssocCache, Slot};
+pub use cache::{AccessKind, Evicted, Line, Placement, SetAssocCache, Slot};
 pub use divisor::Divisor;
 pub use linemap::{line_map_with_capacity, LineHasher, LineMap};
 pub use mshr::{MshrOutcome, MshrTable};

@@ -46,10 +46,10 @@
 #![warn(missing_docs)]
 
 mod config;
-mod deadline;
 mod llc;
 mod policy;
 mod retention;
+mod retention_list;
 mod search;
 mod swap;
 mod two_part;

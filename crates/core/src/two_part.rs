@@ -9,10 +9,10 @@ use sttgpu_stats::Histogram;
 use sttgpu_trace::{BufferDir, PartId, Trace, TraceEvent};
 
 use crate::config::{SearchMode, TwoPartConfig};
-use crate::deadline::DeadlineRun;
 use crate::llc::{latency_to_ns, FillOutcome, LlcModel, LlcStats, ProbeOutcome};
 use crate::policy::{lr_maintenance_floor_ns, lr_tracker_at, PolicyEngine};
 use crate::retention::RetentionTracker;
+use crate::retention_list::RetentionList;
 use crate::search::{Part, SearchSelector};
 use crate::swap::SwapBuffer;
 
@@ -201,17 +201,16 @@ pub struct TwoPartLlc {
     stats: TwoPartStats,
     lr_rewrite_intervals: Histogram,
     next_rotation_ns: u64,
-    // Sorted runs of refresh/expiry deadlines (stamp-checked, see
-    // [`DeadlineEntry`](crate::deadline::DeadlineEntry)) so `maintain`
-    // visits only due lines instead of scanning both arrays every
-    // retention tick.
-    lr_deadlines: DeadlineRun,
-    hr_deadlines: DeadlineRun,
+    // Each part's resident lines in refresh/expiry deadline order, one
+    // node per slot, so `maintain` visits only due lines instead of
+    // scanning both arrays every retention tick.
+    lr_list: RetentionList,
+    hr_list: RetentionList,
     // Reused across wear-rotation epochs and way drains to keep
     // `rotate_lr` and `apply_hr_ways` off the allocator.
     rotation_scratch: Vec<Evicted<RetMeta>>,
-    // Reused by every retention switch's rewrite sweep.
-    resident_scratch: Vec<u64>,
+    // Reused by every retention switch's rewrite sweep: (line, slot).
+    resident_scratch: Vec<(u64, usize)>,
     // `log2(line_bytes)`: byte address to line address is a shift.
     line_shift: u32,
     // Cached integer timings, ns.
@@ -261,6 +260,7 @@ impl TwoPartLlc {
             cfg.line_bytes,
             cfg.replacement,
         );
+        let (lr_slots, hr_slots) = (lr.capacity_lines(), hr.capacity_lines());
         let energy =
             EnergyAccount::with_leakage_mw(lr_design.leakage_mw() + hr_design.leakage_mw());
         TwoPartLlc {
@@ -284,8 +284,8 @@ impl TwoPartLlc {
             stats: TwoPartStats::default(),
             lr_rewrite_intervals: Histogram::new(&REWRITE_BUCKET_BOUNDS_NS),
             next_rotation_ns: cfg.lr_rotation_period_ns.unwrap_or(u64::MAX),
-            lr_deadlines: DeadlineRun::default(),
-            hr_deadlines: DeadlineRun::default(),
+            lr_list: RetentionList::new(lr_slots),
+            hr_list: RetentionList::new(hr_slots),
             rotation_scratch: Vec::new(),
             resident_scratch: Vec::new(),
             line_shift: cfg.line_bytes.trailing_zeros(),
@@ -370,20 +370,34 @@ impl TwoPartLlc {
         self.hr_to_lr.overflows() + self.lr_to_hr.overflows()
     }
 
-    /// Records an LR array write at `written_ns`: schedules the line's
-    /// refresh deadline (slack ticks before the last retention tick).
-    fn note_lr_write(&mut self, la: u64, written_ns: u64) {
+    /// Records an LR array write of line `la` at `slot` at `written_ns`:
+    /// moves the slot to the line's refresh deadline (slack ticks before
+    /// the last retention tick).
+    fn note_lr_write(&mut self, slot: Slot, la: u64, written_ns: u64) {
         let deadline = self
             .lr_rc
             .refresh_deadline_with_slack_ns(written_ns, self.cfg.refresh_slack_ticks as u64);
-        self.lr_deadlines.push((deadline, la, written_ns));
+        self.lr_list.relink(slot.index(), deadline, la);
     }
 
-    /// Records an HR array write at `written_ns`: schedules the line's
-    /// expiry deadline (HR lines are never refreshed).
-    fn note_hr_write(&mut self, la: u64, written_ns: u64) {
+    /// Records an HR array write of line `la` at `slot` at `written_ns`:
+    /// moves the slot to the line's expiry deadline (HR lines are never
+    /// refreshed).
+    fn note_hr_write(&mut self, slot: Slot, la: u64, written_ns: u64) {
         let deadline = self.hr_rc.refresh_deadline_ns(written_ns);
-        self.hr_deadlines.push((deadline, la, written_ns));
+        self.hr_list.relink(slot.index(), deadline, la);
+    }
+
+    /// Removes the LR line at `slot` from the array and its retention list.
+    fn lr_extract(&mut self, slot: Slot) -> Evicted<RetMeta> {
+        self.lr_list.unlink(slot.index());
+        self.lr.extract_slot(slot)
+    }
+
+    /// Removes the HR line at `slot` from the array and its retention list.
+    fn hr_extract(&mut self, slot: Slot) -> Evicted<RetMeta> {
+        self.hr_list.unlink(slot.index());
+        self.hr.extract_slot(slot)
     }
 
     fn part_find(&self, part: Part, la: u64) -> Option<Slot> {
@@ -475,7 +489,7 @@ impl TwoPartLlc {
             .hit(slot, AccessKind::Write, now_ns)
             .meta
             .written_at_ns = now_ns;
-        self.note_lr_write(la, now_ns);
+        self.note_lr_write(slot, la, now_ns);
         self.stats.lr_write_hits += 1;
         self.stats.demand_writes_lr += 1;
         self.stats.lr_array_writes += 1;
@@ -515,7 +529,7 @@ impl TwoPartLlc {
             if !self.fault_stall(BufferDir::HrToLr, la, now_ns)
                 && self.hr_to_lr.try_reserve(now_ns, write_done)
             {
-                let victim = self.hr.extract_slot(slot);
+                let victim = self.hr_extract(slot);
                 self.trace.emit(|| TraceEvent::BufferAdmit {
                     dir: BufferDir::HrToLr,
                     la,
@@ -533,7 +547,7 @@ impl TwoPartLlc {
                 self.stats.demand_writes_lr += 1;
                 self.stats.lr_array_writes += 1;
                 let mut writebacks = 0;
-                let evicted = self.lr.fill_with(
+                let fill = self.lr.fill_with(
                     la,
                     true,
                     victim.write_count,
@@ -552,8 +566,10 @@ impl TwoPartLlc {
                     la,
                     now_ns,
                 });
-                self.note_lr_write(la, now_ns);
-                if let Some(lr_victim) = evicted {
+                if fill.placed {
+                    self.note_lr_write(fill.slot, la, now_ns);
+                }
+                if let Some(lr_victim) = fill.evicted {
                     writebacks += self.demote(lr_victim, now_ns);
                 }
                 (write_done, writebacks)
@@ -576,7 +592,7 @@ impl TwoPartLlc {
     /// buffer-full fallbacks). Returns completion time.
     fn hr_write_in_place(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
         self.hr.line_mut(slot).meta.written_at_ns = now_ns;
-        self.note_hr_write(la, now_ns);
+        self.note_hr_write(slot, la, now_ns);
         self.stats.demand_writes_hr += 1;
         self.stats.hr_array_writes += 1;
         self.deposit(EnergyEvent::DataWrite, self.hr_design.write_energy_nj());
@@ -639,7 +655,7 @@ impl TwoPartLlc {
         self.stats.demotions_to_hr += 1;
         self.stats.hr_array_writes += 1;
         let mut writebacks = 0;
-        if let Some(hr_victim) = self.hr.fill_with(
+        let fill = self.hr.fill_with(
             victim.line_addr,
             victim.dirty,
             0,
@@ -647,7 +663,8 @@ impl TwoPartLlc {
                 written_at_ns: now_ns,
             },
             now_ns,
-        ) {
+        );
+        if let Some(hr_victim) = fill.evicted {
             self.trace.emit(|| TraceEvent::Evict {
                 part: PartId::Hr,
                 la: hr_victim.line_addr,
@@ -664,9 +681,7 @@ impl TwoPartLlc {
         // judges HR-resident behaviour only. `fill_with` counts the
         // filling write via the dirty flag, which would leave dirty
         // demotions one demand write ahead at thresholds 2..3.
-        if let Some(line) = self.hr.peek_mut(victim.line_addr) {
-            line.set_write_count(0);
-        }
+        self.hr.line_mut(fill.slot).set_write_count(0);
         self.trace.emit(|| TraceEvent::Fill {
             part: PartId::Hr,
             la: victim.line_addr,
@@ -677,7 +692,9 @@ impl TwoPartLlc {
             la: victim.line_addr,
             now_ns,
         });
-        self.note_hr_write(victim.line_addr, now_ns);
+        if fill.placed {
+            self.note_hr_write(fill.slot, victim.line_addr, now_ns);
+        }
         writebacks
     }
 
@@ -688,6 +705,7 @@ impl TwoPartLlc {
         let mut victims = std::mem::take(&mut self.rotation_scratch);
         victims.clear();
         self.lr.flush_into(&mut victims);
+        self.lr_list.clear();
         // `flush_into` returns only dirty lines; clean LR lines do not
         // exist (everything in LR arrived via a write), but be permissive.
         for victim in victims.drain(..) {
@@ -701,7 +719,7 @@ impl TwoPartLlc {
             self.deposit(EnergyEvent::Migration, self.hr_design.write_energy_nj());
             self.stats.demotions_to_hr += 1;
             self.stats.hr_array_writes += 1;
-            if let Some(hr_victim) = self.hr.fill_with(
+            let fill = self.hr.fill_with(
                 victim.line_addr,
                 victim.dirty,
                 0,
@@ -709,7 +727,8 @@ impl TwoPartLlc {
                     written_at_ns: now_ns,
                 },
                 now_ns,
-            ) {
+            );
+            if let Some(hr_victim) = fill.evicted {
                 self.trace.emit(|| TraceEvent::Evict {
                     part: PartId::Hr,
                     la: hr_victim.line_addr,
@@ -723,15 +742,15 @@ impl TwoPartLlc {
             }
             // As in `demote`: a rotation demotion starts a fresh HR
             // residency, so the WWS count restarts at zero.
-            if let Some(line) = self.hr.peek_mut(victim.line_addr) {
-                line.set_write_count(0);
-            }
+            self.hr.line_mut(fill.slot).set_write_count(0);
             self.trace.emit(|| TraceEvent::Fill {
                 part: PartId::Hr,
                 la: victim.line_addr,
                 now_ns,
             });
-            self.note_hr_write(victim.line_addr, now_ns);
+            if fill.placed {
+                self.note_hr_write(fill.slot, victim.line_addr, now_ns);
+            }
         }
         self.rotation_scratch = victims;
         // A large prime stride: consecutive epochs must map the (wide)
@@ -766,33 +785,33 @@ impl TwoPartLlc {
     /// retention clock restarts under the new tracker.
     fn apply_retention_level(&mut self, level: u32, now_ns: u64) {
         self.lr_rc = lr_tracker_at(self.cfg.lr_retention, self.cfg.lr_rc_bits, level);
-        // The sweep stamps lines at `now + 1` — a time no past write can
-        // share — so every pre-switch deadline entry would go stale on its
-        // stamp check: drop them all, and deadlines never mix trackers.
-        // Each rewrite is a physical array write priced like a refresh,
-        // but it is *not* a protocol refresh: no `refreshes` count and no
-        // `Refresh` events (mid-life rewrites would trip the checker's
-        // refresh-tail rule).
+        // The sweep stamps lines at `now + 1`, a time no past write can
+        // share, and relinks every LR line at that stamp's deadline under
+        // the new tracker, so deadlines never mix trackers. Each rewrite
+        // is a physical array write priced like a refresh, but it is
+        // *not* a protocol refresh: no `refreshes` count and no `Refresh`
+        // events (mid-life rewrites would trip the checker's refresh-tail
+        // rule).
         let stamp = now_ns + 1;
-        self.lr_deadlines.clear();
+        self.lr_list.clear();
         let mut resident = std::mem::take(&mut self.resident_scratch);
         resident.clear();
-        for line in self.lr.iter_mut() {
+        for (index, line) in self.lr.iter_mut().enumerate() {
             if line.is_valid() {
                 line.meta.written_at_ns = stamp;
-                resident.push(line.line_addr());
+                resident.push((line.line_addr(), index));
             }
         }
-        // Every new entry shares one deadline and one stamp, so line order
-        // is pop order: pushing sorted keeps each push an append.
+        // Every line shares one deadline, so line order is list order:
+        // relinking sorted keeps each relink an append.
         resident.sort_unstable();
-        for &la in &resident {
+        for &(la, index) in &resident {
             self.stats.lr_array_writes += 1;
             self.deposit(
                 EnergyEvent::Refresh,
                 self.lr_design.read_energy_nj() + self.lr_design.write_energy_nj(),
             );
-            self.note_lr_write(la, stamp);
+            self.note_lr_write(Slot::new(index), la, stamp);
         }
         self.resident_scratch = resident;
         let lr_rc = self.lr_rc;
@@ -816,6 +835,11 @@ impl TwoPartLlc {
             let mut drained = std::mem::take(&mut self.rotation_scratch);
             drained.clear();
             self.hr.drain_ways_into(target, &mut drained);
+            for (index, line) in self.hr.iter().enumerate() {
+                if !line.is_valid() {
+                    self.hr_list.unlink(index);
+                }
+            }
             for victim in drained.drain(..) {
                 self.trace.emit(|| TraceEvent::Evict {
                     part: PartId::Hr,
@@ -933,8 +957,8 @@ impl LlcModel for TwoPartLlc {
                         self.stats.ecc_uncorrectable += 1;
                         self.deposit(EnergyEvent::Ecc, ECC_ENERGY_NJ);
                         let victim = match part {
-                            Part::Lr => self.lr.extract_slot(slot),
-                            Part::Hr => self.hr.extract_slot(slot),
+                            Part::Lr => self.lr_extract(slot),
+                            Part::Hr => self.hr_extract(slot),
                         };
                         let data_lost = victim.dirty;
                         if data_lost {
@@ -1027,7 +1051,7 @@ impl LlcModel for TwoPartLlc {
             self.deposit(EnergyEvent::DataWrite, self.lr_design.write_energy_nj());
             // Fills drain through fill buffers into idle bank slots.
             ready_ns = now_ns + self.lr_write_ns;
-            if let Some(victim) = self.lr.fill_with(
+            let fill = self.lr.fill_with(
                 la,
                 dirty,
                 0,
@@ -1035,7 +1059,11 @@ impl LlcModel for TwoPartLlc {
                     written_at_ns: now_ns,
                 },
                 now_ns,
-            ) {
+            );
+            if fill.placed {
+                self.note_lr_write(fill.slot, la, now_ns);
+            }
+            if let Some(victim) = fill.evicted {
                 writebacks += self.demote(victim, now_ns);
             }
             self.trace.emit(|| TraceEvent::Fill {
@@ -1043,7 +1071,6 @@ impl LlcModel for TwoPartLlc {
                 la,
                 now_ns,
             });
-            self.note_lr_write(la, now_ns);
         } else {
             self.stats.fills_to_hr += 1;
             if dirty {
@@ -1057,7 +1084,7 @@ impl LlcModel for TwoPartLlc {
             // counts the filling write via the dirty flag, so seeding the
             // counter with `dirty as u32` double-counted it and made
             // threshold-2..3 blocks migrate one demand write early.
-            if let Some(victim) = self.hr.fill_with(
+            let fill = self.hr.fill_with(
                 la,
                 dirty,
                 0,
@@ -1065,7 +1092,8 @@ impl LlcModel for TwoPartLlc {
                     written_at_ns: now_ns,
                 },
                 now_ns,
-            ) {
+            );
+            if let Some(victim) = fill.evicted {
                 self.trace.emit(|| TraceEvent::Evict {
                     part: PartId::Hr,
                     la: victim.line_addr,
@@ -1083,7 +1111,9 @@ impl LlcModel for TwoPartLlc {
                 la,
                 now_ns,
             });
-            self.note_hr_write(la, now_ns);
+            if fill.placed {
+                self.note_hr_write(fill.slot, la, now_ns);
+            }
         }
         FillOutcome {
             ready_ns,
@@ -1101,17 +1131,14 @@ impl LlcModel for TwoPartLlc {
             }
         }
         // --- LR refresh engine -------------------------------------------
-        // Pop due deadlines instead of scanning the array; a stale stamp
-        // (the line was rewritten, refreshed or evicted since the push)
-        // discards the entry. Expiry implies the refresh deadline passed
-        // too, so one queue covers both outcomes.
-        while let Some((_, la, stamp)) = self.lr_deadlines.pop_due(now_ns) {
-            let Some(slot) = self.lr.find(la).filter(|&slot| {
-                let line = self.lr.line(slot);
-                line.is_valid() && line.meta.written_at_ns == stamp
-            }) else {
-                continue;
-            };
+        // Pop due lines off the retention list instead of scanning the
+        // array: every popped slot holds a resident line whose current
+        // deadline has passed. Expiry implies the refresh deadline passed
+        // too, so one list covers both outcomes.
+        while let Some((index, la)) = self.lr_list.pop_due(now_ns) {
+            let slot = Slot::new(index);
+            let stamp = self.lr.line(slot).meta.written_at_ns;
+            debug_assert_eq!(self.lr.find(la), Some(slot), "listed LR line not resident");
             if self.lr_rc.is_expired(stamp, now_ns) {
                 // Maintenance cadence was violated: data already lost.
                 self.stats.lr_expirations += 1;
@@ -1134,8 +1161,9 @@ impl LlcModel for TwoPartLlc {
             }
             if self.fault.enabled() {
                 // Injected refresh drop: the engine skips this line and
-                // re-arms the deadline; by the next sweep the line has
-                // usually expired, taking the ordinary expiry path.
+                // re-arms it just past now, ahead of every later deadline;
+                // by the next sweep the line has usually expired, taking
+                // the ordinary expiry path.
                 if self.fault.drop_refresh(la, now_ns) {
                     self.stats.refresh_drops += 1;
                     self.trace.emit(|| TraceEvent::RefreshDropped {
@@ -1143,7 +1171,7 @@ impl LlcModel for TwoPartLlc {
                         written_at_ns: stamp,
                         now_ns,
                     });
-                    self.lr_deadlines.push((now_ns + 1, la, stamp));
+                    self.lr_list.relink_near_head(index, now_ns + 1, la);
                     continue;
                 }
                 // The refresh read doubles as a scrub: ECC sees the line's
@@ -1205,7 +1233,7 @@ impl LlcModel for TwoPartLlc {
                     la,
                     now_ns,
                 });
-                self.note_lr_write(la, now_ns);
+                self.note_lr_write(slot, la, now_ns);
             } else {
                 // No buffer slot before expiry: evacuate instead of losing
                 // data — dirty lines go to DRAM, clean lines are dropped.
@@ -1232,13 +1260,10 @@ impl LlcModel for TwoPartLlc {
         // --- HR expiry engine --------------------------------------------
         // HR has no refresh: lines reaching the last RC tick are
         // invalidated (clean) or written back (dirty).
-        while let Some((_, la, stamp)) = self.hr_deadlines.pop_due(now_ns) {
-            let Some(slot) = self.hr.find(la).filter(|&slot| {
-                let line = self.hr.line(slot);
-                line.is_valid() && line.meta.written_at_ns == stamp
-            }) else {
-                continue;
-            };
+        while let Some((index, la)) = self.hr_list.pop_due(now_ns) {
+            let slot = Slot::new(index);
+            let stamp = self.hr.line(slot).meta.written_at_ns;
+            debug_assert_eq!(self.hr.find(la), Some(slot), "listed HR line not resident");
             self.stats.hr_expirations += 1;
             let victim = self.hr.extract_slot(slot);
             self.trace.emit(|| TraceEvent::Expire {
@@ -1642,15 +1667,15 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_lines_are_not_refreshed_at_the_stale_deadline() {
+    fn a_rewrite_moves_the_line_to_its_new_deadline() {
         let mut llc = small();
         llc.fill(addr(1), true, 0);
         let tick = llc.maintenance_interval_ns();
         let retention = llc.config().lr_retention.as_nanos_u64();
-        // Rewrite mid-life: the t=0 deadline entry goes stale.
+        // Rewrite mid-life: the line leaves its t=0 deadline.
         llc.probe(addr(1), AccessKind::Write, retention / 2);
-        llc.maintain(retention - tick / 2); // stale deadline due, fresh one not
-        assert_eq!(llc.stats().refreshes, 0, "stale entry must be discarded");
+        llc.maintain(retention - tick / 2); // old deadline due, new one not
+        assert_eq!(llc.stats().refreshes, 0, "the old deadline is gone");
         // The rewrite's own deadline still fires.
         llc.maintain(retention / 2 + retention - tick / 2);
         assert_eq!(llc.stats().refreshes, 1);
@@ -1658,10 +1683,10 @@ mod tests {
     }
 
     #[test]
-    fn evicted_lines_leave_only_stale_deadline_entries() {
+    fn evicted_lines_leave_the_retention_list() {
         let mut llc = small();
         // Three dirty fills in one LR set (2-way): the LRU victim demotes
-        // to HR, leaving its LR deadline entry stale.
+        // to HR, and its slot's node now carries the newcomer.
         llc.fill(addr(0), true, 0);
         llc.fill(addr(16), true, 0);
         llc.fill(addr(32), true, 0);
@@ -1676,9 +1701,9 @@ mod tests {
         );
     }
 
-    /// The load-bearing property of the stamp-checked deadline runs:
-    /// after every `maintain(t)`, no valid line in either part is past its
-    /// due point — exactly what the old full-array scan guaranteed.
+    /// The load-bearing property of the retention lists: after every
+    /// `maintain(t)`, no valid line in either part is past its due point
+    /// — exactly what a full-array scan guarantees.
     #[test]
     fn deadline_maintenance_never_misses_a_due_line() {
         for buffer_blocks in [256usize, 1] {
@@ -1844,6 +1869,35 @@ mod tests {
         assert_eq!(llc.stats().refreshes, 0, "every refresh was dropped");
         assert_eq!(llc.stats().lr_expirations, 1, "the starved line expires");
         assert!(!llc.lr_contains(addr(9)));
+    }
+
+    #[test]
+    fn a_dropped_refresh_counts_once_per_line() {
+        // Two writes in the same ns (a dirty fill and a write hit, or two
+        // write hits) leave one line with one deadline, so one dropped
+        // refresh is one drop however often the line was written.
+        for write_hits in [1, 2] {
+            let mut llc = faulty(FaultConfig {
+                seed: 11,
+                refresh_drop_rate: 1.0,
+                ..FaultConfig::disabled()
+            });
+            llc.fill(addr(3), true, 10);
+            for _ in 0..write_hits {
+                assert!(llc.probe(addr(3), AccessKind::Write, 10).hit);
+            }
+            let due = llc
+                .lr_rc
+                .refresh_deadline_with_slack_ns(10, llc.config().refresh_slack_ticks as u64);
+            llc.maintain(due);
+            assert_eq!(
+                llc.stats().refresh_drops,
+                1,
+                "{write_hits} same-ns write hits"
+            );
+            assert_eq!(llc.stats().refreshes, 0);
+            assert!(llc.lr_contains(addr(3)), "a dropped refresh keeps the line");
+        }
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! Three concerns live here:
 //!
 //! * **One stable key** — [`config_store_key`] hashes a
-//!   `(GpuConfig, workload, RunPlan)` triple into a content address
-//!   that is identical across processes and invocations. The executor
-//!   memoizes under it in memory and in the store alike, so a warm
-//!   store serves every repeat run without simulating. The
-//!   [`STORE_GENERATION`] constant is folded into every key: bumping it
-//!   when the simulator's output semantics change silently retires all
-//!   previously stored entries (they become unreachable, never wrong).
+//!   `(GpuConfig, Workload, RunPlan)` triple, the workload by its full
+//!   content, into a content address that is identical across
+//!   processes and invocations. The executor memoizes under it in
+//!   memory and in the store alike, so a warm store serves every repeat
+//!   run without simulating. The [`STORE_GENERATION`] constant is
+//!   folded into every key: bumping it when the simulator's output
+//!   semantics change silently retires all previously stored entries
+//!   (they become unreachable, never wrong).
 //! * **A versioned payload codec** — [`encode_run_output`] /
 //!   [`decode_run_output`] serialize the full [`RunOutput`] (metrics,
 //!   two-part internals, histograms, write matrix, checker report) with
@@ -30,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use sttgpu_core::TwoPartStats;
 use sttgpu_device::energy::{EnergyAccount, EnergyEvent};
 use sttgpu_sim::metrics::KernelSpan;
-use sttgpu_sim::{GpuConfig, RunMetrics};
+use sttgpu_sim::{GpuConfig, RunMetrics, Workload};
 use sttgpu_stats::Histogram;
 use sttgpu_store::codec::{CodecError, Dec, Enc};
 use sttgpu_store::{Fetch, Key, StableHasher, Store, StoreError};
@@ -38,9 +39,11 @@ use sttgpu_trace::CheckReport;
 
 use crate::runner::{RunOutput, RunPlan};
 
-/// Generation stamp folded into every store key. Bump it by hand whenever
-/// simulator output semantics change in a way byte-level reproduction
-/// must not paper over: old entries become unreachable (a clean cold
+/// Generation stamp folded into every store key. The key already covers
+/// everything a run is given (the configuration, the workload's kernels
+/// and seed, the plan), so editing a workload or a configuration needs
+/// no bump. Bump it by hand only when the simulator itself changes what
+/// the same inputs produce: old entries become unreachable (a clean cold
 /// start) instead of silently stale. Nothing checks that it was bumped,
 /// which is why a store is only ever used when `--store DIR` asks for one.
 ///
@@ -60,17 +63,18 @@ const PAYLOAD_VERSION: u8 = 2;
 
 /// Content address of one run, named Table 2 configuration or ad-hoc
 /// sweep point alike: the executor's in-memory memo key and the store's
-/// key. `GpuConfig` has no compact identity, so the key hashes its full
-/// `Debug` rendering: the derive chain prints every field, so any
-/// config difference changes the key, and a future field addition
-/// changes the rendering — which safely *misses* and recomputes rather
-/// than serving a result for the wrong configuration. Every [`RunPlan`]
-/// field is hashed too.
-pub fn config_store_key(cfg: &GpuConfig, workload: &str, plan: &RunPlan) -> Key {
+/// key. Neither `GpuConfig` nor `Workload` has a compact identity, so
+/// the key hashes each one's full `Debug` rendering: the derive chains
+/// print every field (a workload's name, kernels and seed), so any
+/// difference changes the key, and a future field addition changes the
+/// rendering — which safely *misses* and recomputes rather than
+/// serving a result for another configuration or workload. Every
+/// [`RunPlan`] field is hashed too.
+pub fn config_store_key(cfg: &GpuConfig, workload: &Workload, plan: &RunPlan) -> Key {
     let mut h = StableHasher::new("sttgpu-config-run");
     h.u32(STORE_GENERATION)
         .str(&format!("{cfg:?}"))
-        .str(workload)
+        .str(&format!("{workload:?}"))
         .f64_bits(plan.scale)
         .u64(plan.max_cycles)
         .bool(plan.check)
@@ -547,7 +551,8 @@ mod tests {
     }
 
     fn key(choice: L2Choice, workload: &str, plan: &RunPlan) -> Key {
-        config_store_key(&gpu_config(choice), workload, plan)
+        let workload = suite::by_name(workload).expect("suite workload");
+        config_store_key(&gpu_config(choice), &workload, plan)
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -632,6 +637,11 @@ mod tests {
         assert_eq!(base, key(L2Choice::TwoPartC1, "lud", &plan));
         let mut slower_icnt = gpu_config(L2Choice::TwoPartC1);
         slower_icnt.icnt_latency_ns += 1;
+        let lud = suite::by_name("lud").expect("lud");
+        let reseeded = Workload {
+            seed: lud.seed + 1,
+            ..lud.clone()
+        };
         let variants = [
             key(L2Choice::TwoPartC2, "lud", &plan),
             key(L2Choice::TwoPartC1, "nw", &plan),
@@ -652,7 +662,8 @@ mod tests {
                 "lud",
                 &plan.with_policy(sttgpu_core::LlcPolicy::AdaptiveWays),
             ),
-            config_store_key(&slower_icnt, "lud", &plan),
+            config_store_key(&slower_icnt, &lud, &plan),
+            config_store_key(&gpu_config(L2Choice::TwoPartC1), &reseeded, &plan),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base, *v, "variant {i} collided with the base key");
@@ -671,7 +682,8 @@ mod tests {
         by_hand.l2 = sttgpu_sim::L2ModelConfig::TwoPart(
             crate::configs::two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part"),
         );
-        assert_eq!(config_store_key(&by_hand, "lud", &plan), a);
+        let lud = suite::by_name("lud").expect("lud");
+        assert_eq!(config_store_key(&by_hand, &lud, &plan), a);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   synchronously — the primitive everything reduces to;
 //! * an [`Executor`] fans a batch of simulations across a scoped thread
 //!   pool and **memoizes** every run under one key, the
-//!   `(GpuConfig, workload, plan)` content address of
-//!   [`config_store_key`], so one `repro all` invocation executes each
+//!   `(GpuConfig, Workload, RunPlan)` content address of
+//!   [`config_store_key`] (the workload by its kernels and seed, not
+//!   just its name), so one `repro all` invocation executes each
 //!   unique simulation exactly once even though several artefacts need
 //!   the same run (fig3/fig8/workload-table all want the SRAM baseline
 //!   suite; fig4's TH1, fig5's 2-way, fig6, fig8 and several ablation
@@ -461,7 +462,7 @@ impl Executor {
         workload: &Workload,
         plan: &RunPlan,
     ) -> Arc<RunOutput> {
-        let key = config_store_key(&cfg, &workload.name, plan);
+        let key = config_store_key(&cfg, workload, plan);
         let cell = {
             let mut cache = self.cache.lock().expect("executor cache poisoned");
             Arc::clone(cache.entry(key).or_default())
@@ -572,6 +573,28 @@ mod tests {
         let changed = exec.run_config(cfg, &w, &plan);
         assert!(!Arc::ptr_eq(&named, &changed));
         assert_eq!(exec.stats().runs_executed, 4);
+    }
+
+    #[test]
+    fn same_name_workloads_with_different_seeds_run_separately() {
+        let exec = Executor::new(1);
+        let w = suite::by_name("lud").expect("lud");
+        let reseeded = Workload {
+            seed: w.seed ^ 0x5EED,
+            ..w.clone()
+        };
+        assert_eq!(w.name, reseeded.name);
+        let plan = tiny_plan();
+        let a = exec.run(L2Choice::SramBaseline, &w, &plan);
+        let b = exec.run(L2Choice::SramBaseline, &reseeded, &plan);
+        assert!(!Arc::ptr_eq(&a, &b), "a reseeded workload is another run");
+        assert_eq!(exec.stats().runs_executed, 2);
+        assert_eq!(exec.stats().cache_hits, 0);
+        // Each is its own simulation: the reseeded run matches a fresh one.
+        assert_eq!(
+            b.metrics,
+            run(L2Choice::SramBaseline, &reseeded, &plan).metrics
+        );
     }
 
     #[test]

@@ -152,6 +152,8 @@ const K3: u64 = 0x1656_67B1_9E37_79F9;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     cfg: FaultConfig,
+    /// `cfg.is_enabled()`, computed once: the LLC asks on every probe.
+    enabled: bool,
     /// Per-line flip hazard in LR, per nanosecond of residency.
     lr_flip_per_ns: f64,
     /// Per-line flip hazard in HR, per nanosecond of residency.
@@ -170,6 +172,7 @@ impl FaultPlan {
         let bits = (line_bytes as f64) * 8.0;
         FaultPlan {
             cfg,
+            enabled: cfg.is_enabled(),
             lr_flip_per_ns: cfg.flip_rate * bits / lr_retention.as_nanos(),
             hr_flip_per_ns: cfg.flip_rate * bits / hr_retention.as_nanos(),
         }
@@ -177,8 +180,10 @@ impl FaultPlan {
 
     /// A plan that never injects anything.
     pub fn disabled() -> Self {
+        let cfg = FaultConfig::disabled();
         FaultPlan {
-            cfg: FaultConfig::disabled(),
+            cfg,
+            enabled: cfg.is_enabled(),
             lr_flip_per_ns: 0.0,
             hr_flip_per_ns: 0.0,
         }
@@ -192,7 +197,7 @@ impl FaultPlan {
     /// Whether any mechanism can fire. When `false`, callers may skip
     /// every hook — the plan is exactly transparent.
     pub fn enabled(&self) -> bool {
-        self.cfg.is_enabled()
+        self.enabled
     }
 
     /// One stateless uniform draw in `[0, 1)` keyed by `(seed, site, a, b)`.
@@ -303,6 +308,32 @@ mod tests {
             assert!(!p.buffer_stall(1, la, la * 7));
             assert!(!p.bank_fault(la, la * 7));
         }
+    }
+
+    #[test]
+    fn enabled_is_the_config_rule_for_every_mechanism() {
+        let one = |set: fn(&mut FaultConfig)| {
+            let mut cfg = FaultConfig::disabled();
+            set(&mut cfg);
+            cfg
+        };
+        let configs = [
+            FaultConfig::disabled(),
+            one(|c| c.flip_rate = 1e-6),
+            one(|c| c.refresh_drop_rate = 1e-6),
+            one(|c| c.buffer_stall_rate = 1e-6),
+            one(|c| c.bank_fault_rate = 1e-6),
+        ];
+        for cfg in configs {
+            let p = FaultPlan::new(
+                cfg,
+                RetentionTime::from_micros(26.5),
+                RetentionTime::from_millis(4.0),
+                128,
+            );
+            assert_eq!(p.enabled(), cfg.is_enabled(), "{cfg:?}");
+        }
+        assert!(configs[1..].iter().all(FaultConfig::is_enabled));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Model-based differential fuzzing oracle for the two-part LLC.
 //!
 //! [`TwoPartLlc`](sttgpu_core::TwoPartLlc) is performance-engineered:
-//! sorted deadline runs with stamp-checked entries instead of array
-//! scans, slot handles and division-free set indexing, cached integer
-//! latencies, bank arbiters, trace and energy plumbing threaded through
-//! every path. Each of those optimisations is a place where the
-//! implementation can silently drift from the architecture it claims to
-//! model. This crate pins it down from the outside:
+//! per-part retention lists that keep resident lines in deadline order
+//! instead of array scans, slot handles and division-free set indexing,
+//! cached integer latencies, bank arbiters, trace and energy plumbing
+//! threaded through every path. Each of those optimisations is a place
+//! where the implementation can silently drift from the architecture it
+//! claims to model. This crate pins it down from the outside:
 //!
 //! * [`OracleLlc`] is a small, deliberately *unoptimised* functional
 //!   model of the same semantics — per-line residency, dirtiness, write
@@ -14,8 +14,8 @@
 //!   Residency and clocks are dense rows scanned linearly (set index by
 //!   mask or `%`), the rest of each line's state a plain row beside
 //!   them, and the swap buffers plain lists of completion times; there
-//!   are no deadline queues, no stale entries, no caching and nothing
-//!   carried between sweeps. Where the implementation earns speed, the
+//!   are no deadline lists, no caching and nothing carried between
+//!   sweeps. Where the implementation earns speed, the
 //!   oracle spends clarity.
 //! * [`generate`] turns a seed and a [`TraceSpec`] into a request
 //!   stream (hot/cold address mix, read/write ratio, bounded

@@ -6,12 +6,12 @@
 //! when a line was last physically written — beside a plain row of the
 //! remaining per-line state. Lookups scan a set's slice of the address
 //! row; retention is re-derived from the clock row on every sweep, one
-//! linear pass per part (no deadline queues, no stale entries, nothing
-//! carried from one sweep to the next). The swap buffers are unordered
-//! lists of completion times, pruned in place. The model also carries a
-//! content token per line and a shadow DRAM image, so the write-back
-//! discipline (a clean line always equals DRAM) is checked as an
-//! internal invariant on every drop.
+//! linear pass per part (no deadline lists, nothing carried from one
+//! sweep to the next). The swap buffers are unordered lists of
+//! completion times, pruned in place. The model also carries a content
+//! token per line and a shadow DRAM image, so the write-back discipline
+//! (a clean line always equals DRAM) is checked as an internal
+//! invariant on every drop.
 
 use std::collections::BTreeMap;
 
@@ -634,9 +634,9 @@ impl OracleLlc {
 
     /// Retention maintenance at `now_ns`: the LR refresh engine, then
     /// the HR expiry engine. Due lines are processed in `(deadline,
-    /// line, clock)` order — the same total order the implementation's
-    /// sorted deadline runs pop in, which matters because LR refreshes compete for
-    /// LR→HR buffer slots.
+    /// line)` order — the order the implementation's retention lists
+    /// keep resident lines in, which matters because LR refreshes
+    /// compete for LR→HR buffer slots.
     pub fn maintain(&mut self, now_ns: u64) {
         // --- Runtime policy epoch ------------------------------------
         // Evaluated before the retention engines, exactly like the
@@ -722,8 +722,7 @@ impl OracleLlc {
     /// Switches the LR part to retention ladder `level`: swap the
     /// tracker, then rewrite-sweep every resident LR line at `now + 1`
     /// so its retention clock restarts under the new tracker (the same
-    /// stamp discipline the implementation uses to invalidate its
-    /// pre-switch deadline entries).
+    /// stamp the implementation relinks its LR retention list at).
     fn apply_retention_level(&mut self, level: u32, now_ns: u64) {
         self.lr_rc = lr_tracker_at(self.lr_base_retention, self.lr_rc_bits, level);
         let stamp = now_ns + 1;
