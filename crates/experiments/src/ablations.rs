@@ -294,23 +294,14 @@ pub struct EnduranceRow {
 
 /// Runs the endurance study on the write-concentrated workloads.
 pub fn endurance(exec: &Executor, plan: &RunPlan) -> Vec<EnduranceRow> {
-    use sttgpu_device::endurance::LifetimeEstimate;
     let names = ["kmeans", "mri_gridding", "tpacf", "nw"];
     exec.map(&names, |name| {
         {
             let w = suite::by_name(name).expect("suite workload");
-            let stt = exec.run(L2Choice::SttBaseline, &w, plan);
+            let stt_est = exec.run(L2Choice::SttBaseline, &w, plan).writes.lifetime;
             let c1 = exec.run(L2Choice::TwoPartC1, &w, plan);
-            let stt_est = LifetimeEstimate::from_write_matrix(
-                &stt.write_matrix,
-                stt.metrics.elapsed_ns.max(1),
-            );
-            // C1's matrix concatenates LR rows then HR rows.
-            let lr_sets = c1_two_part().lr_sets() as usize;
-            let (lr_rows, hr_rows) = c1.write_matrix.split_at(lr_sets);
-            let elapsed = c1.metrics.elapsed_ns.max(1);
-            let lr_est = LifetimeEstimate::from_write_matrix(lr_rows, elapsed);
-            let hr_est = LifetimeEstimate::from_write_matrix(hr_rows, elapsed);
+            let lr_est = c1.writes.lr_lifetime.expect("C1 is two-part");
+            let hr_est = c1.writes.hr_lifetime.expect("C1 is two-part");
             // Ablation 9: the same run with LR wear-rotation. The period
             // is sized to give ~10 epochs within the (sub-millisecond)
             // simulated window; a real deployment would rotate every few
@@ -321,9 +312,7 @@ pub fn endurance(exec: &Executor, plan: &RunPlan) -> Vec<EnduranceRow> {
                 &w,
                 plan,
             );
-            let rot_rows = &rotated.write_matrix[..lr_sets];
-            let rot_est =
-                LifetimeEstimate::from_write_matrix(rot_rows, rotated.metrics.elapsed_ns.max(1));
+            let rot_est = rotated.writes.lr_lifetime.expect("C1 is two-part");
             EnduranceRow {
                 workload: w.name.clone(),
                 stt_lifetime_years: stt_est.lifetime_years(),

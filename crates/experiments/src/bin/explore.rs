@@ -13,7 +13,6 @@
 use std::process::ExitCode;
 
 use sttgpu_core::{LlcPolicy, TwoPartConfig};
-use sttgpu_device::endurance::LifetimeEstimate;
 use sttgpu_device::mtj::RetentionTime;
 use sttgpu_experiments::cli;
 use sttgpu_experiments::configs::{gpu_config, L2Choice};
@@ -167,11 +166,7 @@ fn main() -> ExitCode {
         cfg.l2 = L2ModelConfig::TwoPart(tp.clone());
         let out = exec.run_config(cfg, &workload, &plan);
         let stats = out.two_part.expect("two-part");
-        let lr_rows = tp.lr_sets() as usize;
-        let lifetime = LifetimeEstimate::from_write_matrix(
-            &out.write_matrix[..lr_rows],
-            out.metrics.elapsed_ns.max(1),
-        );
+        let lifetime = out.writes.lr_lifetime.expect("two-part");
         vec![
             label.clone(),
             report::ratio(out.metrics.ipc() / base_ipc.max(1e-9)),

@@ -24,24 +24,12 @@
 //! # Crash resilience
 //!
 //! With `--out`, every artefact's files are written atomically (temp
-//! file, sync, rename), so a killed sweep never leaves a torn one. To
-//! continue a killed sweep, rerun it with the same `--store DIR`: every
-//! simulation that finished is served from the store. An artefact that
-//! panics is **quarantined**: the sweep continues, the failure lands in
+//! file, sync, rename), so a killed sweep never leaves a torn one; a
+//! killed sweep is simply rerun (a full-scale `repro --jobs 2 all` takes
+//! under a minute on a 2-core host). An artefact that panics is
+//! **quarantined**: the sweep continues, the failure lands in
 //! `<dir>/QUARANTINE.txt` (one `artefact<TAB>reason` line each), and the
 //! exit code is nonzero.
-//!
-//! # Persistent result store
-//!
-//! `--store DIR` attaches a crash-safe content-addressed result store:
-//! every simulation is looked up there first and written back after, so
-//! a warm store regenerates every artefact byte-identically while
-//! executing **zero** simulations. Corrupt or version-skewed entries are
-//! detected by checksum, quarantined to `DIR/quarantine/` and
-//! transparently recomputed; a second concurrent invocation joins
-//! read-only (a lock file with a heartbeat serializes writers); any
-//! infrastructure failure degrades the store to a warning, never a
-//! failed sweep.
 //!
 //! # Differential fuzzing
 //!
@@ -61,17 +49,16 @@ use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use sttgpu_experiments::canary::{
-    json_number, Verdict, BASELINE_KEY, CANARY_BASELINE_PATH, CANARY_FLOOR, CANARY_SCALE,
+    baseline_path, json_number, median, Verdict, BASELINE_KEY, CANARY_FLOOR, CANARY_SAMPLES,
+    CANARY_SCALE,
 };
 use sttgpu_experiments::error::panic_message;
-use sttgpu_experiments::persist::StoreReport;
 use sttgpu_experiments::{
     ablations, adaptive, cli, faults, fig3, fig4, fig5, fig6, fig8, table1, table2, workload_table,
-    Executor, ResultStore, RunError, RunPlan,
+    Executor, RunError, RunPlan,
 };
 
 const ARTEFACTS: [&str; 11] = [
@@ -92,7 +79,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: repro [--quick] [--scale F] [--jobs N] [--out DIR] \
          [--check] [--faults RATE] [--fault-seed N] [--llc-policy NAME] \
-         [--store DIR] <all|{}> ...\n\
+         <all|{}> ...\n\
          \x20      repro --fuzz N [--fuzz-seed S] [--jobs N]  # differential fuzz vs the oracle\n\
          \x20      repro --canary [--out DIR]       # perf canary vs checked-in baseline\n\
          \x20      repro --scenario NAME[:seed] [--check] [--trace-out FILE]  # scenario family vs oracle + C1 replay ('list' lists)\n\
@@ -123,21 +110,37 @@ fn canary_measurement() -> Option<(f64, u64, f64)> {
     Some((secs, stats.cycles_simulated, cps))
 }
 
-/// Perf canary: times the fixed canary workload, writes the measured
-/// throughput into `BENCH_repro.json`, and fails when it drops below
+/// Perf canary: times the fixed canary workload [`CANARY_SAMPLES`]
+/// times, writes every sample and their median throughput into
+/// `BENCH_repro.json`, and fails when the median drops below
 /// [`CANARY_FLOOR`] of the committed baseline ([`Verdict::judge`]).
 fn run_canary(out_dir: Option<&Path>) -> Result<ExitCode, RunError> {
-    eprintln!("# repro --canary: fig8 suite at scale {CANARY_SCALE}, 1 job");
-    let Some((secs, cycles, cps)) = canary_measurement() else {
+    eprintln!(
+        "# repro --canary: fig8 suite at scale {CANARY_SCALE}, 1 job, {CANARY_SAMPLES} samples"
+    );
+    let Some(runs) = (0..CANARY_SAMPLES)
+        .map(|_| canary_measurement())
+        .collect::<Option<Vec<_>>>()
+    else {
         return Ok(ExitCode::FAILURE);
     };
-    let baseline = fs::read_to_string(CANARY_BASELINE_PATH)
+    let secs: f64 = runs.iter().map(|r| r.0).sum();
+    let cycles = runs[0].1;
+    let samples: Vec<f64> = runs.iter().map(|r| r.2).collect();
+    let cps = median(&samples);
+    let baseline_file = baseline_path();
+    let baseline = fs::read_to_string(&baseline_file)
         .ok()
         .and_then(|t| json_number(&t, BASELINE_KEY));
+    let listed: Vec<String> = samples.iter().map(|s| format!("{s:.0}")).collect();
     let mut json = String::from("{\n  \"canary\": {\n");
     json.push_str(&format!("    \"scale\": {CANARY_SCALE},\n"));
     json.push_str(&format!("    \"wall_clock_s\": {secs:.3},\n"));
     json.push_str(&format!("    \"cycles_simulated\": {cycles},\n"));
+    json.push_str(&format!(
+        "    \"samples_cycles_per_second\": [{}],\n",
+        listed.join(", ")
+    ));
     json.push_str(&format!("    \"cycles_per_second\": {cps:.0},\n"));
     json.push_str(&format!(
         "    \"baseline_cycles_per_second\": {}\n",
@@ -146,7 +149,8 @@ fn run_canary(out_dir: Option<&Path>) -> Result<ExitCode, RunError> {
     json.push_str("  }\n}\n");
     let bench_path = write_in(out_dir, "BENCH_repro.json", &json)?;
     eprintln!(
-        "# canary: {:.1}M cycles in {secs:.1}s = {:.2}M cycles/s (written to {})",
+        "# canary: {CANARY_SAMPLES} x {:.1}M cycles in {secs:.1}s, median {:.2}M cycles/s \
+         (written to {})",
         cycles as f64 / 1e6,
         cps / 1e6,
         bench_path.display()
@@ -165,7 +169,10 @@ fn run_canary(out_dir: Option<&Path>) -> Result<ExitCode, RunError> {
             fraction * 100.0,
             b / 1e6
         ),
-        _ => eprintln!("# canary: no baseline at {CANARY_BASELINE_PATH} — recording only"),
+        _ => eprintln!(
+            "# canary: no baseline at {} — recording only",
+            baseline_file.display()
+        ),
     }
     Ok(ExitCode::from(verdict.exit_status()))
 }
@@ -483,7 +490,6 @@ fn bench_json(
     plan: &RunPlan,
     timings: &[(String, f64)],
     stats: sttgpu_experiments::ExecutorStats,
-    store: Option<StoreReport>,
     total_s: f64,
 ) -> String {
     let mut out = String::from("{\n");
@@ -493,15 +499,6 @@ fn bench_json(
     out.push_str(&format!("  \"wall_clock_s\": {total_s:.3},\n"));
     out.push_str(&format!("  \"runs_executed\": {},\n", stats.runs_executed));
     out.push_str(&format!("  \"cache_hits\": {},\n", stats.cache_hits));
-    out.push_str(&format!("  \"store_hits\": {},\n", stats.store_hits));
-    match store {
-        None => out.push_str("  \"store\": null,\n"),
-        Some(r) => out.push_str(&format!(
-            "  \"store\": {{\"hits\": {}, \"misses\": {}, \"corrupt\": {}, \"writes\": {}, \
-             \"degraded\": {}, \"read_only\": {}}},\n",
-            r.hits, r.misses, r.corrupt, r.writes, r.degraded, r.read_only
-        )),
-    }
     out.push_str(&format!(
         "  \"cycles_simulated\": {},\n",
         stats.cycles_simulated
@@ -554,13 +551,11 @@ fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
     let mut trace_in: Option<PathBuf> = None;
     let mut record: Option<String> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut store_dir: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => plan = RunPlan::quick(),
             "--scale" => plan = plan.with_scale(cli::parse_scale(&args.value("--scale")?)?),
             "--jobs" => jobs = Some(cli::parse_jobs(&args.value("--jobs")?)?),
-            "--store" => store_dir = Some(args.value("--store")?.into()),
             "--out" => out_dir = Some(args.value("--out")?.into()),
             "--check" => check = true,
             "--faults" => fault_rate = cli::parse_faults(&args.value("--faults")?)?,
@@ -623,11 +618,6 @@ fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
         ));
     }
     if canary {
-        if store_dir.is_some() {
-            return Err(RunError::invalid(
-                "--canary measures real simulation throughput; --store would skip the work",
-            ));
-        }
         return run_canary(out_dir.as_deref());
     }
     if let Some(cases) = fuzz_cases {
@@ -656,21 +646,10 @@ fn run(mut args: cli::Args) -> Result<ExitCode, RunError> {
         .with_check(check)
         .with_faults(fault_rate, fault_seed)
         .with_policy(policy);
-    let mut exec = match jobs {
+    let exec = match jobs {
         Some(n) => Executor::new(n),
         None => Executor::auto(),
     };
-    if let Some(dir) = &store_dir {
-        // A store that cannot open is a warning, not a failure: the
-        // sweep still produces every artefact, it just re-simulates.
-        match ResultStore::open(dir) {
-            Ok(store) => exec.set_store(Arc::new(store)),
-            Err(e) => eprintln!(
-                "# store: cannot open {} ({e}); continuing without persistence",
-                dir.display()
-            ),
-        }
-    }
     sweep(&targets, &exec, &plan, out_dir.as_deref())
 }
 
@@ -722,29 +701,15 @@ fn sweep(
     let stats = exec.stats();
     eprintln!(
         "# total {:.1}s on {} jobs: {} runs executed, {} served from cache, \
-         {} from the store, {:.1}M cycles simulated ({:.2}M cycles/s)",
+         {:.1}M cycles simulated ({:.2}M cycles/s)",
         total_s,
         exec.jobs(),
         stats.runs_executed,
         stats.cache_hits,
-        stats.store_hits,
         stats.cycles_simulated as f64 / 1e6,
         stats.cycles_simulated as f64 / 1e6 / total_s.max(1e-9)
     );
-    let store_report = exec.store().map(|s| s.report());
-    if let (Some(store), Some(r)) = (exec.store(), store_report) {
-        eprintln!(
-            "# store: {} hit(s), {} miss(es), {} corrupt quarantined, {} written{}{} ({})",
-            r.hits,
-            r.misses,
-            r.corrupt,
-            r.writes,
-            if r.read_only { ", read-only" } else { "" },
-            if r.degraded { ", DEGRADED" } else { "" },
-            store.root().display()
-        );
-    }
-    let json = bench_json(exec.jobs(), plan, &timings, stats, store_report, total_s);
+    let json = bench_json(exec.jobs(), plan, &timings, stats, total_s);
     let bench_path = write_in(out_dir, "BENCH_repro.json", &json)?;
     eprintln!("# timings written to {}", bench_path.display());
     if plan.check {

@@ -2,23 +2,51 @@
 //!
 //! `repro --canary` times a fixed deterministic workload (the Fig. 8
 //! suite at [`CANARY_SCALE`] on one executor job, so the number is
-//! comparable across hosts with different core counts) and compares the
-//! simulated-cycle throughput with the baseline committed at
-//! [`CANARY_BASELINE_PATH`]. The decision itself is the pure
-//! [`Verdict::judge`], so the gate's ability to fail is unit-tested
-//! without timing anything.
+//! comparable across hosts with different core counts)
+//! [`CANARY_SAMPLES`] times and compares the median simulated-cycle
+//! throughput with the baseline committed at [`CANARY_BASELINE_PATH`].
+//! The decision itself is the pure [`Verdict::judge`], so the gate's
+//! ability to fail is unit-tested without timing anything.
+
+use std::path::{Path, PathBuf};
 
 /// The canary's fixed workload scale — small enough to finish in seconds,
 /// large enough that throughput is not dominated by startup.
 pub const CANARY_SCALE: f64 = 0.25;
 
+/// Timed samples per canary run; their median is judged, so one sample
+/// slowed by a noisy neighbour cannot fail the gate on its own.
+pub const CANARY_SAMPLES: usize = 3;
+
 /// Throughput below this fraction of the committed baseline fails.
 pub const CANARY_FLOOR: f64 = 0.7;
 
-/// Where the committed baseline lives (relative to the repo root, which
-/// is where `ci.sh` runs). Its name is one no `repro` report uses, so
-/// regenerating the artefacts with `--out results` leaves it intact.
+/// Where the committed baseline lives, relative to the repo root. Its
+/// name is one no `repro` report uses, so regenerating the artefacts
+/// with `--out results` leaves it intact.
 pub const CANARY_BASELINE_PATH: &str = "results/canary_baseline.json";
+
+/// The committed baseline's absolute path, resolved from this crate's
+/// source directory so that `repro --canary` finds it from any working
+/// directory.
+pub fn baseline_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the crate sits at crates/experiments under the repo root")
+        .join(CANARY_BASELINE_PATH)
+}
+
+/// The median of `samples` (the upper middle one for an even count).
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
 
 /// The JSON key holding the baseline throughput, cycles/s.
 pub const BASELINE_KEY: &str = "canary_baseline_cycles_per_second";
@@ -79,12 +107,26 @@ mod tests {
     use super::*;
 
     fn committed_baseline() -> f64 {
-        let path = format!(
-            "{}/../../{CANARY_BASELINE_PATH}",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let text = std::fs::read_to_string(&path).expect("the baseline is committed");
+        let text = std::fs::read_to_string(baseline_path()).expect("the baseline is committed");
         json_number(&text, BASELINE_KEY).expect("the baseline names its throughput")
+    }
+
+    #[test]
+    fn baseline_path_resolves_from_any_directory() {
+        let path = baseline_path();
+        assert!(path.is_absolute(), "{} depends on the cwd", path.display());
+        assert!(path.is_file(), "{} is missing", path.display());
+        assert!(path.ends_with(CANARY_BASELINE_PATH));
+    }
+
+    #[test]
+    fn the_median_sample_is_judged() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[5.0]), 5.0);
+        // One slow sample out of three cannot fail the gate.
+        let b = committed_baseline();
+        let samples = [b * 0.5, b, b * 1.1];
+        assert_eq!(Verdict::judge(median(&samples), Some(b)).exit_status(), 0);
     }
 
     #[test]

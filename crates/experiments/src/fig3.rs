@@ -6,7 +6,6 @@
 //! `bfs`, `kmeans` and `backprop` concentrate writes on few blocks (COV
 //! well above 1), while `stencil`, `cfd` and `lbm` write evenly.
 
-use sttgpu_stats::WriteVariation;
 use sttgpu_workloads::suite;
 
 use crate::configs::L2Choice;
@@ -28,8 +27,7 @@ pub struct Fig3Row {
 pub fn compute(exec: &Executor, plan: &RunPlan) -> Vec<Fig3Row> {
     let workloads = suite::all();
     exec.map(&workloads, |w| {
-        let out = exec.run(L2Choice::SramBaseline, w, plan);
-        let wv = WriteVariation::from_counts(&out.write_matrix);
+        let wv = exec.run(L2Choice::SramBaseline, w, plan).writes.variation;
         Fig3Row {
             workload: w.name.clone(),
             inter_set: wv.inter_set,

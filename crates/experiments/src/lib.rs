@@ -40,7 +40,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig8;
-pub mod persist;
 pub mod replay;
 pub mod report;
 pub mod runner;
@@ -50,9 +49,8 @@ pub mod workload_table;
 
 pub use configs::{gpu_config, L2Choice};
 pub use error::RunError;
-pub use persist::{ResultStore, StoreReport, STORE_GENERATION};
 pub use replay::{
     record_workload, render_stats, replay_records, replay_trace_file, run_scenario, scenario_ops,
     Recording, ReplayOutput, ScenarioOutcome, TraceFileRun,
 };
-pub use runner::{Executor, ExecutorStats, FaultSpec, RunOutput, RunPlan};
+pub use runner::{Executor, ExecutorStats, FaultSpec, RunOutput, RunPlan, WriteSummary};

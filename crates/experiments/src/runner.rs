@@ -5,14 +5,13 @@
 //! * the free functions [`run`] / [`run_config`] execute one simulation
 //!   synchronously — the primitive everything reduces to;
 //! * an [`Executor`] fans a batch of simulations across a scoped thread
-//!   pool and **memoizes** every run under one key, the
-//!   `(GpuConfig, Workload, RunPlan)` content address of
-//!   [`config_store_key`] (the workload by its kernels and seed, not
-//!   just its name), so one `repro all` invocation executes each
-//!   unique simulation exactly once even though several artefacts need
-//!   the same run (fig3/fig8/workload-table all want the SRAM baseline
-//!   suite; fig4's TH1, fig5's 2-way, fig6, fig8 and several ablation
-//!   points all *are* C1).
+//!   pool and **memoizes** every run under one key, the exact `Debug`
+//!   rendering of its `(GpuConfig, Workload, RunPlan)` (the workload by
+//!   its kernels and seed, not just its name), so one `repro all`
+//!   invocation executes each unique simulation exactly once even though
+//!   several artefacts need the same run (fig3/fig8/workload-table all
+//!   want the SRAM baseline suite; fig4's TH1, fig5's 2-way, fig6, fig8
+//!   and several ablation points all *are* C1).
 //!
 //! Results always come back in **input order**, so tables and CSVs are
 //! byte-identical whether the executor runs with 1 job or 32.
@@ -25,17 +24,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sttgpu_core::{FaultConfig, LlcModel, LlcPolicy, TwoPartStats};
+use sttgpu_device::endurance::LifetimeEstimate;
 use sttgpu_device::energy::EnergyEvent;
 use sttgpu_sim::{Gpu, GpuConfig, L2ModelConfig, RunMetrics, Workload};
-use sttgpu_stats::Histogram;
-use sttgpu_store::Key;
+use sttgpu_stats::{Histogram, WriteVariation};
 use sttgpu_trace::{
     CheckConfig, CheckReport, Checker, EventSink, Trace, TraceEvent, ENERGY_CATEGORIES,
 };
 use sttgpu_workloads::suite;
 
 use crate::configs::{gpu_config, L2Choice};
-use crate::persist::{config_store_key, ResultStore};
 
 /// Fault injection carried by a [`RunPlan`]: a uniform per-mechanism
 /// error rate (see [`FaultConfig::uniform`]) applied to two-part L2
@@ -148,11 +146,60 @@ pub struct RunOutput {
     pub two_part: Option<TwoPartStats>,
     /// LR rewrite-interval histogram (two-part runs only).
     pub lr_rewrite_intervals: Option<Histogram>,
-    /// Cumulative per-(set, way) data-array write counts.
-    pub write_matrix: Vec<Vec<u64>>,
+    /// What the per-(set, way) data-array write counts reduce to.
+    pub writes: WriteSummary,
     /// Invariant-checker report when the plan ran with
     /// [`check`](RunPlan::check) set; `None` otherwise.
     pub check: Option<CheckReport>,
+}
+
+/// The end-of-run reductions of an LLC's cumulative per-(set, way)
+/// data-array write counts. Every reader of the counts needs only these
+/// few numbers, so a memoized [`RunOutput`] keeps them instead of the
+/// matrix itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WriteSummary {
+    /// Inter- and intra-set write variation of the whole array (Fig. 3).
+    pub variation: WriteVariation,
+    /// Lifetime estimate of the whole array.
+    pub lifetime: LifetimeEstimate,
+    /// Lifetime estimate of the LR part (two-part runs only).
+    pub lr_lifetime: Option<LifetimeEstimate>,
+    /// Lifetime estimate of the HR part (two-part runs only).
+    pub hr_lifetime: Option<LifetimeEstimate>,
+    /// 64-bit FNV-1a digest of the full matrix, so equality checks keep
+    /// per-line strength.
+    pub matrix_digest: u64,
+}
+
+impl WriteSummary {
+    /// Summarizes `matrix` observed over `elapsed_ns`; a two-part
+    /// matrix holds its first `lr_sets` rows for the LR part and the
+    /// rest for the HR part.
+    fn new(matrix: &[Vec<u64>], lr_sets: Option<usize>, elapsed_ns: u64) -> Self {
+        let elapsed_ns = elapsed_ns.max(1);
+        let parts = lr_sets.map(|n| {
+            let (lr, hr) = matrix.split_at(n);
+            (
+                LifetimeEstimate::from_write_matrix(lr, elapsed_ns),
+                LifetimeEstimate::from_write_matrix(hr, elapsed_ns),
+            )
+        });
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for row in matrix {
+            let bytes = (row.len() as u64).to_le_bytes().into_iter();
+            for b in bytes.chain(row.iter().flat_map(|w| w.to_le_bytes())) {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        WriteSummary {
+            variation: WriteVariation::from_counts(matrix),
+            lifetime: LifetimeEstimate::from_write_matrix(matrix, elapsed_ns),
+            lr_lifetime: parts.map(|p| p.0),
+            hr_lifetime: parts.map(|p| p.1),
+            matrix_digest: digest,
+        }
+    }
 }
 
 /// Builds the checker for `gpu`: retention thresholds from the two-part
@@ -219,15 +266,17 @@ pub fn run_config(mut cfg: GpuConfig, workload: &Workload, plan: &RunPlan) -> Ru
     let metrics = gpu.run_workload(&scaled, plan.max_cycles);
     let check = checker.map(|c| close_check(&mut c.borrow_mut(), &metrics));
     let llc = gpu.llc();
-    let (two_part, lr_rewrite_intervals) = match llc.as_two_part() {
-        Some(tp) => (Some(*tp.stats()), Some(tp.lr_rewrite_intervals().clone())),
-        None => (None, None),
-    };
+    let tp = llc.as_two_part();
+    let writes = WriteSummary::new(
+        &llc.write_count_matrix(),
+        tp.map(|tp| tp.config().lr_sets() as usize),
+        metrics.elapsed_ns,
+    );
     RunOutput {
+        two_part: tp.map(|tp| *tp.stats()),
+        lr_rewrite_intervals: tp.map(|tp| tp.lr_rewrite_intervals().clone()),
         metrics,
-        two_part,
-        lr_rewrite_intervals,
-        write_matrix: llc.write_count_matrix(),
+        writes,
         check,
     }
 }
@@ -237,6 +286,16 @@ pub fn run(choice: L2Choice, workload: &Workload, plan: &RunPlan) -> RunOutput {
     run_config(gpu_config(choice), workload, plan)
 }
 
+/// The key a run is memoized under: the exact `Debug` rendering of its
+/// `(GpuConfig, Workload, RunPlan)`. The derives print every field (a
+/// workload's name, kernels and seed; every plan field), so two requests
+/// share a key exactly when all their inputs are equal, and a future
+/// field addition changes the rendering rather than aliasing two runs.
+/// Key equality is string equality: no hash, so no collision case.
+fn memo_key(cfg: &GpuConfig, workload: &Workload, plan: &RunPlan) -> String {
+    format!("{:?}", (cfg, workload, plan))
+}
+
 /// Counters describing what an [`Executor`] actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
@@ -244,9 +303,6 @@ pub struct ExecutorStats {
     pub runs_executed: u64,
     /// Requests served from the memoization cache without simulating.
     pub cache_hits: u64,
-    /// Requests served from the persistent result store without
-    /// simulating (0 when no store is attached).
-    pub store_hits: u64,
     /// Total simulated GPU cycles across executed runs.
     pub cycles_simulated: u64,
     /// Invariant violations across every checked run (0 when the plans
@@ -259,19 +315,16 @@ pub struct ExecutorStats {
 /// [`map`](Executor::map) fans independent work items across a scoped
 /// thread pool ([`std::thread::scope`], no detached threads, no unsafe)
 /// and returns results in input order.
-/// [`run_config`](Executor::run_config) memoizes every simulation under
-/// its [`config_store_key`], in memory and in an attached store alike,
-/// shared by every artefact holding the same executor; concurrent
-/// requests for the same key block on a [`OnceLock`] so each unique
-/// simulation executes exactly once.
+/// [`run_config`](Executor::run_config) memoizes every simulation in
+/// memory under its `memo_key`, shared by every artefact holding the
+/// same executor; concurrent requests for the same key block on a
+/// [`OnceLock`] so each unique simulation executes exactly once.
 #[derive(Debug, Default)]
 pub struct Executor {
     jobs: usize,
-    cache: Mutex<HashMap<Key, Arc<OnceLock<Arc<RunOutput>>>>>,
-    store: Option<Arc<ResultStore>>,
+    cache: Mutex<HashMap<String, Arc<OnceLock<Arc<RunOutput>>>>>,
     runs_executed: AtomicU64,
     cache_hits: AtomicU64,
-    store_hits: AtomicU64,
     cycles_simulated: AtomicU64,
     violations: AtomicU64,
     violation_samples: Mutex<Vec<String>>,
@@ -305,25 +358,11 @@ impl Executor {
         self.jobs
     }
 
-    /// Attaches a persistent result store: from now on every run the
-    /// memo misses is looked up there before simulating and written
-    /// back after, under the same key, so a warm store makes repeat
-    /// invocations execute zero simulations.
-    pub fn set_store(&mut self, store: Arc<ResultStore>) {
-        self.store = Some(store);
-    }
-
-    /// The attached result store, if any.
-    pub fn store(&self) -> Option<&Arc<ResultStore>> {
-        self.store.as_ref()
-    }
-
     /// Snapshot of the run/cache counters.
     pub fn stats(&self) -> ExecutorStats {
         ExecutorStats {
             runs_executed: self.runs_executed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
             cycles_simulated: self.cycles_simulated.load(Ordering::Relaxed),
             violations: self.violations.load(Ordering::Relaxed),
         }
@@ -342,19 +381,6 @@ impl Executor {
         self.runs_executed.fetch_add(1, Ordering::Relaxed);
         self.cycles_simulated
             .fetch_add(out.metrics.cycles, Ordering::Relaxed);
-        self.record_violations(out);
-    }
-
-    /// Accounts a result served from the persistent store: counted as a
-    /// store hit, not an executed run (no cycles were simulated), but
-    /// its checker report still feeds the violation summary — a stored
-    /// dirty run must stay as loud as a fresh one.
-    fn record_loaded(&self, out: &RunOutput) {
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
-        self.record_violations(out);
-    }
-
-    fn record_violations(&self, out: &RunOutput) {
         if let Some(check) = &out.check {
             if !check.is_clean() {
                 self.violations
@@ -451,18 +477,16 @@ impl Executor {
         self.run_config(gpu_config(choice), workload, plan)
     }
 
-    /// Memoized [`run_config`]: the first request for a
-    /// [`config_store_key`] is served from the attached store or else
-    /// simulates (and is stored); every later request, from any
-    /// artefact or thread sharing this executor, returns the cached
-    /// output.
+    /// Memoized [`run_config`]: the first request for a `memo_key`
+    /// simulates; every later request, from any artefact or thread
+    /// sharing this executor, returns the cached output.
     pub fn run_config(
         &self,
         cfg: GpuConfig,
         workload: &Workload,
         plan: &RunPlan,
     ) -> Arc<RunOutput> {
-        let key = config_store_key(&cfg, workload, plan);
+        let key = memo_key(&cfg, workload, plan);
         let cell = {
             let mut cache = self.cache.lock().expect("executor cache poisoned");
             Arc::clone(cache.entry(key).or_default())
@@ -470,16 +494,8 @@ impl Executor {
         let mut fresh = false;
         let out = Arc::clone(cell.get_or_init(|| {
             fresh = true;
-            if let Some(loaded) = self.store.as_ref().and_then(|s| s.load(&key)) {
-                let out = Arc::new(loaded);
-                self.record_loaded(&out);
-                return out;
-            }
             let out = Arc::new(run_config(cfg, workload, plan));
             self.record_run(&out);
-            if let Some(store) = &self.store {
-                store.save(&key, &out);
-            }
             out
         }));
         if !fresh {
@@ -508,7 +524,8 @@ mod tests {
         assert!(out.metrics.finished);
         assert!(out.metrics.ipc() > 0.0);
         assert!(out.two_part.is_none());
-        assert!(!out.write_matrix.is_empty());
+        assert!(out.writes.lifetime.lines() > 0);
+        assert!(out.writes.lr_lifetime.is_none() && out.writes.hr_lifetime.is_none());
     }
 
     #[test]
@@ -519,6 +536,16 @@ mod tests {
         let tp = out.two_part.expect("two-part stats");
         assert!(tp.demand_writes() > 0);
         assert!(out.lr_rewrite_intervals.is_some());
+        // The LR part is the matrix's first `lr_sets` rows, HR the rest.
+        let cfg = crate::configs::two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part");
+        let lr = out.writes.lr_lifetime.expect("LR summary");
+        let hr = out.writes.hr_lifetime.expect("HR summary");
+        assert_eq!(lr.lines() as u64, cfg.lr_sets() * u64::from(cfg.lr_ways));
+        assert_eq!(lr.lines() + hr.lines(), out.writes.lifetime.lines());
+        assert_eq!(
+            out.writes.lifetime.max_line_writes(),
+            lr.max_line_writes().max(hr.max_line_writes())
+        );
     }
 
     #[test]
@@ -597,6 +624,67 @@ mod tests {
         );
     }
 
+    fn key(choice: L2Choice, workload: &str, plan: &RunPlan) -> String {
+        let workload = suite::by_name(workload).expect("suite workload");
+        memo_key(&gpu_config(choice), &workload, plan)
+    }
+
+    #[test]
+    fn memo_keys_separate_every_dimension() {
+        let plan = tiny_plan();
+        let base = key(L2Choice::TwoPartC1, "lud", &plan);
+        assert_eq!(base, key(L2Choice::TwoPartC1, "lud", &plan));
+        let mut slower_icnt = gpu_config(L2Choice::TwoPartC1);
+        slower_icnt.icnt_latency_ns += 1;
+        let lud = suite::by_name("lud").expect("lud");
+        let reseeded = Workload {
+            seed: lud.seed + 1,
+            ..lud.clone()
+        };
+        let variants = [
+            key(L2Choice::TwoPartC2, "lud", &plan),
+            key(L2Choice::TwoPartC1, "nw", &plan),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_scale(0.06)),
+            key(
+                L2Choice::TwoPartC1,
+                "lud",
+                &RunPlan {
+                    max_cycles: plan.max_cycles + 1,
+                    ..plan
+                },
+            ),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_check(true)),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_faults(1e-4, 3)),
+            key(L2Choice::TwoPartC1, "lud", &plan.with_faults(1e-4, 4)),
+            key(
+                L2Choice::TwoPartC1,
+                "lud",
+                &plan.with_policy(LlcPolicy::AdaptiveWays),
+            ),
+            memo_key(&slower_icnt, &lud, &plan),
+            memo_key(&gpu_config(L2Choice::TwoPartC1), &reseeded, &plan),
+        ];
+        for (i, v) in variants.iter().enumerate() {
+            assert_ne!(base, *v, "variant {i} collided with the base key");
+        }
+    }
+
+    #[test]
+    fn config_keys_track_the_configuration() {
+        let plan = tiny_plan();
+        let a = key(L2Choice::TwoPartC1, "lud", &plan);
+        let b = key(L2Choice::TwoPartC2, "lud", &plan);
+        assert_ne!(a, b);
+        // A named configuration and the same configuration built by hand
+        // share one key, so sweep points equal to C1 reuse its run.
+        let mut by_hand = gpu_config(L2Choice::SramBaseline);
+        by_hand.l2 = L2ModelConfig::TwoPart(
+            crate::configs::two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part"),
+        );
+        let lud = suite::by_name("lud").expect("lud");
+        assert_eq!(memo_key(&by_hand, &lud, &plan), a);
+    }
+
     #[test]
     fn concurrent_requests_for_one_key_simulate_once() {
         let exec = Executor::new(4);
@@ -620,7 +708,7 @@ mod tests {
         for p in &par {
             assert_eq!(p.metrics, seq.metrics);
             assert_eq!(p.two_part, seq.two_part);
-            assert_eq!(p.write_matrix, seq.write_matrix);
+            assert_eq!(p.writes, seq.writes);
         }
     }
 
@@ -671,39 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_serves_warm_runs_from_the_store() {
-        let dir = std::env::temp_dir().join(format!(
-            "sttgpu-exec-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(crate::persist::ResultStore::open(&dir).expect("open store"));
-        let w = suite::by_name("lud").expect("lud");
-        let plan = tiny_plan();
-
-        let mut cold = Executor::new(1);
-        cold.set_store(Arc::clone(&store));
-        let a = cold.run(L2Choice::SramBaseline, &w, &plan);
-        let ac = cold.run_config(gpu_config(L2Choice::TwoPartC1), &w, &plan);
-        let s = cold.stats();
-        assert_eq!((s.runs_executed, s.store_hits), (2, 0));
-
-        // A fresh executor sharing the store simulates nothing.
-        let mut warm = Executor::new(1);
-        warm.set_store(Arc::clone(&store));
-        let b = warm.run(L2Choice::SramBaseline, &w, &plan);
-        let bc = warm.run_config(gpu_config(L2Choice::TwoPartC1), &w, &plan);
-        let s = warm.stats();
-        assert_eq!((s.runs_executed, s.store_hits), (0, 2));
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.write_matrix, b.write_matrix);
-        assert_eq!(ac.metrics, bc.metrics);
-        assert_eq!(ac.two_part, bc.two_part);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn fault_spec_changes_the_memo_key() {
         let exec = Executor::new(1);
         let w = suite::by_name("lud").expect("lud");
@@ -743,7 +798,7 @@ mod tests {
         let fixed = run(L2Choice::TwoPartC1, &w, &plan.with_policy(LlcPolicy::Fixed));
         assert_eq!(default_run.metrics, fixed.metrics);
         assert_eq!(default_run.two_part, fixed.two_part);
-        assert_eq!(default_run.write_matrix, fixed.write_matrix);
+        assert_eq!(default_run.writes, fixed.writes);
     }
 
     #[test]
@@ -754,7 +809,7 @@ mod tests {
         let zeroed = run(L2Choice::TwoPartC1, &w, &plan.with_faults(0.0, 1234));
         assert_eq!(clean.metrics, zeroed.metrics);
         assert_eq!(clean.two_part, zeroed.two_part);
-        assert_eq!(clean.write_matrix, zeroed.write_matrix);
+        assert_eq!(clean.writes, zeroed.writes);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! rejection: a nonzero exit that is not a panic (101), a message that
 //! names the offending flag, and nothing simulated or printed to stdout.
 //! Good input writes its reports under `--out` without touching the
-//! committed canary baseline.
+//! committed canary baseline, and a panicking artefact is quarantined
+//! without aborting the sweep.
 
 use std::fs;
 use std::path::Path;
@@ -70,7 +71,7 @@ fn explore_rejects_every_bad_design_point_before_simulating() {
 #[test]
 fn repro_rejects_bad_flags_by_name() {
     let repro = env!("CARGO_BIN_EXE_repro");
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["--scale", "1e-9", "fig8"], "collapses to the floor"),
         (
             &["--trace-out", "x.trc", "fig8"],
@@ -90,6 +91,7 @@ fn repro_rejects_bad_flags_by_name() {
         (&["--bogus", "all"], "unknown flag '--bogus'"),
         (&["table1", "fig9"], "unknown artefact 'fig9'"),
         (&["--resume", "all"], "unknown flag '--resume'"),
+        (&["--store", "x", "all"], "unknown flag '--store'"),
         (
             &["--run-timeout", "600", "all"],
             "unknown flag '--run-timeout'",
@@ -129,4 +131,39 @@ fn repro_out_never_writes_the_canary_baseline() {
         baseline.to_string_lossy()
     );
     fs::remove_dir_all(&dir).expect("clean up");
+}
+
+/// A panicking artefact is quarantined: the sweep continues, the failure
+/// is reported in QUARANTINE.txt, and the exit code is nonzero.
+#[test]
+fn panicking_artefact_is_quarantined_without_aborting_the_sweep() {
+    let dir = std::env::temp_dir().join(format!("sttgpu-cli-quarantine-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create dir");
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "0.02", "--jobs", "2", "--out"])
+        .arg(&dir)
+        .args(["table1", "table2"])
+        .env("STTGPU_REPRO_PANIC", "table1")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    assert!(
+        !output.status.success(),
+        "a quarantined artefact must force a nonzero exit"
+    );
+    let quarantine = fs::read_to_string(dir.join("QUARANTINE.txt"))
+        .expect("QUARANTINE.txt must exist after a quarantined artefact");
+    assert!(
+        quarantine.lines().any(|l| l.starts_with("table1\t")),
+        "QUARANTINE.txt must name the poisoned artefact:\n{quarantine}"
+    );
+    // The sweep moved past the poisoned artefact: table2 still landed,
+    // and table1 was not written.
+    assert!(
+        dir.join("table2.txt").is_file(),
+        "sweep aborted after panic"
+    );
+    assert!(!dir.join("table1.txt").is_file());
+    fs::remove_dir_all(&dir).ok();
 }

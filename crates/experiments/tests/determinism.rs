@@ -10,7 +10,6 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sttgpu_experiments::{ablations, fig3, fig8, Executor, L2Choice, RunPlan};
-use sttgpu_store::StableHasher;
 use sttgpu_workloads::suite;
 
 fn tiny_plan() -> RunPlan {
@@ -34,7 +33,8 @@ fn sequential_and_parallel_executors_produce_identical_run_results() {
             let b = par.run(choice, &workload, &plan);
             assert_eq!(a.metrics, b.metrics, "{w} metrics diverge");
             assert_eq!(a.two_part, b.two_part, "{w} two-part stats diverge");
-            assert_eq!(a.write_matrix, b.write_matrix, "{w} write matrix diverges");
+            // The summaries carry a digest of the full per-line matrix.
+            assert_eq!(a.writes, b.writes, "{w} write summaries diverge");
         }
     }
 }
@@ -127,14 +127,18 @@ fn run_repro(out_dir: &Path, jobs: u32) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// 64-bit digest of one artefact file: the first lane of a
-/// [`StableHasher`] over its name and bytes.
+/// 64-bit digest of one artefact file: FNV-1a over the domain tag
+/// `sttgpu-artefact`, the file name and its bytes, each prefixed by its
+/// length as a little-endian `u64`.
 fn digest(name: &str, bytes: &[u8]) -> u64 {
-    let key = StableHasher::new("sttgpu-artefact")
-        .str(name)
-        .bytes(bytes)
-        .finish();
-    u64::from_le_bytes(key.0[..8].try_into().expect("8-byte lane"))
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for field in [b"sttgpu-artefact".as_slice(), name.as_bytes(), bytes] {
+        let len = (field.len() as u64).to_le_bytes();
+        for &b in len.iter().chain(field) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Digest of every artefact `repro --scale 0.01 --jobs 1 all` writes. A

@@ -6,7 +6,6 @@ use sttgpu::core::LlcModel;
 use sttgpu::experiments::configs::{gpu_config, L2Choice};
 use sttgpu::experiments::runner::{run, RunPlan};
 use sttgpu::sim::Gpu;
-use sttgpu::stats::WriteVariation;
 use sttgpu::workloads::suite;
 
 fn plan() -> RunPlan {
@@ -172,8 +171,8 @@ fn write_variation_separates_concentrated_from_even_writers() {
         &suite::by_name("cfd").expect("w"),
         &plan(),
     );
-    let wv_hot = WriteVariation::from_counts(&hot.write_matrix);
-    let wv_even = WriteVariation::from_counts(&even.write_matrix);
+    let wv_hot = hot.writes.variation;
+    let wv_even = even.writes.variation;
     assert!(
         wv_hot.inter_set + wv_hot.intra_set > 3.0 * (wv_even.inter_set + wv_even.intra_set),
         "hot {wv_hot:?} vs even {wv_even:?}"
