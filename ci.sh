@@ -5,8 +5,9 @@
 #   ./ci.sh --smoke    # also run the benchmark's contract tests, a
 #                      # reduced-scale repro to exercise the
 #                      # parallel executor end to end, explore and diag
-#                      # runs, one bad-input call per binary that must
-#                      # exit nonzero without panicking, a --check run with
+#                      # runs, bad-input calls (one per binary, and a
+#                      # text trace) that must exit nonzero without
+#                      # panicking, a --check run with
 #                      # the runtime invariant checker attached, a perf
 #                      # canary (median of 3 samples) against the
 #                      # checked-in throughput baseline, a budgeted differential fuzz pass vs
@@ -37,6 +38,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "==> perfbench contract tests (tiny sizes, its own workspace)"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+    trace_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
+    scenario_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
+    smoke_tmp="$(mktemp -d -t sttgpu-smoke-XXXXXX)"
+    trap 'rm -f "$trace_tmp" "$scenario_tmp"; rm -rf "$smoke_tmp"' EXIT
+
     echo "==> repro smoke run (scale 0.1, all artefacts)"
     ./target/release/repro --scale 0.1 all > /dev/null
 
@@ -58,6 +64,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     reject ./target/release/diag --scale abc
     reject ./target/release/diag --scale 1e-9
     reject ./target/release/explore --scale 1e-9
+    printf 'sttgpu-trace v1 requests line_bytes=256\nr 1 2\n' > "$smoke_tmp/text.trc"
+    reject ./target/release/repro --trace "$smoke_tmp/text.trc"
 
     echo "==> repro invariant-checker run (scale 0.05, all artefacts, --check)"
     ./target/release/repro --scale 0.05 all --check > /dev/null
@@ -76,11 +84,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
 
     echo "==> repro differential fuzz vs the oracle (75000 cases, seed 7, 4 shards; corners + scenarios)"
     ./target/release/repro --fuzz 75000 --fuzz-seed 7 --jobs 4 > /dev/null
-
-    trace_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
-    scenario_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
-    smoke_tmp="$(mktemp -d -t sttgpu-smoke-XXXXXX)"
-    trap 'rm -f "$trace_tmp" "$scenario_tmp"; rm -rf "$smoke_tmp"' EXIT
 
     echo "==> repro scenario run (zipf-hot:7, --check) -> requests trace file -> --check replay + oracle differential"
     ./target/release/repro --scenario zipf-hot:7 --check --trace-out "$scenario_tmp" > /dev/null

@@ -8,6 +8,10 @@ use sttgpu_fault::FaultConfig;
 
 use crate::policy::LlcPolicy;
 
+/// Width of the saturating per-block WWS write counter, bits (paper: 4).
+/// A write threshold must be reachable: at most `2^WWS_COUNTER_BITS - 1`.
+const WWS_COUNTER_BITS: u32 = 4;
+
 /// A structured reason why a [`TwoPartConfig`] describes an impossible
 /// geometry. Returned by [`TwoPartConfig::validate`]; the panicking
 /// constructors print the same message.
@@ -21,12 +25,9 @@ pub enum ConfigError {
     /// The migration write threshold is zero.
     WriteThreshold,
     /// The migration write threshold cannot be reached by the saturating
-    /// WWS write counter, or the counter width itself is out of range —
-    /// a block's count would stick below the threshold and migration
-    /// silently never fires.
-    WwsCounterWidth {
-        /// WWS counter width, bits.
-        bits: u32,
+    /// 4-bit WWS write counter — a block's count would stick below the
+    /// threshold and migration silently never fires.
+    UnreachableWriteThreshold {
         /// Configured write threshold.
         threshold: u32,
     },
@@ -97,9 +98,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "line size must be a power of two (got {line_bytes} B)")
             }
             ConfigError::WriteThreshold => write!(f, "write threshold must be at least 1"),
-            ConfigError::WwsCounterWidth { bits, threshold } => write!(
+            ConfigError::UnreachableWriteThreshold { threshold } => write!(
                 f,
-                "write threshold {threshold} does not fit a {bits}-bit WWS counter"
+                "write threshold {threshold} does not fit a {WWS_COUNTER_BITS}-bit WWS counter"
             ),
             ConfigError::BufferCapacity => write!(f, "swap buffers need capacity"),
             ConfigError::PartialSets { part, kb, ways } => write!(
@@ -207,9 +208,6 @@ pub struct TwoPartConfig {
     /// HR write count at which a block migrates to LR (paper: 1 — the
     /// modified bit suffices; Fig. 4 sweeps {1, 3, 7, 15}).
     pub write_threshold: u32,
-    /// Width of the saturating per-block WWS write counter, bits. The
-    /// threshold must be reachable: `write_threshold <= 2^bits - 1`.
-    pub wws_counter_bits: u32,
     /// Runtime policy bundle steering migration/retention/partitioning
     /// (default: the paper-exact fixed policy).
     pub policy: LlcPolicy,
@@ -260,7 +258,6 @@ impl TwoPartConfig {
             lr_rc_bits: 4,
             hr_rc_bits: 2,
             write_threshold: 1,
-            wws_counter_bits: 4,
             buffer_blocks: 10,
             lr_rotation_period_ns: None,
             refresh_slack_ticks: 0,
@@ -292,11 +289,8 @@ impl TwoPartConfig {
         }
         // The WWS counter saturates at 2^bits - 1; a threshold beyond
         // that is silently unreachable and migration never fires.
-        if !(1..=16).contains(&self.wws_counter_bits)
-            || self.write_threshold > (1u32 << self.wws_counter_bits) - 1
-        {
-            return Err(ConfigError::WwsCounterWidth {
-                bits: self.wws_counter_bits,
+        if self.write_threshold > (1u32 << WWS_COUNTER_BITS) - 1 {
+            return Err(ConfigError::UnreachableWriteThreshold {
                 threshold: self.write_threshold,
             });
         }
@@ -443,17 +437,6 @@ impl TwoPartConfig {
     /// Returns a copy with a different write threshold (Fig. 4 sweeps).
     pub fn with_write_threshold(mut self, threshold: u32) -> Self {
         self.write_threshold = threshold;
-        self.assert_valid();
-        self
-    }
-
-    /// Returns a copy with a different WWS counter width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the current write threshold does not fit the width.
-    pub fn with_wws_counter_bits(mut self, bits: u32) -> Self {
-        self.wws_counter_bits = bits;
         self.assert_valid();
         self
     }
@@ -698,25 +681,9 @@ mod tests {
             |c| c.write_threshold = 16,
             "write threshold 16 does not fit a 4-bit WWS counter",
         );
-        rejected_with(
-            |c| {
-                c.wws_counter_bits = 2;
-                c.write_threshold = 4;
-            },
-            "does not fit a 2-bit WWS counter",
-        );
-        rejected_with(|c| c.wws_counter_bits = 0, "WWS counter");
-        rejected_with(|c| c.wws_counter_bits = 17, "WWS counter");
         // The saturation value itself is reachable.
         let cfg = base().with_write_threshold(15);
         assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!(
-            base()
-                .with_wws_counter_bits(2)
-                .with_write_threshold(3)
-                .validate(),
-            Ok(())
-        );
     }
 
     #[test]

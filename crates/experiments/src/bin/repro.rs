@@ -370,7 +370,7 @@ fn run_trace_mode(path: &Path, check: bool) -> ExitCode {
 
 /// Record mode: `--record WORKLOAD --trace-out FILE` runs a built-in
 /// workload on C1 with the LLC call log on and saves the verbatim call
-/// stream as a raw-mode trace (text twin for `.txt`/`.text` paths).
+/// stream as a raw-mode trace file.
 fn run_record_mode(workload: &str, out_path: &Path, plan: &RunPlan) -> ExitCode {
     eprintln!(
         "# repro --record: {workload} at scale {} on C1, call stream to {}",

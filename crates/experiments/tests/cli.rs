@@ -1,6 +1,7 @@
 //! Bad command-line input to `repro`, `explore` and `diag` is a typed
 //! rejection: a nonzero exit that is not a panic (101), a message that
-//! names the offending flag, and nothing simulated or printed to stdout.
+//! names the offending flag or file, and nothing simulated or printed to
+//! stdout.
 //! Good input writes its reports under `--out` without touching the
 //! committed canary baseline, and a panicking artefact is quarantined
 //! without aborting the sweep.
@@ -100,6 +101,25 @@ fn repro_rejects_bad_flags_by_name() {
     for (args, fragment) in cases {
         rejects(repro, args, fragment);
     }
+}
+
+/// A line-oriented text trace is not a trace file: `repro --trace`
+/// rejects it with exit 1 and a message naming the file.
+#[test]
+fn repro_rejects_a_text_trace_as_bad_magic() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-text-trace.trc");
+    fs::write(&path, "sttgpu-trace v1 requests line_bytes=256\nr 1 2\n").expect("write");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--trace")
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let want = format!("{}: not an sttgpu trace (bad magic)", path.display());
+    assert!(stderr.contains(&want), "stderr lacks '{want}':\n{stderr}");
+    assert!(out.stdout.is_empty(), "replayed before rejecting");
+    let _ = fs::remove_file(path);
 }
 
 /// `repro --out results all` is the documented regeneration command, so

@@ -69,23 +69,6 @@ fn recording_does_not_perturb_the_run() {
     );
 }
 
-#[test]
-fn text_twin_replays_identically() {
-    let recording = record_workload(L2Choice::TwoPartC1, "lud", &plan()).expect("known workload");
-    let bin = tmp("lud-twin.trc");
-    let txt = tmp("lud-twin.txt");
-    save(&bin, recording.header, &recording.records).expect("save binary");
-    save(&txt, recording.header, &recording.records).expect("save text");
-    let (bh, brecs) = load(&bin).expect("load binary");
-    let (th, trecs) = load(&txt).expect("load text");
-    assert_eq!(bh, th, "both encodings carry the same header");
-    assert_eq!(brecs, trecs, "both encodings carry the same records");
-
-    let cfg = sttgpu_experiments::configs::two_part_config(L2Choice::TwoPartC1).expect("C1");
-    let from_text = replay_records(&cfg, &th, &trecs, false).expect("replay");
-    assert_eq!(from_text.stats, recording.stats);
-}
-
 /// Replays a raw call stream into a fresh LLC built from `cfg`. With
 /// `own_cadence`, the recorded maintains give way to maintains at the
 /// LLC's own cadence, issued as the record clock passes each deadline,

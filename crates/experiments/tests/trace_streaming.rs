@@ -28,9 +28,9 @@ fn digest(text: &str) -> u64 {
     })
 }
 
-/// Replays `ops` on C1 from a slice, then from a binary and a text
-/// trace file; each must give the pinned final clock and stats digest,
-/// and the file passes must find no divergence from the oracle.
+/// Replays `ops` on C1 from a slice, then from a trace file; each must
+/// give the pinned final clock and stats digest, and the file pass must
+/// find no divergence from the oracle.
 fn assert_replays_to(name: &str, ops: &[Op], end_ns: u64, stats_digest: u64) {
     let cfg = c1();
     let header = TraceHeader::requests(cfg.line_bytes);
@@ -41,16 +41,14 @@ fn assert_replays_to(name: &str, ops: &[Op], end_ns: u64, stats_digest: u64) {
         (end_ns, stats_digest),
         "{name}: slice replay moved from the pinned values"
     );
-    for ext in ["trc", "txt"] {
-        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("stream-{name}.{ext}"));
-        save_ops(&path, cfg.line_bytes, ops).expect("save");
-        let run = replay_trace_file(&cfg, &path, false).expect("clean file");
-        assert_eq!(run.replay.stats, out.stats, "{name}.{ext}");
-        assert_eq!(run.replay.end_ns, end_ns, "{name}.{ext}");
-        assert_eq!(run.replay.records, ops.len() as u64, "{name}.{ext}");
-        assert_eq!(run.divergence, None, "{name}.{ext}");
-        let _ = std::fs::remove_file(path);
-    }
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("stream-{name}.trc"));
+    save_ops(&path, cfg.line_bytes, ops).expect("save");
+    let run = replay_trace_file(&cfg, &path, false).expect("clean file");
+    assert_eq!(run.replay.stats, out.stats, "{name}.trc");
+    assert_eq!(run.replay.end_ns, end_ns, "{name}.trc");
+    assert_eq!(run.replay.records, ops.len() as u64, "{name}.trc");
+    assert_eq!(run.divergence, None, "{name}.trc");
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use sttgpu_tracefile::{open, save, TraceError, TraceHeader, TraceMode, TraceRecord};
+use sttgpu_tracefile::{save, TraceError, TraceHeader, TraceRecord};
 
 use crate::trace_gen::Op;
 
@@ -33,10 +33,11 @@ pub fn ops_to_records(ops: &[Op]) -> Vec<TraceRecord> {
         .collect()
 }
 
-/// Adapts a requests-mode record stream (an [`open`]ed file, or a slice
-/// mapped through `Ok`) to oracle ops, one record at a time, by
-/// differencing the absolute clock. The first record that is not an
-/// access, or whose timestamp fails to strictly increase, yields
+/// Adapts a requests-mode record stream (an
+/// [`open`](sttgpu_tracefile::open)ed file, or a slice mapped through
+/// `Ok`) to oracle ops, one record at a time, by differencing the
+/// absolute clock. The first record that is not an access, or whose
+/// timestamp fails to strictly increase, yields
 /// [`TraceError::Discipline`] with its index, and errors from the record
 /// stream itself pass through; the adapter ends after either.
 pub fn request_ops<I>(records: I) -> impl Iterator<Item = Result<Op, TraceError>>
@@ -95,33 +96,13 @@ pub fn records_to_ops(records: &[TraceRecord]) -> Result<Vec<Op>, TraceError> {
     request_ops(records.iter().map(|&rec| Ok(rec))).collect()
 }
 
-/// Saves an oracle trace as a requests-mode file (binary, or the text
-/// twin for `.txt`/`.text` paths).
+/// Saves an oracle trace as a requests-mode trace file.
 pub fn save_ops(path: &Path, line_bytes: u32, ops: &[Op]) -> Result<(), TraceError> {
     save(
         path,
         TraceHeader::requests(line_bytes),
         &ops_to_records(ops),
     )
-}
-
-/// Loads a requests-mode trace file as oracle ops, returning the line
-/// size the addresses are granular to. Raw-mode files are rejected:
-/// they encode an exact call sequence, not a request stream, and only
-/// the raw replayer may interpret them.
-pub fn load_ops(path: &Path) -> Result<(u32, Vec<Op>), TraceError> {
-    let records = open(path)?;
-    let header = records.header();
-    if header.mode != TraceMode::Requests {
-        return Err(TraceError::Discipline {
-            record: 0,
-            what: "requests-mode trace required (this file is raw mode)",
-        });
-    }
-    Ok((
-        header.line_bytes,
-        request_ops(records).collect::<Result<_, _>>()?,
-    ))
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ pub use corner::{corner_geometries, Corner};
 pub use diff::{
     fuzz, fuzz_sharded, run_case, run_case_records, Divergence, FuzzFailure, FuzzReport,
 };
-pub use io::{load_ops, ops_to_records, records_to_ops, request_ops, save_ops};
+pub use io::{ops_to_records, records_to_ops, request_ops, save_ops};
 pub use model::OracleLlc;
 pub use scenario::{scenario_by_name, scenario_families, Phase, ScenarioFamily, ScenarioSpec};
 pub use shrink::shrink;

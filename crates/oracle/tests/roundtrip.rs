@@ -1,15 +1,12 @@
 //! Round-trip property tests: arbitrary generated traces survive the
-//! binary and text encodings exactly, and corrupted files come back as
-//! typed errors, never panics.
+//! binary encoding exactly, and corrupted files come back as typed
+//! errors, never panics.
 
 use std::io::Cursor;
 
 use sttgpu_oracle::{generate, ops_to_records, records_to_ops, Op, TraceSpec};
 use sttgpu_stats::Rng;
-use sttgpu_tracefile::{
-    read_text, TextTraceWriter, TraceError, TraceHeader, TraceReader, TraceRecord, TraceStream,
-    TraceWriter,
-};
+use sttgpu_tracefile::{TraceError, TraceHeader, TraceReader, TraceRecord, TraceWriter};
 
 /// A seeded spec with seed-dependent shape, so different seeds exercise
 /// different lengths, address ranges and gap distributions.
@@ -25,25 +22,20 @@ fn spec_for(seed: u64) -> TraceSpec {
     }
 }
 
-fn binary_round_trip(records: &[TraceRecord]) -> (TraceHeader, Vec<TraceRecord>) {
+/// Encodes `records` as a requests-mode binary trace.
+fn encode(records: &[TraceRecord]) -> Vec<u8> {
     let mut w = TraceWriter::new(Vec::new(), TraceHeader::requests(256)).expect("header");
     for rec in records {
-        w.write(rec).expect("well-formed record");
+        w.write(rec).expect("record");
     }
-    let bytes = w.finish().expect("flush");
-    let r = TraceReader::new(Cursor::new(bytes)).expect("header");
+    w.finish().expect("flush")
+}
+
+fn binary_round_trip(records: &[TraceRecord]) -> (TraceHeader, Vec<TraceRecord>) {
+    let r = TraceReader::new(Cursor::new(encode(records))).expect("header");
     let header = r.header();
     let back: Vec<TraceRecord> = r.map(|rec| rec.expect("clean stream")).collect();
     (header, back)
-}
-
-fn text_round_trip(records: &[TraceRecord]) -> (TraceHeader, Vec<TraceRecord>) {
-    let mut w = TextTraceWriter::new(Vec::new(), TraceHeader::requests(256)).expect("header");
-    for rec in records {
-        w.write(rec).expect("well-formed record");
-    }
-    let bytes = w.finish().expect("flush");
-    read_text(Cursor::new(bytes)).expect("clean text")
 }
 
 #[test]
@@ -57,12 +49,6 @@ fn generated_traces_round_trip_through_both_encodings() {
         assert_eq!(
             bin_back, records,
             "seed {seed}: binary encoding must be lossless"
-        );
-
-        let (_, text_back) = text_round_trip(&records);
-        assert_eq!(
-            text_back, records,
-            "seed {seed}: text encoding must be lossless"
         );
 
         let back_ops = records_to_ops(&bin_back).expect("requests discipline held");
@@ -97,22 +83,15 @@ fn extreme_deltas_round_trip() {
     let records = ops_to_records(&ops);
     let (_, back) = binary_round_trip(&records);
     assert_eq!(records_to_ops(&back).expect("clean"), ops);
-    let (_, text_back) = text_round_trip(&records);
-    assert_eq!(text_back, records);
 }
 
 #[test]
 fn corrupt_headers_are_typed_errors() {
-    let bytes = {
-        let mut w = TraceWriter::new(Vec::new(), TraceHeader::requests(256)).expect("header");
-        w.write(&TraceRecord::Access {
-            at_ns: 5,
-            line: 9,
-            write: false,
-        })
-        .expect("record");
-        w.finish().expect("flush")
-    };
+    let bytes = encode(&[TraceRecord::Access {
+        at_ns: 5,
+        line: 9,
+        write: false,
+    }]);
 
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] ^= 0xFF;
@@ -144,17 +123,27 @@ fn corrupt_headers_are_typed_errors() {
     ));
 }
 
+/// Reads every item of `reader`, asserting that the stream ends at its
+/// first error: nothing, neither a record nor another error, follows it.
+fn items_until_first_error(
+    reader: TraceReader<Cursor<Vec<u8>>>,
+    what: &str,
+) -> Vec<Result<TraceRecord, TraceError>> {
+    let items: Vec<_> = reader.collect();
+    let clean = items.iter().take_while(|item| item.is_ok()).count();
+    assert!(
+        items.len() <= clean + 1,
+        "{what}: {} items follow the first error",
+        items.len() - clean - 1
+    );
+    items
+}
+
 #[test]
 fn truncation_at_every_byte_is_an_error_never_a_panic() {
     let ops = generate(3, &spec_for(3));
     let records = ops_to_records(&ops[..20.min(ops.len())]);
-    let bytes = {
-        let mut w = TraceWriter::new(Vec::new(), TraceHeader::requests(256)).expect("header");
-        for rec in &records {
-            w.write(rec).expect("record");
-        }
-        w.finish().expect("flush")
-    };
+    let bytes = encode(&records);
     for cut in 0..bytes.len() {
         match TraceReader::new(Cursor::new(bytes[..cut].to_vec())) {
             Err(e) => assert!(
@@ -162,16 +151,14 @@ fn truncation_at_every_byte_is_an_error_never_a_panic() {
                 "cut {cut}: header failure must be typed, got {e}"
             ),
             Ok(reader) => {
-                for rec in reader {
-                    match rec {
-                        Ok(_) => {}
-                        Err(e) => {
-                            assert!(
-                                matches!(e, TraceError::Truncated { .. }),
-                                "cut {cut}: body failure must be Truncated, got {e}"
-                            );
-                            break;
-                        }
+                let items = items_until_first_error(reader, &format!("cut {cut}"));
+                for (i, item) in items.into_iter().enumerate() {
+                    match item {
+                        Ok(rec) => assert_eq!(rec, records[i], "cut {cut}: record {i}"),
+                        Err(e) => assert!(
+                            matches!(e, TraceError::Truncated { .. }),
+                            "cut {cut}: body failure must be Truncated, got {e}"
+                        ),
                     }
                 }
             }
@@ -180,75 +167,25 @@ fn truncation_at_every_byte_is_an_error_never_a_panic() {
 }
 
 #[test]
-fn mangled_text_traces_are_typed_errors() {
-    for bad in [
-        "",
-        "not-a-trace v1 requests line_bytes=256\n",
-        "sttgpu-trace v9 requests line_bytes=256\n",
-        "sttgpu-trace v1 requests line_bytes=256\nz 1 2\n",
-        "sttgpu-trace v1 requests line_bytes=256\nr one 2\n",
-        "sttgpu-trace v1 requests line_bytes=256\nr 5 1\nr 5 2\n",
-        "sttgpu-trace v1 requests line_bytes=256\nm 5\n",
-    ] {
-        match read_text(Cursor::new(bad.as_bytes().to_vec())) {
-            Err(TraceError::Text { .. })
-            | Err(TraceError::Discipline { .. })
-            | Err(TraceError::UnsupportedVersion(_)) => {}
-            other => panic!("{bad:?}: expected a typed error, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn text_truncation_at_every_byte_streams_like_read_text() {
-    let ops = generate(3, &spec_for(3));
+fn a_bad_kind_byte_ends_the_stream() {
+    let ops = generate(5, &spec_for(5));
     let records = ops_to_records(&ops[..20.min(ops.len())]);
-    let mut w = TextTraceWriter::new(Vec::new(), TraceHeader::requests(256)).expect("header");
-    for rec in &records {
-        w.write(rec).expect("record");
+    let bytes = encode(&records);
+    for k in 0..records.len() {
+        // Record k starts where the encoding of the first k records ends.
+        let at = encode(&records[..k]).len();
+        let mut corrupt = bytes.clone();
+        corrupt[at] = 9;
+        let reader = TraceReader::new(Cursor::new(corrupt)).expect("header intact");
+        let items = items_until_first_error(reader, &format!("record {k}"));
+        assert_eq!(items.len(), k + 1, "record {k}");
+        assert!(
+            matches!(
+                items[k],
+                Err(TraceError::BadKind { record, kind: 9 }) if record == k as u64
+            ),
+            "record {k}: {:?}",
+            items[k]
+        );
     }
-    let mut text = b"# a comment\n\n".to_vec();
-    text.append(&mut w.finish().expect("flush"));
-    // FNV-1a over `read_text`'s result on every prefix, pinned from the
-    // reader that held the whole file before reading streamed.
-    let mut pin = 0xcbf2_9ce4_8422_2325u64;
-    for cut in 0..=text.len() {
-        let prefix = &text[..cut];
-        let eager = format!("{:?}", read_text(Cursor::new(prefix)));
-        pin = eager.bytes().fold(pin, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        let streamed = match TraceStream::new(Cursor::new(prefix)) {
-            Err(e) => Err(e),
-            Ok(stream) => {
-                let header = stream.header();
-                let items: Vec<Result<TraceRecord, TraceError>> = stream.collect();
-                let failed = items.iter().filter(|r| r.is_err()).count();
-                assert!(
-                    failed == 0 || (failed == 1 && items.last().is_some_and(Result::is_err)),
-                    "cut {cut}: the stream must end at its first error"
-                );
-                items
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|recs| (header, recs))
-            }
-        };
-        assert_eq!(format!("{streamed:?}"), eager, "cut {cut}");
-        if let Err(e) = streamed {
-            assert!(
-                matches!(
-                    e,
-                    TraceError::Text { .. }
-                        | TraceError::UnsupportedVersion(_)
-                        | TraceError::BadLineBytes(_)
-                ),
-                "cut {cut}: {e}"
-            );
-        }
-    }
-    assert_eq!(
-        pin, 0xff19_b1c7_988d_6f92,
-        "read_text moved on a truncated prefix"
-    );
 }

@@ -65,20 +65,13 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Records a sample with a weight (e.g. a pre-aggregated count).
-    pub fn record_weighted(&mut self, value: u64, weight: u64) {
-        let idx = self.bucket_index(value);
-        self.counts[idx] = self.counts[idx].saturating_add(weight);
-        self.total = self.total.saturating_add(weight);
-    }
-
     fn bucket_index(&self, value: u64) -> usize {
         // partition_point returns the count of bounds < value, i.e. the
         // first bucket whose inclusive upper bound admits the value.
         self.bounds.partition_point(|&b| b < value)
     }
 
-    /// Total number of samples (including weights).
+    /// Total number of samples.
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -102,26 +95,6 @@ impl Histogram {
     /// implicit and not listed).
     pub fn bounds(&self) -> Vec<u64> {
         self.bounds.clone()
-    }
-
-    /// Rebuilds a histogram from parts previously captured via
-    /// [`bounds`](Self::bounds), [`counts`](Self::counts) and
-    /// [`total`](Self::total) — the persistence path. Returns `None`
-    /// instead of panicking when the parts are inconsistent (bounds not
-    /// strictly increasing, or a count-vector length that does not match
-    /// the bounds), so untrusted bytes can never poison an invariant.
-    pub fn try_from_parts(bounds: Vec<u64>, counts: Vec<u64>, total: u64) -> Option<Self> {
-        if !bounds.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        if counts.len() != bounds.len() + 1 {
-            return None;
-        }
-        Some(Histogram {
-            bounds,
-            counts,
-            total,
-        })
     }
 
     /// Fraction of samples in bucket `idx`, or 0.0 when empty.
@@ -208,19 +181,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parts_round_trip_and_reject_inconsistency() {
-        let mut h = Histogram::new(&[10, 100]);
-        h.record(5);
-        h.record(50);
-        h.record(5000);
-        let back =
-            Histogram::try_from_parts(h.bounds(), h.counts(), h.total()).expect("consistent parts");
-        assert_eq!(back, h);
-        assert!(Histogram::try_from_parts(vec![10, 10], vec![0, 0, 0], 0).is_none());
-        assert!(Histogram::try_from_parts(vec![10, 100], vec![0, 0], 0).is_none());
-    }
-
-    #[test]
     fn boundaries_are_inclusive() {
         let mut h = Histogram::new(&[10, 100]);
         h.record(10);
@@ -234,15 +194,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn rejects_non_increasing_bounds() {
         Histogram::new(&[10, 10]);
-    }
-
-    #[test]
-    fn weighted_record() {
-        let mut h = Histogram::new(&[5]);
-        h.record_weighted(3, 7);
-        h.record_weighted(9, 2);
-        assert_eq!(h.counts(), vec![7, 2]);
-        assert_eq!(h.total(), 9);
     }
 
     #[test]

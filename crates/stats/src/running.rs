@@ -73,23 +73,9 @@ impl RunningStats {
         }
     }
 
-    /// Sample variance (divides by *n − 1*), or 0.0 for fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest sample, or `None` when empty.
@@ -169,7 +155,6 @@ mod tests {
         let rs: RunningStats = [3.5].into_iter().collect();
         assert_eq!(rs.mean(), 3.5);
         assert_eq!(rs.population_variance(), 0.0);
-        assert_eq!(rs.sample_variance(), 0.0);
         assert_eq!(rs.min(), Some(3.5));
         assert_eq!(rs.max(), Some(3.5));
     }
@@ -181,7 +166,6 @@ mod tests {
             .collect();
         assert!((rs.mean() - 5.0).abs() < 1e-12);
         assert!((rs.population_variance() - 4.0).abs() < 1e-12);
-        assert!((rs.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

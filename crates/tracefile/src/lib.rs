@@ -1,4 +1,4 @@
-//! Compact, versioned memory-trace file format with a text twin.
+//! Compact, versioned binary memory-trace file format.
 //!
 //! A trace file carries the stream of operations an LLC observes, in one
 //! of two disciplines:
@@ -32,13 +32,8 @@
 //! stream is *not* monotone in time (a probe time-stamps at interconnect
 //! arrival, which can lead the maintenance deadline that runs next).
 //!
-//! # Text twin
-//!
-//! The same stream, line-oriented and diff-friendly: a header line
-//! `sttgpu-trace v1 <mode> line_bytes=<n>`, then one record per line
-//! (`r`/`w`/`fc`/`fd` `<at_ns> <line>`, or `m <at_ns>`). Blank lines and
-//! `#` comments are ignored. [`open`] sniffs the magic, so both
-//! encodings stream through one entry point; [`load`] collects it.
+//! [`save`] writes a whole trace, [`open`] streams one back record by
+//! record, and [`load`] collects it.
 //!
 //! # Invariants
 //!
@@ -54,7 +49,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// File magic: identifies a binary sttgpu trace.
@@ -85,21 +80,6 @@ impl TraceMode {
         match b {
             0 => Some(TraceMode::Requests),
             1 => Some(TraceMode::Raw),
-            _ => None,
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            TraceMode::Requests => "requests",
-            TraceMode::Raw => "raw",
-        }
-    }
-
-    fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "requests" => Some(TraceMode::Requests),
-            "raw" => Some(TraceMode::Raw),
             _ => None,
         }
     }
@@ -139,7 +119,7 @@ impl TraceHeader {
     }
 }
 
-/// One trace record, timestamps absolute (the encodings delta-compress
+/// One trace record, timestamps absolute (the encoding delta-compresses
 /// them; the API never exposes deltas).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceRecord {
@@ -242,13 +222,6 @@ pub enum TraceError {
         /// What the requests-mode invariant expected.
         what: &'static str,
     },
-    /// A text-twin line failed to parse.
-    Text {
-        /// 1-based line number in the text file.
-        line: usize,
-        /// What was wrong with it.
-        what: String,
-    },
 }
 
 impl fmt::Display for TraceError {
@@ -284,7 +257,6 @@ impl fmt::Display for TraceError {
                     "record #{record} violates the requests-mode discipline: {what}"
                 )
             }
-            TraceError::Text { line, what } => write!(f, "text trace line {line}: {what}"),
         }
     }
 }
@@ -450,7 +422,8 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Streaming binary reader: an iterator over records.
+/// Streaming binary reader: an iterator over records that yields
+/// nothing after its first error.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
@@ -575,308 +548,27 @@ impl<R: Read> Iterator for TraceReader<R> {
     }
 }
 
-/// Streaming text-twin writer.
-#[derive(Debug)]
-pub struct TextTraceWriter<W: Write> {
-    w: W,
-    header: TraceHeader,
-    written: u64,
-    last_ns: Option<u64>,
-}
-
-impl<W: Write> TextTraceWriter<W> {
-    /// Writes the header line and returns a writer for the stream.
-    pub fn new(mut w: W, header: TraceHeader) -> Result<Self, TraceError> {
-        header.validate()?;
-        writeln!(
-            w,
-            "sttgpu-trace v{VERSION} {} line_bytes={}",
-            header.mode.label(),
-            header.line_bytes
-        )?;
-        Ok(TextTraceWriter {
-            w,
-            header,
-            written: 0,
-            last_ns: None,
-        })
-    }
-
-    /// Appends one record as a text line.
-    pub fn write(&mut self, rec: &TraceRecord) -> Result<(), TraceError> {
-        check_discipline(self.header.mode, self.last_ns, rec, self.written)?;
-        match *rec {
-            TraceRecord::Access { at_ns, line, write } => {
-                writeln!(self.w, "{} {at_ns} {line}", if write { "w" } else { "r" })?
-            }
-            TraceRecord::Fill { at_ns, line, dirty } => {
-                writeln!(self.w, "{} {at_ns} {line}", if dirty { "fd" } else { "fc" })?
-            }
-            TraceRecord::Maintain { at_ns } => writeln!(self.w, "m {at_ns}")?,
-        }
-        self.last_ns = Some(rec.at_ns());
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn finish(mut self) -> Result<W, TraceError> {
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
-/// Streaming text-twin reader: an iterator over records, one line held
-/// at a time.
-#[derive(Debug)]
-struct TextReader<R: BufRead> {
-    r: R,
-    line: String,
-    lineno: usize,
-    header: TraceHeader,
-    read: u64,
-    last_ns: Option<u64>,
-    failed: bool,
-}
-
-impl<R: BufRead> TextReader<R> {
-    /// Parses the header line and returns a reader for the records.
-    fn new(mut r: R) -> Result<Self, TraceError> {
-        let mut line = String::new();
-        let mut lineno = 0;
-        if !next_content_line(&mut r, &mut line, &mut lineno)? {
-            return Err(TraceError::Text {
-                line: 1,
-                what: "empty file (missing header line)".into(),
-            });
-        }
-        let header = parse_text_header(line.trim(), lineno)?;
-        Ok(TextReader {
-            r,
-            line,
-            lineno,
-            header,
-            read: 0,
-            last_ns: None,
-            failed: false,
-        })
-    }
-
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        if !next_content_line(&mut self.r, &mut self.line, &mut self.lineno)? {
-            return Ok(None);
-        }
-        let rec = parse_text_record(self.line.trim(), self.lineno)?;
-        check_discipline(self.header.mode, self.last_ns, &rec, self.read).map_err(|e| {
-            TraceError::Text {
-                line: self.lineno,
-                what: e.to_string(),
-            }
-        })?;
-        self.last_ns = Some(rec.at_ns());
-        self.read += 1;
-        Ok(Some(rec))
-    }
-}
-
-impl<R: BufRead> Iterator for TextReader<R> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let item = self.next_record().transpose();
-        self.failed = matches!(item, Some(Err(_)));
-        item
-    }
-}
-
-/// Reads the next line that is neither blank nor a `#` comment into
-/// `line`, counting lines in `lineno`; `false` at end of input.
-fn next_content_line<R: BufRead>(
-    r: &mut R,
-    line: &mut String,
-    lineno: &mut usize,
-) -> Result<bool, TraceError> {
-    loop {
-        line.clear();
-        if r.read_line(line)? == 0 {
-            return Ok(false);
-        }
-        *lineno += 1;
-        let trimmed = line.trim();
-        if !trimmed.is_empty() && !trimmed.starts_with('#') {
-            return Ok(true);
-        }
-    }
-}
-
-/// A trace in either encoding, read lazily: [`open`] and
-/// [`TraceStream::new`] sniff the magic, and the stream yields records
-/// one at a time with the typed errors of [`TraceReader`] or of
-/// [`read_text`].
-#[derive(Debug)]
-pub struct TraceStream<R: BufRead>(Encoding<R>);
-
-#[derive(Debug)]
-enum Encoding<R: BufRead> {
-    Binary(TraceReader<R>),
-    Text(TextReader<R>),
-}
-
-impl<R: BufRead> TraceStream<R> {
-    /// Parses the header of a binary trace (by magic) or of its text twin.
-    pub fn new(mut r: R) -> Result<Self, TraceError> {
-        Ok(TraceStream(if r.fill_buf()?.starts_with(&MAGIC) {
-            Encoding::Binary(TraceReader::new(r)?)
-        } else {
-            Encoding::Text(TextReader::new(r)?)
-        }))
-    }
-
-    /// The parsed header.
-    pub fn header(&self) -> TraceHeader {
-        match &self.0 {
-            Encoding::Binary(r) => r.header(),
-            Encoding::Text(r) => r.header,
-        }
-    }
-
-    /// Reads the remaining records into memory.
-    fn collect_all(self) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
-        let header = self.header();
-        Ok((header, self.collect::<Result<_, _>>()?))
-    }
-}
-
-impl<R: BufRead> Iterator for TraceStream<R> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.0 {
-            Encoding::Binary(r) => r.next(),
-            Encoding::Text(r) => r.next(),
-        }
-    }
-}
-
-/// Parses the text twin from a buffered reader, all at once.
-pub fn read_text<R: BufRead>(r: R) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
-    TraceStream(Encoding::Text(TextReader::new(r)?)).collect_all()
-}
-
-fn parse_text_header(line: &str, lineno: usize) -> Result<TraceHeader, TraceError> {
-    let fail = |what: String| TraceError::Text { line: lineno, what };
-    let mut parts = line.split_whitespace();
-    match parts.next() {
-        Some("sttgpu-trace") => {}
-        _ => return Err(fail("header must start with `sttgpu-trace`".into())),
-    }
-    let version = parts
-        .next()
-        .and_then(|v| v.strip_prefix('v'))
-        .and_then(|v| v.parse::<u16>().ok())
-        .ok_or_else(|| fail("expected `v<version>`".into()))?;
-    if version == 0 || version > VERSION {
-        return Err(TraceError::UnsupportedVersion(version));
-    }
-    let mode = parts
-        .next()
-        .and_then(TraceMode::from_label)
-        .ok_or_else(|| fail("expected mode `requests` or `raw`".into()))?;
-    let line_bytes = parts
-        .next()
-        .and_then(|v| v.strip_prefix("line_bytes="))
-        .and_then(|v| v.parse::<u32>().ok())
-        .ok_or_else(|| fail("expected `line_bytes=<n>`".into()))?;
-    let header = TraceHeader { mode, line_bytes };
-    header.validate()?;
-    Ok(header)
-}
-
-fn parse_text_record(line: &str, lineno: usize) -> Result<TraceRecord, TraceError> {
-    let fail = |what: String| TraceError::Text { line: lineno, what };
-    let mut parts = line.split_whitespace();
-    let kind = parts.next().expect("non-empty line has a first token");
-    let at_ns: u64 = parts
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| fail("expected a timestamp".into()))?;
-    let mut line_field = || -> Result<u64, TraceError> {
-        parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| fail("expected a line address".into()))
-    };
-    let rec = match kind {
-        "r" => TraceRecord::Access {
-            at_ns,
-            line: line_field()?,
-            write: false,
-        },
-        "w" => TraceRecord::Access {
-            at_ns,
-            line: line_field()?,
-            write: true,
-        },
-        "fc" => TraceRecord::Fill {
-            at_ns,
-            line: line_field()?,
-            dirty: false,
-        },
-        "fd" => TraceRecord::Fill {
-            at_ns,
-            line: line_field()?,
-            dirty: true,
-        },
-        "m" => TraceRecord::Maintain { at_ns },
-        other => return Err(fail(format!("unknown record kind `{other}`"))),
-    };
-    if parts.next().is_some() {
-        return Err(fail("trailing tokens after the record".into()));
-    }
-    Ok(rec)
-}
-
-/// Whether a path names the text twin (by `.txt`/`.text` extension).
-fn is_text_path(path: &Path) -> bool {
-    matches!(
-        path.extension().and_then(|e| e.to_str()),
-        Some("txt") | Some("text")
-    )
-}
-
-/// Writes a whole trace to `path`: the text twin when the extension is
-/// `.txt`/`.text`, the binary encoding otherwise.
+/// Writes a whole trace to `path`.
 pub fn save(path: &Path, header: TraceHeader, records: &[TraceRecord]) -> Result<(), TraceError> {
-    let file = fs::File::create(path)?;
-    let buf = BufWriter::new(file);
-    if is_text_path(path) {
-        let mut w = TextTraceWriter::new(buf, header)?;
-        for rec in records {
-            w.write(rec)?;
-        }
-        w.finish()?;
-    } else {
-        let mut w = TraceWriter::new(buf, header)?;
-        for rec in records {
-            w.write(rec)?;
-        }
-        w.finish()?;
+    let mut w = TraceWriter::new(BufWriter::new(fs::File::create(path)?), header)?;
+    for rec in records {
+        w.write(rec)?;
     }
+    w.finish()?;
     Ok(())
 }
 
-/// Opens the trace at `path` for streaming, sniffing binary vs text by
-/// magic. Memory stays constant however long the trace is.
-pub fn open(path: &Path) -> Result<TraceStream<BufReader<fs::File>>, TraceError> {
-    TraceStream::new(BufReader::new(fs::File::open(path)?))
+/// Opens the trace at `path` for streaming. Memory stays constant
+/// however long the trace is.
+pub fn open(path: &Path) -> Result<TraceReader<BufReader<fs::File>>, TraceError> {
+    TraceReader::new(BufReader::new(fs::File::open(path)?))
 }
 
 /// Reads a whole trace from `path` into memory (see [`open`]).
 pub fn load(path: &Path) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
-    open(path)?.collect_all()
+    let records = open(path)?;
+    let header = records.header();
+    Ok((header, records.collect::<Result<_, _>>()?))
 }
 
 #[cfg(test)]
@@ -943,33 +635,6 @@ mod tests {
     fn binary_round_trips_both_modes() {
         binary_round_trip(TraceHeader::requests(256), &sample_requests());
         binary_round_trip(TraceHeader::raw(128), &sample_raw());
-    }
-
-    #[test]
-    fn text_round_trips_both_modes() {
-        for (header, records) in [
-            (TraceHeader::requests(256), sample_requests()),
-            (TraceHeader::raw(64), sample_raw()),
-        ] {
-            let mut buf = Vec::new();
-            let mut w = TextTraceWriter::new(&mut buf, header).expect("writer");
-            for r in &records {
-                w.write(r).expect("write");
-            }
-            w.finish().expect("finish");
-            let (h, back) = read_text(&buf[..]).expect("read");
-            assert_eq!(h, header);
-            assert_eq!(back, records);
-        }
-    }
-
-    #[test]
-    fn text_ignores_comments_and_blank_lines() {
-        let text = "# leading comment\n\nsttgpu-trace v1 requests line_bytes=256\n\
-                    # a note\n\nr 5 100\nw 9 3\n";
-        let (h, recs) = read_text(text.as_bytes()).expect("read");
-        assert_eq!(h, TraceHeader::requests(256));
-        assert_eq!(recs.len(), 2);
     }
 
     #[test]
@@ -1074,45 +739,19 @@ mod tests {
     }
 
     #[test]
-    fn text_errors_are_typed_not_panics() {
-        for bad in [
-            "",
-            "garbage header\nr 1 2\n",
-            "sttgpu-trace v1 requests line_bytes=256\nq 1 2\n",
-            "sttgpu-trace v1 requests line_bytes=256\nr one 2\n",
-            "sttgpu-trace v1 requests line_bytes=256\nr 1\n",
-            "sttgpu-trace v1 requests line_bytes=256\nr 1 2 3\n",
-            "sttgpu-trace v1 requests line_bytes=256\nm 1\n",
-            "sttgpu-trace v9 requests line_bytes=256\n",
-            "sttgpu-trace v1 sideways line_bytes=256\n",
-            "sttgpu-trace v1 requests line_bytes=13\n",
-        ] {
-            let err = read_text(bad.as_bytes()).expect_err(bad);
-            assert!(
-                matches!(
-                    err,
-                    TraceError::Text { .. }
-                        | TraceError::UnsupportedVersion(_)
-                        | TraceError::BadLineBytes(_)
-                ),
-                "input {bad:?} gave {err}"
-            );
-        }
-    }
-
-    #[test]
     fn save_and_load_sniff_binary_and_text() {
         let dir = std::env::temp_dir();
         let records = sample_requests();
         let header = TraceHeader::requests(256);
-        let bin = dir.join("sttgpu_tracefile_test.sttr");
-        let txt = dir.join("sttgpu_tracefile_test.txt");
-        save(&bin, header, &records).expect("save binary");
-        save(&txt, header, &records).expect("save text");
-        assert_eq!(load(&bin).expect("load binary"), (header, records.clone()));
-        assert_eq!(load(&txt).expect("load text"), (header, records));
-        let _ = fs::remove_file(bin);
-        let _ = fs::remove_file(txt);
+        // The extension does not matter: a `.txt` path gets the binary
+        // encoding too.
+        for name in ["sttgpu_tracefile_test.sttr", "sttgpu_tracefile_test.txt"] {
+            let path = dir.join(name);
+            save(&path, header, &records).expect("save");
+            assert!(fs::read(&path).expect("read back").starts_with(&MAGIC));
+            assert_eq!(load(&path).expect("load"), (header, records.clone()));
+            let _ = fs::remove_file(path);
+        }
     }
 
     #[test]
@@ -1180,15 +819,6 @@ mod tests {
                 TraceHeader::requests(256)
             };
             binary_round_trip(header, &records);
-            let mut buf = Vec::new();
-            let mut w = TextTraceWriter::new(&mut buf, header).expect("writer");
-            for r in &records {
-                w.write(r).expect("write");
-            }
-            w.finish().expect("finish");
-            let (h, back) = read_text(&buf[..]).expect("read");
-            assert_eq!(h, header);
-            assert_eq!(back, records, "seed {seed}");
         }
     }
 }
