@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass. Run from the repo root.
 #
-#   ./ci.sh            # build + tests + lints
+#   ./ci.sh            # build + tests + lints + docs
 #   ./ci.sh --smoke    # also run the benchmark's contract tests, a
 #                      # reduced-scale repro to exercise the
 #                      # parallel executor end to end, explore and diag
@@ -33,6 +33,9 @@ cargo clippy --release --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> cargo doc (intra-doc links must resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [[ "${1:-}" == "--smoke" ]]; then
     echo "==> perfbench contract tests (tiny sizes, its own workspace)"

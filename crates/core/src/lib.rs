@@ -22,7 +22,9 @@
 //!
 //! [`TwoPartLlc`] implements all of that behind the [`LlcModel`] trait,
 //! alongside the evaluation's baselines ([`SingleLlc`] over SRAM or
-//! conventional 10-year STT-RAM).
+//! conventional 10-year STT-RAM). [`RequestClock`] drives any of them
+//! from a request stream without the simulator, and [`close_check`] ends
+//! a run the invariant checker watched.
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@
 mod config;
 mod llc;
 mod policy;
+mod requests;
 mod retention;
 mod retention_list;
 mod search;
@@ -60,6 +63,7 @@ pub use policy::{
     lr_maintenance_floor_ns, lr_tracker_at, EpochActions, LlcPolicy, PolicyEngine, POLICY_EPOCH_NS,
     RETENTION_LADDER,
 };
+pub use requests::{close_check, RequestClock};
 pub use retention::RetentionTracker;
 pub use search::{Part, SearchSelector};
 pub use sttgpu_fault::{FaultConfig, FaultOutcome, FaultPart, FaultPlan};

@@ -115,6 +115,40 @@ pub struct TwoPartStats {
 }
 
 impl TwoPartStats {
+    /// Every counter, named, in declaration order: the one table stats
+    /// blocks are printed and compared from.
+    pub fn fields(&self) -> [(&'static str, u64); 27] {
+        [
+            ("lr_read_hits", self.lr_read_hits),
+            ("hr_read_hits", self.hr_read_hits),
+            ("lr_write_hits", self.lr_write_hits),
+            ("hr_write_hits", self.hr_write_hits),
+            ("read_misses", self.read_misses),
+            ("write_misses", self.write_misses),
+            ("demand_writes_lr", self.demand_writes_lr),
+            ("demand_writes_hr", self.demand_writes_hr),
+            ("lr_array_writes", self.lr_array_writes),
+            ("hr_array_writes", self.hr_array_writes),
+            ("migrations_to_lr", self.migrations_to_lr),
+            ("demotions_to_hr", self.demotions_to_hr),
+            ("refreshes", self.refreshes),
+            ("lr_expirations", self.lr_expirations),
+            ("hr_expirations", self.hr_expirations),
+            ("writebacks", self.writebacks),
+            ("overflow_writebacks", self.overflow_writebacks),
+            ("second_search_hits", self.second_search_hits),
+            ("fills_to_lr", self.fills_to_lr),
+            ("fills_to_hr", self.fills_to_hr),
+            ("lr_rotations", self.lr_rotations),
+            ("ecc_corrections", self.ecc_corrections),
+            ("ecc_uncorrectable", self.ecc_uncorrectable),
+            ("data_loss_events", self.data_loss_events),
+            ("refresh_drops", self.refresh_drops),
+            ("buffer_stalls", self.buffer_stalls),
+            ("bank_faults", self.bank_faults),
+        ]
+    }
+
     /// Total demand writes serviced by either part.
     pub fn demand_writes(&self) -> u64 {
         self.demand_writes_lr + self.demand_writes_hr

@@ -11,11 +11,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sttgpu_cache::AccessKind;
-use sttgpu_core::{LlcModel, LlcStats, TwoPartConfig, TwoPartLlc};
-use sttgpu_device::energy::EnergyEvent;
+use sttgpu_core::{close_check, LlcModel, LlcStats, RequestClock, TwoPartConfig, TwoPartLlc};
 use sttgpu_stats::Rng;
-use sttgpu_trace::{CheckReport, Checker, EventSink, Trace, TraceEvent, ENERGY_CATEGORIES};
+use sttgpu_trace::{CheckReport, Checker, Trace};
 
 /// One random op: (is_write, line index, time advance in ns).
 type Op = (bool, u64, u64);
@@ -33,9 +31,9 @@ fn stream(seed: u64, ops: usize, write_fraction: f64) -> Vec<Op> {
         .collect()
 }
 
-/// Replays `ops`, calling `maintain` at the model's own cadence. Returns
-/// the per-op hit outcomes, final stats, total dynamic energy, and the
-/// checker's report when one was attached.
+/// Replays `ops` under the requests discipline. Returns the per-op hit
+/// outcomes, final stats, total dynamic energy, and the checker's report
+/// when one was attached.
 fn replay(
     cfg: &TwoPartConfig,
     ops: &[Op],
@@ -43,6 +41,7 @@ fn replay(
 ) -> (Vec<bool>, LlcStats, f64, Option<CheckReport>) {
     let mut llc = TwoPartLlc::new(cfg.clone());
     let cadence = llc.maintenance_interval_ns();
+    let mut clock = RequestClock::new(cadence);
     let checker = check.then(|| {
         // Deadlines are serviced up to one maintenance interval late, so
         // the age-based invariants get exactly that much slack.
@@ -52,53 +51,15 @@ fn replay(
         llc.set_trace(Trace::to_sink(Rc::clone(&c)));
         c
     });
-    let mut hits = Vec::with_capacity(ops.len());
-    let mut now = 1u64;
-    let mut last_maintain = now;
-    for &(is_write, line, dt) in ops {
-        now += dt;
-        while now - last_maintain >= cadence {
-            last_maintain += cadence;
-            llc.maintain(last_maintain);
-        }
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let addr = line * cfg.line_bytes as u64;
-        let hit = llc.probe(addr, kind, now).hit;
-        if !hit {
-            llc.fill(addr, is_write, now);
-        }
-        hits.push(hit);
-    }
-    let stats = llc.summary();
-    let energy = llc.energy().dynamic_nj();
-    let report = checker.map(|c| {
-        let mut c = c.borrow_mut();
-        // Feed the model's own ledgers back so the conservation
-        // invariants (accesses = hits + misses, energy totals = sum of
-        // per-event deposits) are enforced as well.
-        c.emit(&TraceEvent::MetricsReport {
-            read_hits: stats.read_hits,
-            read_misses: stats.read_misses,
-            write_hits: stats.write_hits,
-            write_misses: stats.write_misses,
-            writebacks: stats.writebacks,
-        });
-        let mut by_category = [0.0; ENERGY_CATEGORIES];
-        for ev in EnergyEvent::ALL {
-            by_category[ev.index()] = llc.energy().dynamic_nj_for(ev);
-        }
-        c.emit(&TraceEvent::EnergyReport {
-            by_category,
-            total_nj: energy,
-        });
-        c.finish_run(true);
-        c.report()
-    });
-    (hits, stats, energy, report)
+    let hits = ops
+        .iter()
+        .map(|&(is_write, line, dt)| clock.access(&mut llc, dt, line, is_write))
+        .collect();
+    // The model's own ledgers close the run, so the conservation
+    // invariants (accesses = hits + misses, energy totals = sum of
+    // per-event deposits) are enforced as well.
+    let report = checker.map(|c| close_check(&mut c.borrow_mut(), &llc, true));
+    (hits, llc.summary(), llc.energy().dynamic_nj(), report)
 }
 
 fn corner_configs() -> Vec<(&'static str, TwoPartConfig)> {

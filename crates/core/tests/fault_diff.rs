@@ -18,11 +18,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sttgpu_cache::AccessKind;
-use sttgpu_core::{FaultConfig, LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
+use sttgpu_core::{
+    close_check, FaultConfig, LlcModel, RequestClock, TwoPartConfig, TwoPartLlc, TwoPartStats,
+};
 use sttgpu_device::energy::EnergyEvent;
 use sttgpu_stats::Rng;
-use sttgpu_trace::{Checker, EventSink, Trace, TraceEvent, VecSink, ENERGY_CATEGORIES};
+use sttgpu_trace::{Checker, Trace, TraceEvent, VecSink, ENERGY_CATEGORIES};
 
 /// One random op: (is_write, line index, time advance in ns).
 type Op = (bool, u64, u64);
@@ -65,28 +66,11 @@ fn replay(cfg: &TwoPartConfig, ops: &[Op]) -> Observed {
     let mut llc = TwoPartLlc::new(cfg.clone());
     let sink = Rc::new(RefCell::new(VecSink::new()));
     llc.set_trace(Trace::to_sink(Rc::clone(&sink)));
-    let cadence = llc.maintenance_interval_ns();
-    let mut hits = Vec::with_capacity(ops.len());
-    let mut now = 1u64;
-    let mut last_maintain = now;
-    for &(is_write, line, dt) in ops {
-        now += dt;
-        while now - last_maintain >= cadence {
-            last_maintain += cadence;
-            llc.maintain(last_maintain);
-        }
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let addr = line * cfg.line_bytes as u64;
-        let hit = llc.probe(addr, kind, now).hit;
-        if !hit {
-            llc.fill(addr, is_write, now);
-        }
-        hits.push(hit);
-    }
+    let mut clock = RequestClock::new(llc.maintenance_interval_ns());
+    let hits = ops
+        .iter()
+        .map(|&(is_write, line, dt)| clock.access(&mut llc, dt, line, is_write))
+        .collect();
     let mut energy_bits = [0u64; ENERGY_CATEGORIES];
     for ev in EnergyEvent::ALL {
         energy_bits[ev.index()] = llc.energy().dynamic_nj_for(ev).to_bits();
@@ -141,47 +125,16 @@ fn zero_rate_fault_plan_is_byte_transparent() {
 fn replay_checked(cfg: &TwoPartConfig, ops: &[Op]) -> (TwoPartStats, sttgpu_trace::CheckReport) {
     let mut llc = TwoPartLlc::new(cfg.clone());
     let cadence = llc.maintenance_interval_ns();
+    let mut clock = RequestClock::new(cadence);
     let checker = Rc::new(RefCell::new(Checker::new(
         cfg.check_config().with_slack_ns(cadence),
     )));
     llc.set_trace(Trace::to_sink(Rc::clone(&checker)));
-    let mut now = 1u64;
-    let mut last_maintain = now;
     for &(is_write, line, dt) in ops {
-        now += dt;
-        while now - last_maintain >= cadence {
-            last_maintain += cadence;
-            llc.maintain(last_maintain);
-        }
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let addr = line * cfg.line_bytes as u64;
-        if !llc.probe(addr, kind, now).hit {
-            llc.fill(addr, is_write, now);
-        }
+        clock.access(&mut llc, dt, line, is_write);
     }
-    let stats = llc.summary();
-    let mut c = checker.borrow_mut();
-    c.emit(&TraceEvent::MetricsReport {
-        read_hits: stats.read_hits,
-        read_misses: stats.read_misses,
-        write_hits: stats.write_hits,
-        write_misses: stats.write_misses,
-        writebacks: stats.writebacks,
-    });
-    let mut by_category = [0.0; ENERGY_CATEGORIES];
-    for ev in EnergyEvent::ALL {
-        by_category[ev.index()] = llc.energy().dynamic_nj_for(ev);
-    }
-    c.emit(&TraceEvent::EnergyReport {
-        by_category,
-        total_nj: llc.energy().dynamic_nj(),
-    });
-    c.finish_run(true);
-    (*llc.stats(), c.report())
+    let report = close_check(&mut checker.borrow_mut(), &llc, true);
+    (*llc.stats(), report)
 }
 
 /// A seeded nonzero plan injects real faults, and the checker stays

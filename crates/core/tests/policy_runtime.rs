@@ -19,14 +19,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sttgpu_cache::AccessKind;
-use sttgpu_core::{LlcModel, LlcPolicy, TwoPartConfig, TwoPartLlc, TwoPartStats};
-use sttgpu_device::energy::EnergyEvent;
+use sttgpu_core::{
+    close_check, LlcModel, LlcPolicy, RequestClock, TwoPartConfig, TwoPartLlc, TwoPartStats,
+};
 use sttgpu_device::mtj::RetentionTime;
 use sttgpu_stats::Rng;
-use sttgpu_trace::{
-    CheckReport, Checker, EventSink, PartId, Trace, TraceEvent, VecSink, ENERGY_CATEGORIES,
-};
+use sttgpu_trace::{CheckReport, Checker, PartId, Trace, TraceEvent, VecSink};
 
 /// One op: (is_write, line index, time advance in ns).
 type Op = (bool, u64, u64);
@@ -41,7 +39,7 @@ fn replay_traced(cfg: &TwoPartConfig, ops: &[Op]) -> (TwoPartStats, Vec<TraceEve
     let mut llc = TwoPartLlc::new(cfg.clone());
     let sink = Rc::new(RefCell::new(VecSink::new()));
     llc.set_trace(Trace::to_sink(Rc::clone(&sink)));
-    drive(&mut llc, cfg, ops);
+    drive(&mut llc, ops);
     let stats = *llc.stats();
     drop(llc);
     let events = Rc::try_unwrap(sink)
@@ -60,47 +58,15 @@ fn replay_checked(cfg: &TwoPartConfig, ops: &[Op]) -> CheckReport {
         cfg.check_config().with_slack_ns(cadence),
     )));
     llc.set_trace(Trace::to_sink(Rc::clone(&checker)));
-    drive(&mut llc, cfg, ops);
-    let summary = llc.summary();
-    let mut c = checker.borrow_mut();
-    c.emit(&TraceEvent::MetricsReport {
-        read_hits: summary.read_hits,
-        read_misses: summary.read_misses,
-        write_hits: summary.write_hits,
-        write_misses: summary.write_misses,
-        writebacks: summary.writebacks,
-    });
-    let mut by_category = [0.0; ENERGY_CATEGORIES];
-    for ev in EnergyEvent::ALL {
-        by_category[ev.index()] = llc.energy().dynamic_nj_for(ev);
-    }
-    c.emit(&TraceEvent::EnergyReport {
-        by_category,
-        total_nj: llc.energy().dynamic_nj(),
-    });
-    c.finish_run(true);
-    c.report()
+    drive(&mut llc, ops);
+    let mut checker = checker.borrow_mut();
+    close_check(&mut checker, &llc, true)
 }
 
-fn drive(llc: &mut TwoPartLlc, cfg: &TwoPartConfig, ops: &[Op]) {
-    let cadence = llc.maintenance_interval_ns();
-    let mut now = 1u64;
-    let mut last_maintain = now;
+fn drive(llc: &mut TwoPartLlc, ops: &[Op]) {
+    let mut clock = RequestClock::new(llc.maintenance_interval_ns());
     for &(is_write, line, dt) in ops {
-        now += dt;
-        while now - last_maintain >= cadence {
-            last_maintain += cadence;
-            llc.maintain(last_maintain);
-        }
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let addr = line * cfg.line_bytes as u64;
-        if !llc.probe(addr, kind, now).hit {
-            llc.fill(addr, is_write, now);
-        }
+        clock.access(llc, dt, line, is_write);
     }
 }
 

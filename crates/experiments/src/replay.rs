@@ -11,9 +11,10 @@
 //!   pins.
 //! * [`replay_records`] replays either trace mode against a fresh LLC,
 //!   one record at a time: raw records are issued exactly as written;
-//!   requests-mode records run under the oracle's fill-on-miss
-//!   discipline (maintenance swept at the cadence, miss filled
-//!   immediately, dirty iff the access was a write).
+//!   requests-mode records run on a [`RequestClock`], the requests
+//!   discipline the oracle's lockstep driver shares (maintenance swept
+//!   at the cadence, miss filled immediately, dirty iff the access was
+//!   a write).
 //!   [`replay_trace_file`] is `repro --trace`: the same replay, then
 //!   the oracle differential, each a streaming pass over the file.
 //! * [`run_scenario`] lowers a named scenario family under a seed,
@@ -25,19 +26,18 @@ use std::path::Path;
 use std::rc::Rc;
 
 use sttgpu_cache::AccessKind;
-use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
-use sttgpu_device::energy::EnergyEvent;
+use sttgpu_core::{close_check, LlcModel, RequestClock, TwoPartConfig, TwoPartLlc, TwoPartStats};
 use sttgpu_oracle::{
     corner_geometries, ops_to_records, request_ops, run_case, run_case_records, scenario_by_name,
     Divergence, Op, ScenarioFamily, ScenarioSpec,
 };
 use sttgpu_sim::Gpu;
-use sttgpu_trace::{CheckReport, Checker, EventSink, Trace, TraceEvent, ENERGY_CATEGORIES};
+use sttgpu_trace::{CheckReport, Trace};
 use sttgpu_tracefile::{TraceError, TraceHeader, TraceMode, TraceRecord};
 use sttgpu_workloads::suite;
 
 use crate::configs::{gpu_config, two_part_config, L2Choice};
-use crate::runner::RunPlan;
+use crate::runner::{checker_for, RunPlan};
 
 /// Everything captured from one trace replay.
 #[derive(Debug, Clone)]
@@ -64,49 +64,10 @@ pub struct Recording {
     pub stats: TwoPartStats,
 }
 
-/// Builds the replay checker for `llc`: retention thresholds from the
-/// geometry plus the same timing slack the simulator harness uses —
-/// recorded probes time-stamp at interconnect arrival, so they can
-/// trail the maintenance engines by up to a cadence plus traversal lag.
-fn replay_checker(cfg: &TwoPartConfig, llc: &TwoPartLlc) -> Rc<RefCell<Checker>> {
-    let interval = llc.maintenance_interval_ns();
-    let slack = if interval == u64::MAX {
-        0
-    } else {
-        interval + 4 * gpu_config(L2Choice::TwoPartC1).icnt_latency_ns + 2_000
-    };
-    Rc::new(RefCell::new(Checker::new(
-        cfg.check_config().with_slack_ns(slack),
-    )))
-}
-
-/// Feeds the end-of-run conservation reports into `checker` and closes
-/// the run, returning the accumulated report.
-fn close_replay_check(checker: &RefCell<Checker>, llc: &TwoPartLlc) -> CheckReport {
-    let s = llc.summary();
-    let mut c = checker.borrow_mut();
-    c.emit(&TraceEvent::MetricsReport {
-        read_hits: s.read_hits,
-        read_misses: s.read_misses,
-        write_hits: s.write_hits,
-        write_misses: s.write_misses,
-        writebacks: s.writebacks,
-    });
-    let mut by_category = [0.0; ENERGY_CATEGORIES];
-    for ev in EnergyEvent::ALL {
-        by_category[ev.index()] = llc.energy().dynamic_nj_for(ev);
-    }
-    c.emit(&TraceEvent::EnergyReport {
-        by_category,
-        total_nj: llc.energy().dynamic_nj(),
-    });
-    c.finish_run(true);
-    c.report()
-}
-
 /// Replays trace records against a fresh [`TwoPartLlc`] built from
 /// `cfg`, streaming the slice through the same replay as
-/// [`replay_trace_file`].
+/// [`replay_trace_file`]: raw records verbatim, requests on a
+/// [`RequestClock`]; a checked replay ends in [`close_check`].
 pub fn replay_records(
     cfg: &TwoPartConfig,
     header: &TraceHeader,
@@ -123,8 +84,8 @@ pub fn replay_records(
 /// Raw-mode records are issued verbatim — every probe, fill and
 /// maintain exactly as recorded, in recorded order — so the resulting
 /// statistics block matches the recording run's. Requests-mode records
-/// pass through the oracle's [`request_ops`] adapter and run under its
-/// replay discipline: the clock starts one tick past the epoch,
+/// pass through the oracle's [`request_ops`] adapter and run on a
+/// [`RequestClock`]: the clock starts one tick past the epoch,
 /// maintenance sweeps at the cadence before each access, and every miss
 /// fills immediately (dirty iff the access was a write).
 ///
@@ -149,7 +110,14 @@ where
     }
     let mut llc = TwoPartLlc::new(cfg.clone());
     let checker = check.then(|| {
-        let checker = replay_checker(cfg, &llc);
+        // Recorded probes trail the maintenance engines exactly as in
+        // the simulator, so the replay gets C1's timing slack.
+        let checker = checker_for(
+            cfg.check_config(),
+            llc.maintenance_interval_ns(),
+            gpu_config(L2Choice::TwoPartC1).icnt_latency_ns,
+        );
+        let checker = Rc::new(RefCell::new(checker));
         llc.set_trace(Trace::to_sink(Rc::clone(&checker)));
         checker
     });
@@ -158,7 +126,7 @@ where
         TraceMode::Requests => replay_requests(&mut llc, request_ops(records)),
     }
     .map_err(|e| e.to_string())?;
-    let check = checker.map(|c| close_replay_check(&c, &llc));
+    let check = checker.map(|c| close_check(&mut c.borrow_mut(), &llc, true));
     Ok(ReplayOutput {
         stats: *llc.stats(),
         records: replayed,
@@ -197,36 +165,20 @@ fn replay_raw(
     Ok((replayed, end_ns))
 }
 
-/// Drives `llc` through requests under the oracle's replay discipline;
-/// returns how many, and the final clock.
+/// Drives `llc` through requests on a [`RequestClock`]; returns how
+/// many, and the final clock.
 fn replay_requests(
     llc: &mut TwoPartLlc,
     ops: impl Iterator<Item = Result<Op, TraceError>>,
 ) -> Result<(u64, u64), TraceError> {
-    let cadence = llc.maintenance_interval_ns();
-    let line_bytes = u64::from(llc.config().line_bytes);
+    let mut clock = RequestClock::new(llc.maintenance_interval_ns());
     let mut replayed = 0;
-    let mut now = 1u64;
-    let mut last_maintain = now;
     for op in ops {
         let op = op?;
         replayed += 1;
-        now += op.dt_ns;
-        while now - last_maintain >= cadence {
-            last_maintain += cadence;
-            llc.maintain(last_maintain);
-        }
-        let byte_addr = op.line * line_bytes;
-        let kind = if op.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        if !llc.probe(byte_addr, kind, now).hit {
-            llc.fill(byte_addr, op.write, now);
-        }
+        clock.access(llc, op.dt_ns, op.line, op.write);
     }
-    Ok((replayed, now))
+    Ok((replayed, clock.now_ns()))
 }
 
 /// What `repro --trace` learns from one trace file.
@@ -288,11 +240,7 @@ pub fn record_workload(
     }
     let workload = suite::by_name(workload_name)
         .ok_or_else(|| format!("unknown workload: {workload_name}"))?;
-    let scaled = if (plan.scale - 1.0).abs() < 1e-9 {
-        workload
-    } else {
-        suite::scaled(&workload, plan.scale)
-    };
+    let scaled = plan.scaled(&workload);
     let cfg = gpu_config(choice);
     let line_bytes = cfg.l2_line_bytes;
     let mut gpu = Gpu::new(cfg);
@@ -382,37 +330,8 @@ pub fn run_scenario(family: &str, seed: u64, check: bool) -> Result<ScenarioOutc
 /// the block `--trace`, `--scenario` and `--record` print, and the one
 /// record/replay equivalence compares.
 pub fn render_stats(s: &TwoPartStats) -> String {
-    let fields: [(&str, u64); 27] = [
-        ("lr_read_hits", s.lr_read_hits),
-        ("hr_read_hits", s.hr_read_hits),
-        ("lr_write_hits", s.lr_write_hits),
-        ("hr_write_hits", s.hr_write_hits),
-        ("read_misses", s.read_misses),
-        ("write_misses", s.write_misses),
-        ("demand_writes_lr", s.demand_writes_lr),
-        ("demand_writes_hr", s.demand_writes_hr),
-        ("lr_array_writes", s.lr_array_writes),
-        ("hr_array_writes", s.hr_array_writes),
-        ("migrations_to_lr", s.migrations_to_lr),
-        ("demotions_to_hr", s.demotions_to_hr),
-        ("refreshes", s.refreshes),
-        ("lr_expirations", s.lr_expirations),
-        ("hr_expirations", s.hr_expirations),
-        ("writebacks", s.writebacks),
-        ("overflow_writebacks", s.overflow_writebacks),
-        ("second_search_hits", s.second_search_hits),
-        ("fills_to_lr", s.fills_to_lr),
-        ("fills_to_hr", s.fills_to_hr),
-        ("lr_rotations", s.lr_rotations),
-        ("ecc_corrections", s.ecc_corrections),
-        ("ecc_uncorrectable", s.ecc_uncorrectable),
-        ("data_loss_events", s.data_loss_events),
-        ("refresh_drops", s.refresh_drops),
-        ("buffer_stalls", s.buffer_stalls),
-        ("bank_faults", s.bank_faults),
-    ];
     let mut out = String::new();
-    for (name, v) in fields {
+    for (name, v) in s.fields() {
         out.push_str(&format!("{name:<22} {v}\n"));
     }
     out

@@ -23,14 +23,11 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use sttgpu_core::{FaultConfig, LlcModel, LlcPolicy, TwoPartStats};
+use sttgpu_core::{close_check, FaultConfig, LlcModel, LlcPolicy, TwoPartStats};
 use sttgpu_device::endurance::LifetimeEstimate;
-use sttgpu_device::energy::EnergyEvent;
 use sttgpu_sim::{Gpu, GpuConfig, L2ModelConfig, RunMetrics, Workload};
 use sttgpu_stats::{Histogram, WriteVariation};
-use sttgpu_trace::{
-    CheckConfig, CheckReport, Checker, EventSink, Trace, TraceEvent, ENERGY_CATEGORIES,
-};
+use sttgpu_trace::{CheckConfig, CheckReport, Checker, Trace};
 use sttgpu_workloads::suite;
 
 use crate::configs::{gpu_config, L2Choice};
@@ -126,6 +123,15 @@ impl RunPlan {
         self.policy = policy;
         self
     }
+
+    /// `workload` at this plan's scale (unchanged at reference scale).
+    pub fn scaled(&self, workload: &Workload) -> Workload {
+        if (self.scale - 1.0).abs() < 1e-9 {
+            workload.clone()
+        } else {
+            suite::scaled(workload, self.scale)
+        }
+    }
 }
 
 impl Default for RunPlan {
@@ -202,55 +208,23 @@ impl WriteSummary {
     }
 }
 
-/// Builds the checker for `gpu`: retention thresholds from the two-part
-/// geometry (monolithic L2s get the everything-disabled defaults) plus
-/// timing slack covering the maintenance cadence and interconnect lag —
-/// probes time-stamp at icnt arrival, up to one maintenance interval
+/// Builds a checker on `base`'s retention thresholds plus timing slack
+/// covering the maintenance cadence and interconnect lag: probes
+/// time-stamp at icnt arrival, up to one maintenance `interval_ns`
 /// (plus traversal latency and port queueing) after the retention
 /// engines last ran.
-fn checker_for(gpu: &Gpu) -> Checker {
-    let base = match &gpu.config().l2 {
-        L2ModelConfig::TwoPart(tp) => tp.check_config(),
-        _ => CheckConfig::default(),
-    };
-    let interval = gpu.llc().maintenance_interval_ns();
-    let slack = if interval == u64::MAX {
+pub(crate) fn checker_for(base: CheckConfig, interval_ns: u64, icnt_latency_ns: u64) -> Checker {
+    let slack = if interval_ns == u64::MAX {
         0
     } else {
-        interval + 4 * gpu.config().icnt_latency_ns + 2_000
+        interval_ns + 4 * icnt_latency_ns + 2_000
     };
     Checker::new(base.with_slack_ns(slack))
 }
 
-/// Feeds the end-of-run conservation reports into `checker` and closes
-/// the run, returning the accumulated report.
-fn close_check(c: &mut Checker, metrics: &RunMetrics) -> CheckReport {
-    c.emit(&TraceEvent::MetricsReport {
-        read_hits: metrics.l2.read_hits,
-        read_misses: metrics.l2.read_misses,
-        write_hits: metrics.l2.write_hits,
-        write_misses: metrics.l2.write_misses,
-        writebacks: metrics.l2.writebacks,
-    });
-    let mut by_category = [0.0; ENERGY_CATEGORIES];
-    for ev in EnergyEvent::ALL {
-        by_category[ev.index()] = metrics.l2_energy.dynamic_nj_for(ev);
-    }
-    c.emit(&TraceEvent::EnergyReport {
-        by_category,
-        total_nj: metrics.l2_energy.dynamic_nj(),
-    });
-    c.finish_run(metrics.finished);
-    c.report()
-}
-
 /// Runs `workload` on a fully custom GPU configuration.
 pub fn run_config(mut cfg: GpuConfig, workload: &Workload, plan: &RunPlan) -> RunOutput {
-    let scaled = if (plan.scale - 1.0).abs() < 1e-9 {
-        workload.clone()
-    } else {
-        suite::scaled(workload, plan.scale)
-    };
+    let scaled = plan.scaled(workload);
     if let L2ModelConfig::TwoPart(tp) = &mut cfg.l2 {
         tp.policy = plan.policy;
         if plan.fault.is_enabled() {
@@ -259,12 +233,19 @@ pub fn run_config(mut cfg: GpuConfig, workload: &Workload, plan: &RunPlan) -> Ru
     }
     let mut gpu = Gpu::new(cfg);
     let checker = plan.check.then(|| {
-        let checker = Rc::new(RefCell::new(checker_for(&gpu)));
+        // Monolithic L2s get the everything-disabled thresholds.
+        let base = match &gpu.config().l2 {
+            L2ModelConfig::TwoPart(tp) => tp.check_config(),
+            _ => CheckConfig::default(),
+        };
+        let interval = gpu.llc().maintenance_interval_ns();
+        let checker = checker_for(base, interval, gpu.config().icnt_latency_ns);
+        let checker = Rc::new(RefCell::new(checker));
         gpu.set_trace(Trace::to_sink(Rc::clone(&checker)));
         checker
     });
     let metrics = gpu.run_workload(&scaled, plan.max_cycles);
-    let check = checker.map(|c| close_check(&mut c.borrow_mut(), &metrics));
+    let check = checker.map(|c| close_check(&mut c.borrow_mut(), gpu.llc(), metrics.finished));
     let llc = gpu.llc();
     let tp = llc.as_two_part();
     let writes = WriteSummary::new(

@@ -5,7 +5,7 @@ use std::convert::Infallible;
 use std::fmt;
 
 use sttgpu_cache::AccessKind;
-use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
+use sttgpu_core::{LlcModel, RequestClock, TwoPartConfig, TwoPartLlc};
 use sttgpu_tracefile::{TraceError, TraceRecord};
 
 use crate::corner::corner_geometries;
@@ -22,7 +22,9 @@ pub struct Divergence {
     /// for pre-trace checks such as the maintenance cadence).
     pub op_index: Option<usize>,
     /// Which observation differed (`hit`, `writebacks`, a residency
-    /// bit, a `stats.*` counter or a `buffer.*` counter).
+    /// bit, a counter named as in
+    /// [`TwoPartStats::fields`](sttgpu_core::TwoPartStats::fields), or
+    /// a `buffer.*` counter).
     pub field: &'static str,
     /// The reference model's value (booleans as 0/1).
     pub model: u64,
@@ -45,40 +47,6 @@ impl fmt::Display for Divergence {
             ),
         }
     }
-}
-
-/// Every counter of [`TwoPartStats`], named, for first-mismatch
-/// reporting.
-fn stats_fields(s: &TwoPartStats) -> [(&'static str, u64); 27] {
-    [
-        ("stats.lr_read_hits", s.lr_read_hits),
-        ("stats.hr_read_hits", s.hr_read_hits),
-        ("stats.lr_write_hits", s.lr_write_hits),
-        ("stats.hr_write_hits", s.hr_write_hits),
-        ("stats.read_misses", s.read_misses),
-        ("stats.write_misses", s.write_misses),
-        ("stats.demand_writes_lr", s.demand_writes_lr),
-        ("stats.demand_writes_hr", s.demand_writes_hr),
-        ("stats.lr_array_writes", s.lr_array_writes),
-        ("stats.hr_array_writes", s.hr_array_writes),
-        ("stats.migrations_to_lr", s.migrations_to_lr),
-        ("stats.demotions_to_hr", s.demotions_to_hr),
-        ("stats.refreshes", s.refreshes),
-        ("stats.lr_expirations", s.lr_expirations),
-        ("stats.hr_expirations", s.hr_expirations),
-        ("stats.writebacks", s.writebacks),
-        ("stats.overflow_writebacks", s.overflow_writebacks),
-        ("stats.second_search_hits", s.second_search_hits),
-        ("stats.fills_to_lr", s.fills_to_lr),
-        ("stats.fills_to_hr", s.fills_to_hr),
-        ("stats.lr_rotations", s.lr_rotations),
-        ("stats.ecc_corrections", s.ecc_corrections),
-        ("stats.ecc_uncorrectable", s.ecc_uncorrectable),
-        ("stats.data_loss_events", s.data_loss_events),
-        ("stats.refresh_drops", s.refresh_drops),
-        ("stats.buffer_stalls", s.buffer_stalls),
-        ("stats.bank_faults", s.bank_faults),
-    ]
 }
 
 /// Compares every post-op observation; returns the first mismatch.
@@ -115,9 +83,7 @@ fn compare_state(
             if dut.stats() == model.stats() {
                 return None;
             }
-            for ((field, m), (_, d)) in stats_fields(model.stats())
-                .into_iter()
-                .zip(stats_fields(dut.stats()))
+            for ((field, m), (_, d)) in model.stats().fields().into_iter().zip(dut.stats().fields())
             {
                 if m != d {
                     return Some(Divergence {
@@ -146,9 +112,11 @@ fn compare_state(
 }
 
 /// Replays `ops` against a fresh implementation and a fresh model in
-/// lockstep — fill-on-miss, maintenance swept at the cadence both
-/// machines agree on — and returns the first divergence, or `None`
-/// when the machines stay observationally identical end to end.
+/// lockstep on one [`RequestClock`] — the requests discipline every
+/// LLC-only harness shares: maintenance swept at the cadence both
+/// machines agree on, fill-on-miss — and returns the first divergence,
+/// or `None` when the machines stay observationally identical end to
+/// end.
 pub fn run_case(cfg: &TwoPartConfig, ops: &[Op]) -> Option<Divergence> {
     let Ok(verdict) = lockstep(cfg, ops.iter().map(|&op| Ok::<_, Infallible>(op)));
     verdict
@@ -169,7 +137,9 @@ where
 }
 
 /// The differential driver behind [`run_case`] and
-/// [`run_case_records`]: stops at the first divergence or stream error.
+/// [`run_case_records`]: both machines advance on one
+/// [`RequestClock`], and the run stops at the first divergence or
+/// stream error.
 fn lockstep<E>(
     cfg: &TwoPartConfig,
     ops: impl Iterator<Item = Result<Op, E>>,
@@ -188,16 +158,13 @@ fn lockstep<E>(
     }
 
     let line_bytes = cfg.line_bytes as u64;
-    let mut now = 1u64;
-    let mut last_maintain = now;
+    let mut clock = RequestClock::new(cadence);
     for (i, op) in ops.enumerate() {
         let op = op?;
-        now += op.dt_ns.max(1);
-        while now - last_maintain >= cadence {
-            last_maintain += cadence;
-            dut.maintain(last_maintain);
-            model.maintain(last_maintain);
-        }
+        let now = clock.advance(op.dt_ns, |t| {
+            dut.maintain(t);
+            model.maintain(t);
+        });
         let byte_addr = op.line * line_bytes;
         let kind = if op.write {
             AccessKind::Write

@@ -5,9 +5,9 @@
 //! them shrinkable; trace files carry *absolute* time (`at_ns`), which
 //! is what makes them streamable and mergeable. The two views are
 //! exactly inverse as long as every `dt_ns` is at least 1 — the same
-//! clamp [`run_case`](crate::run_case) applies — so a round trip
-//! through [`ops_to_records`] and [`records_to_ops`] reproduces the
-//! `Op` sequence bit for bit.
+//! clamp [`RequestClock`](sttgpu_core::RequestClock) applies — so a
+//! round trip through [`ops_to_records`] and [`records_to_ops`]
+//! reproduces the `Op` sequence bit for bit.
 
 use std::path::Path;
 
@@ -16,9 +16,10 @@ use sttgpu_tracefile::{save, TraceError, TraceHeader, TraceRecord};
 use crate::trace_gen::Op;
 
 /// Converts an oracle trace to requests-mode records. Timestamps are
-/// the running sum of `dt_ns.max(1)` — the exact clock
-/// [`run_case`](crate::run_case) replays under (first op at
-/// `1 + dt_0`, one tick past the machines' epoch).
+/// the running sum of `dt_ns.max(1)`, so the
+/// [`RequestClock`](sttgpu_core::RequestClock) every replay runs on
+/// reads `at_ns + RequestClock::EPOCH_NS` after each op: it starts one
+/// tick past the machines' epoch.
 pub fn ops_to_records(ops: &[Op]) -> Vec<TraceRecord> {
     let mut at_ns = 0u64;
     ops.iter()
@@ -108,6 +109,8 @@ pub fn save_ops(path: &Path, line_bytes: u32, ops: &[Op]) -> Result<(), TraceErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{corner_geometries, generate};
+    use sttgpu_core::RequestClock;
 
     fn ops() -> Vec<Op> {
         vec![
@@ -140,6 +143,20 @@ mod tests {
         let records = ops_to_records(&ops());
         let at: Vec<u64> = records.iter().map(|r| r.at_ns()).collect();
         assert_eq!(at, vec![5, 6, 4_006]);
+    }
+
+    #[test]
+    fn record_time_is_the_request_clock_less_its_epoch() {
+        let mut ops = generate(11, &corner_geometries()[0].spec);
+        for op in ops.iter_mut().step_by(3) {
+            op.dt_ns = 0;
+        }
+        let records = ops_to_records(&ops);
+        let mut clock = RequestClock::new(1_000);
+        for (op, rec) in ops.iter().zip(&records) {
+            let now = clock.advance(op.dt_ns, |_| {});
+            assert_eq!(now, rec.at_ns() + RequestClock::EPOCH_NS, "{op:?}");
+        }
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   stream (hot/cold address mix, read/write ratio, bounded
 //!   inter-arrival gaps) whose every subsequence is still well formed,
 //!   which is what makes traces shrinkable.
-//! * [`run_case`] drives both machines through the same
-//!   probe/fill/maintain discipline the repo's replay harnesses use and
-//!   reports the first observable [`Divergence`]: per-op hit/miss,
+//! * [`run_case`] drives both machines on one
+//!   [`RequestClock`](sttgpu_core::RequestClock), the requests
+//!   discipline every LLC-only harness shares, and reports the first
+//!   observable [`Divergence`]: per-op hit/miss,
 //!   write-backs, residency, the full statistics block and the
 //!   swap-buffer counters.
 //! * [`shrink`] greedily delta-debugs a diverging trace down to a

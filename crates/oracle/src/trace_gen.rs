@@ -10,8 +10,8 @@ use sttgpu_stats::Rng;
 
 /// One request: wait `dt_ns`, then access `line` (read or write); on a
 /// miss the driver immediately fills the line (dirty iff the access
-/// was a write) — the fill-on-miss discipline every replay harness in
-/// this repo uses.
+/// was a write) — the requests discipline every replay harness runs on
+/// a [`RequestClock`](sttgpu_core::RequestClock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
     /// Nanoseconds since the previous op (clamped to at least 1).

@@ -6,7 +6,7 @@
 //! directly on the implementation, so the regression stays meaningful
 //! even if the oracle itself evolves.
 
-use sttgpu_core::{FaultConfig, TwoPartConfig, TwoPartLlc};
+use sttgpu_core::{FaultConfig, LlcModel, RequestClock, TwoPartConfig, TwoPartLlc};
 use sttgpu_device::mtj::RetentionTime;
 use sttgpu_oracle::{run_case, Op, OracleLlc};
 
@@ -17,28 +17,10 @@ fn paper_shape() -> TwoPartConfig {
 /// Replays a trace on the implementation alone with the oracle's
 /// fill-on-miss discipline, returning the machine for inspection.
 fn replay(cfg: &TwoPartConfig, ops: &[Op]) -> TwoPartLlc {
-    use sttgpu_cache::AccessKind;
-    use sttgpu_core::LlcModel;
     let mut llc = TwoPartLlc::new(cfg.clone());
-    let cadence = llc.maintenance_interval_ns();
-    let line_bytes = cfg.line_bytes as u64;
-    let mut now = 1u64;
-    let mut last_maintain = now;
+    let mut clock = RequestClock::new(llc.maintenance_interval_ns());
     for op in ops {
-        now += op.dt_ns.max(1);
-        while now - last_maintain >= cadence {
-            last_maintain += cadence;
-            llc.maintain(last_maintain);
-        }
-        let addr = op.line * line_bytes;
-        let kind = if op.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        if !llc.probe(addr, kind, now).hit {
-            llc.fill(addr, op.write, now);
-        }
+        clock.access(&mut llc, op.dt_ns, op.line, op.write);
     }
     llc
 }
