@@ -14,7 +14,8 @@
 #                      # the oracle (corner geometries + scenario
 #                      # families), a checked scenario run whose
 #                      # requests trace file is replayed with the
-#                      # checker and the oracle differential, a
+#                      # checker and the oracle differential to the
+#                      # same stats block (stdout compared with cmp), a
 #                      # record -> trace file -> replay round trip,
 #                      # checked runs under both adaptive LLC policies,
 #                      # and an --llc-policy fixed vs default
@@ -88,9 +89,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "==> repro differential fuzz vs the oracle (75000 cases, seed 7, 4 shards; corners + scenarios)"
     ./target/release/repro --fuzz 75000 --fuzz-seed 7 --jobs 4 > /dev/null
 
-    echo "==> repro scenario run (zipf-hot:7, --check) -> requests trace file -> --check replay + oracle differential"
-    ./target/release/repro --scenario zipf-hot:7 --check --trace-out "$scenario_tmp" > /dev/null
-    ./target/release/repro --trace "$scenario_tmp" --check > /dev/null
+    echo "==> repro scenario run (zipf-hot:7, --check) -> requests trace file -> --check replay + oracle differential, stdout cmp"
+    ./target/release/repro --scenario zipf-hot:7 --check --trace-out "$scenario_tmp" > "$smoke_tmp/scenario.out"
+    ./target/release/repro --trace "$scenario_tmp" --check > "$smoke_tmp/replay.out"
+    cmp "$smoke_tmp/scenario.out" "$smoke_tmp/replay.out" \
+        || { echo "scenario smoke: --trace replay of the saved scenario printed other stats"; exit 1; }
 
     echo "==> repro record/replay round trip (nw @ 0.05 -> trace file -> --check replay)"
     ./target/release/repro --record nw --trace-out "$trace_tmp" --scale 0.05 > /dev/null

@@ -272,7 +272,7 @@ fn run_scenario_mode(arg: &str, check: bool, trace_out: Option<&Path>) -> ExitCo
     eprintln!(
         "# repro --scenario: {} ({} ops) across {} corner geometries, C1 replay to {} ns",
         out.spec_name,
-        out.ops,
+        out.ops.len(),
         sttgpu_oracle::corner_geometries().len(),
         out.replay.end_ns
     );
@@ -281,14 +281,11 @@ fn run_scenario_mode(arg: &str, check: bool, trace_out: Option<&Path>) -> ExitCo
             sttgpu_experiments::configs::two_part_config(sttgpu_experiments::L2Choice::TwoPartC1)
                 .expect("C1 is two-part")
                 .line_bytes;
-        let saved = sttgpu_experiments::scenario_ops(name, seed).and_then(|ops| {
-            sttgpu_oracle::save_ops(path, line_bytes, &ops).map_err(|e| e.to_string())
-        });
-        if let Err(e) = saved {
+        if let Err(e) = sttgpu_oracle::save_ops(path, line_bytes, &out.ops) {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        eprintln!("# wrote {} ({} requests)", path.display(), out.ops);
+        eprintln!("# wrote {} ({} requests)", path.display(), out.ops.len());
     }
     println!("{}", sttgpu_experiments::render_stats(&out.replay.stats));
     for (corner, d) in &out.divergences {

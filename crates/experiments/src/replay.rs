@@ -21,6 +21,7 @@
 //!   differential-tests the resulting trace across every oracle corner
 //!   geometry and replays it on the C1 geometry for a stats block.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
@@ -65,16 +66,19 @@ pub struct Recording {
 }
 
 /// Replays trace records against a fresh [`TwoPartLlc`] built from
-/// `cfg`, streaming the slice through the same replay as
+/// `cfg`, streaming them through the same replay as
 /// [`replay_trace_file`]: raw records verbatim, requests on a
-/// [`RequestClock`]; a checked replay ends in [`close_check`].
+/// [`RequestClock`]; a checked replay ends in [`close_check`]. Any
+/// record source will do — a slice, a `&Vec`, or an op list's
+/// [`ops_to_records`] view, which replays without a copy.
 pub fn replay_records(
     cfg: &TwoPartConfig,
     header: &TraceHeader,
-    records: &[TraceRecord],
+    records: impl IntoIterator<Item = impl Borrow<TraceRecord>>,
     check: bool,
 ) -> Result<ReplayOutput, String> {
-    replay_stream(cfg, header, records.iter().map(|&rec| Ok(rec)), check)
+    let records = records.into_iter().map(|rec| Ok(*rec.borrow()));
+    replay_stream(cfg, header, records, check)
 }
 
 /// Replays a record stream against a fresh [`TwoPartLlc`] built from
@@ -269,8 +273,9 @@ pub struct ScenarioOutcome {
     pub seed: u64,
     /// Display name of the concrete spec (family plus seed).
     pub spec_name: String,
-    /// Operations in the lowered trace.
-    pub ops: usize,
+    /// The lowered trace: what was replayed, and what
+    /// `repro --scenario --trace-out` saves.
+    pub ops: Vec<Op>,
     /// Corners that diverged (empty = differential clean).
     pub divergences: Vec<(&'static str, Divergence)>,
     /// Replay of the trace on the C1 geometry.
@@ -315,12 +320,12 @@ pub fn run_scenario(family: &str, seed: u64, check: bool) -> Result<ScenarioOutc
         .collect();
     let cfg = two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part");
     let header = TraceHeader::requests(cfg.line_bytes);
-    let replay = replay_records(&cfg, &header, &ops_to_records(&ops), check)?;
+    let replay = replay_records(&cfg, &header, ops_to_records(&ops), check)?;
     Ok(ScenarioOutcome {
         family: fam.name,
         seed,
         spec_name: spec.name,
-        ops: ops.len(),
+        ops,
         divergences,
         replay,
     })
@@ -361,7 +366,8 @@ mod tests {
     fn replay_rejects_mismatched_line_sizes() {
         let cfg = two_part_config(L2Choice::TwoPartC1).expect("C1");
         let header = TraceHeader::requests(64);
-        let err = replay_records(&cfg, &header, &[], false).unwrap_err();
+        let err =
+            replay_records(&cfg, &header, std::iter::empty::<TraceRecord>(), false).unwrap_err();
         assert!(err.contains("line"), "{err}");
     }
 
@@ -381,7 +387,7 @@ mod tests {
             report.samples
         );
         assert!(out.is_clean(), "grid-burst:3 must be divergence-free");
-        assert!(out.ops > 0);
+        assert!(!out.ops.is_empty());
     }
 
     #[test]

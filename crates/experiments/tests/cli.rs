@@ -4,13 +4,17 @@
 //! stdout.
 //! Good input writes its reports under `--out` without touching the
 //! committed canary baseline, and a panicking artefact is quarantined
-//! without aborting the sweep.
+//! without aborting the sweep, and `--scenario --trace-out` writes the
+//! bytes the library's `save_ops` writes for the same scenario.
 
 use std::fs;
 use std::path::Path;
 use std::process::Command;
 
 use sttgpu_experiments::canary::CANARY_BASELINE_PATH;
+use sttgpu_experiments::configs::two_part_config;
+use sttgpu_experiments::{scenario_ops, L2Choice};
+use sttgpu_oracle::save_ops;
 
 fn rejects(bin: &str, args: &[&str], fragment: &str) {
     let out = Command::new(bin).args(args).output().expect("spawn");
@@ -120,6 +124,41 @@ fn repro_rejects_a_text_trace_as_bad_magic() {
     assert!(stderr.contains(&want), "stderr lacks '{want}':\n{stderr}");
     assert!(out.stdout.is_empty(), "replayed before rejecting");
     let _ = fs::remove_file(path);
+}
+
+/// `repro --scenario zipf-hot:7 --trace-out F` saves the scenario it
+/// replayed: the same bytes `save_ops` writes for `scenario_ops`, whose
+/// digest `trace_streaming.rs` pins.
+#[test]
+fn repro_scenario_trace_out_writes_the_saved_scenario_bytes() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (cli, lib) = (
+        dir.join("cli-zipf-hot-7.trc"),
+        dir.join("lib-zipf-hot-7.trc"),
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scenario", "zipf-hot:7", "--trace-out"])
+        .arg(&cli)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let ops = scenario_ops("zipf-hot", 7).expect("known family");
+    let line_bytes = two_part_config(L2Choice::TwoPartC1)
+        .expect("C1 is two-part")
+        .line_bytes;
+    save_ops(&lib, line_bytes, &ops).expect("save");
+    let (cli_bytes, lib_bytes) = (fs::read(&cli).expect("cli"), fs::read(&lib).expect("lib"));
+    let _ = fs::remove_file(cli);
+    let _ = fs::remove_file(lib);
+    assert!(!cli_bytes.is_empty());
+    assert!(
+        cli_bytes == lib_bytes,
+        "--trace-out wrote other bytes than save_ops"
+    );
 }
 
 /// `repro --out results all` is the documented regeneration command, so

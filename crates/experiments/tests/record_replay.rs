@@ -10,7 +10,7 @@ use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc, TwoPartStats};
 use sttgpu_device::energy::EnergyEvent;
 use sttgpu_device::mtj::RetentionTime;
 use sttgpu_experiments::{record_workload, replay_records, L2Choice, RunPlan};
-use sttgpu_tracefile::{load, save, TraceRecord};
+use sttgpu_tracefile::{open, save, TraceRecord};
 
 fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
@@ -30,11 +30,13 @@ fn record_then_replay_is_stats_identical_for_three_workloads() {
             "{workload}: the run must touch the LLC"
         );
 
-        // Through the file: save, load, replay — the on-disk format is
-        // part of the property, not just the in-memory records.
+        // Through the file: save, read back, replay — the on-disk format
+        // is part of the property, not just the in-memory records.
         let path = tmp(&format!("{workload}.trc"));
         save(&path, recording.header, &recording.records).expect("save");
-        let (header, records) = load(&path).expect("load");
+        let reader = open(&path).expect("open");
+        let header = reader.header();
+        let records: Vec<TraceRecord> = reader.collect::<Result<_, _>>().expect("records");
         assert_eq!(records.len(), recording.records.len());
 
         let cfg = sttgpu_experiments::configs::two_part_config(L2Choice::TwoPartC1).expect("C1");

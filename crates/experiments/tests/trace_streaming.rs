@@ -2,9 +2,11 @@
 //! family, and a long phase-varying stream shaped like the
 //! `llc-retention` benchmark, must replay to the statistics block and
 //! final clock pinned from the replay that first collected the stream
-//! into a `Vec<Op>` — from a slice and from a trace file alike. A
+//! into a `Vec<Op>` — from the op list's record view, from collected
+//! records and from a trace file alike. A
 //! discipline violation at record k fails with the message that replay
-//! gave.
+//! gave. The file `save_ops` writes for a scenario keeps its pinned
+//! bytes.
 
 use std::path::PathBuf;
 
@@ -21,26 +23,31 @@ fn c1() -> TwoPartConfig {
     two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part")
 }
 
-/// FNV-1a over the rendered statistics block.
-fn digest(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+/// FNV-1a over `bytes`: a rendered statistics block or a trace file.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-/// Replays `ops` on C1 from a slice, then from a trace file; each must
-/// give the pinned final clock and stats digest, and the file pass must
-/// find no divergence from the oracle.
+/// Replays `ops` on C1 from their record view, from those records
+/// collected into a `Vec`, then from a trace file; each must give the
+/// pinned final clock and stats digest, and the file pass must find no
+/// divergence from the oracle.
 fn assert_replays_to(name: &str, ops: &[Op], end_ns: u64, stats_digest: u64) {
     let cfg = c1();
     let header = TraceHeader::requests(cfg.line_bytes);
-    let out = replay_records(&cfg, &header, &ops_to_records(ops), false).expect("clean stream");
+    let out = replay_records(&cfg, &header, ops_to_records(ops), false).expect("clean stream");
     assert_eq!(out.records, ops.len() as u64, "{name}");
     assert_eq!(
-        (out.end_ns, digest(&render_stats(&out.stats))),
+        (out.end_ns, digest(render_stats(&out.stats).as_bytes())),
         (end_ns, stats_digest),
-        "{name}: slice replay moved from the pinned values"
+        "{name}: view replay moved from the pinned values"
     );
+    let collected: Vec<TraceRecord> = ops_to_records(ops).into_iter().collect();
+    let from_vec = replay_records(&cfg, &header, &collected, false).expect("clean records");
+    assert_eq!(from_vec.stats, out.stats, "{name}: collected records");
+    assert_eq!(from_vec.end_ns, end_ns, "{name}: collected records");
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("stream-{name}.trc"));
     save_ops(&path, cfg.line_bytes, ops).expect("save");
     let run = replay_trace_file(&cfg, &path, false).expect("clean file");
@@ -67,6 +74,22 @@ fn scenario_families_replay_to_the_pinned_stats() {
         assert_eq!(ops.len(), len, "{family}");
         assert_replays_to(family, &ops, end_ns, stats_digest);
     }
+}
+
+#[test]
+fn a_saved_scenario_keeps_its_pinned_bytes() {
+    // The file `repro --scenario zipf-hot:7 --trace-out` writes: its
+    // length and FNV-1a digest, pinned from the writer that first
+    // collected the records into a `Vec`.
+    let ops = scenario_ops("zipf-hot", 7).expect("known family");
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("pinned-zipf-hot-7.trc");
+    save_ops(&path, c1().line_bytes, &ops).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    let _ = std::fs::remove_file(path);
+    assert_eq!(
+        (bytes.len(), digest(&bytes)),
+        (1_268, 0x3a4b_0c0a_965b_b16b)
+    );
 }
 
 /// A 32-phase stream in the shape of the `llc-retention` benchmark:

@@ -33,8 +33,9 @@
 //!   write-fraction ramps, grid-end write bursts, rewrite-interval
 //!   targets — and lowers them to the same [`Op`] vocabulary, so the
 //!   named families in [`scenario_families`] fuzz, shrink and pin
-//!   through the identical machinery; [`ops_to_records`]/[`save_ops`]
-//!   bridge to the on-disk trace format, and [`request_ops`] streams a
+//!   through the identical machinery; [`ops_to_records`] views an op
+//!   list as on-disk trace records without copying it, [`save_ops`]
+//!   streams that view to a file, and [`request_ops`] streams a
 //!   requests-mode file back as ops.
 //! * [`fuzz`] round-robins seeded cases across [`corner_geometries`],
 //!   interleaving legacy corner mixes with scenario-family draws —
@@ -64,7 +65,7 @@ pub use corner::{corner_geometries, Corner};
 pub use diff::{
     fuzz, fuzz_sharded, run_case, run_case_records, Divergence, FuzzFailure, FuzzReport,
 };
-pub use io::{ops_to_records, records_to_ops, request_ops, save_ops};
+pub use io::{ops_to_records, records_to_ops, request_ops, save_ops, OpRecords, OpRecordsIter};
 pub use model::OracleLlc;
 pub use scenario::{scenario_by_name, scenario_families, Phase, ScenarioFamily, ScenarioSpec};
 pub use shrink::shrink;

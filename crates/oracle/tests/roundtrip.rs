@@ -42,7 +42,7 @@ fn binary_round_trip(records: &[TraceRecord]) -> (TraceHeader, Vec<TraceRecord>)
 fn generated_traces_round_trip_through_both_encodings() {
     for seed in 0..50 {
         let ops = generate(seed, &spec_for(seed));
-        let records = ops_to_records(&ops);
+        let records: Vec<TraceRecord> = ops_to_records(&ops).into_iter().collect();
 
         let (bin_header, bin_back) = binary_round_trip(&records);
         assert_eq!(bin_header.line_bytes, 256);
@@ -80,7 +80,7 @@ fn extreme_deltas_round_trip() {
             write: false,
         },
     ];
-    let records = ops_to_records(&ops);
+    let records: Vec<TraceRecord> = ops_to_records(&ops).into_iter().collect();
     let (_, back) = binary_round_trip(&records);
     assert_eq!(records_to_ops(&back).expect("clean"), ops);
 }
@@ -142,7 +142,9 @@ fn items_until_first_error(
 #[test]
 fn truncation_at_every_byte_is_an_error_never_a_panic() {
     let ops = generate(3, &spec_for(3));
-    let records = ops_to_records(&ops[..20.min(ops.len())]);
+    let records: Vec<TraceRecord> = ops_to_records(&ops[..20.min(ops.len())])
+        .into_iter()
+        .collect();
     let bytes = encode(&records);
     for cut in 0..bytes.len() {
         match TraceReader::new(Cursor::new(bytes[..cut].to_vec())) {
@@ -169,7 +171,9 @@ fn truncation_at_every_byte_is_an_error_never_a_panic() {
 #[test]
 fn a_bad_kind_byte_ends_the_stream() {
     let ops = generate(5, &spec_for(5));
-    let records = ops_to_records(&ops[..20.min(ops.len())]);
+    let records: Vec<TraceRecord> = ops_to_records(&ops[..20.min(ops.len())])
+        .into_iter()
+        .collect();
     let bytes = encode(&records);
     for k in 0..records.len() {
         // Record k starts where the encoding of the first k records ends.

@@ -32,8 +32,8 @@
 //! stream is *not* monotone in time (a probe time-stamps at interconnect
 //! arrival, which can lead the maintenance deadline that runs next).
 //!
-//! [`save`] writes a whole trace, [`open`] streams one back record by
-//! record, and [`load`] collects it.
+//! [`save`] streams any record source to a file, and [`open`] streams
+//! one back record by record.
 //!
 //! # Invariants
 //!
@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -548,11 +549,16 @@ impl<R: Read> Iterator for TraceReader<R> {
     }
 }
 
-/// Writes a whole trace to `path`.
-pub fn save(path: &Path, header: TraceHeader, records: &[TraceRecord]) -> Result<(), TraceError> {
+/// Writes a whole trace to `path`, one record at a time: `records` may
+/// be a slice, a `&Vec` or any iterator of records.
+pub fn save(
+    path: &Path,
+    header: TraceHeader,
+    records: impl IntoIterator<Item = impl Borrow<TraceRecord>>,
+) -> Result<(), TraceError> {
     let mut w = TraceWriter::new(BufWriter::new(fs::File::create(path)?), header)?;
     for rec in records {
-        w.write(rec)?;
+        w.write(rec.borrow())?;
     }
     w.finish()?;
     Ok(())
@@ -562,13 +568,6 @@ pub fn save(path: &Path, header: TraceHeader, records: &[TraceRecord]) -> Result
 /// however long the trace is.
 pub fn open(path: &Path) -> Result<TraceReader<BufReader<fs::File>>, TraceError> {
     TraceReader::new(BufReader::new(fs::File::open(path)?))
-}
-
-/// Reads a whole trace from `path` into memory (see [`open`]).
-pub fn load(path: &Path) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
-    let records = open(path)?;
-    let header = records.header();
-    Ok((header, records.collect::<Result<_, _>>()?))
 }
 
 #[cfg(test)]
@@ -749,7 +748,10 @@ mod tests {
             let path = dir.join(name);
             save(&path, header, &records).expect("save");
             assert!(fs::read(&path).expect("read back").starts_with(&MAGIC));
-            assert_eq!(load(&path).expect("load"), (header, records.clone()));
+            let back = open(&path).expect("open");
+            assert_eq!(back.header(), header);
+            let back: Vec<TraceRecord> = back.collect::<Result<_, _>>().expect("records");
+            assert_eq!(back, records);
             let _ = fs::remove_file(path);
         }
     }
