@@ -11,9 +11,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sttgpu_core::{close_check, LlcModel, LlcStats, RequestClock, TwoPartConfig, TwoPartLlc};
+use sttgpu_core::{
+    close_check, AnyLlc, FaultConfig, LlcModel, LlcPolicy, LlcStats, RequestClock, SearchMode,
+    SingleLlc, TwoPartConfig, TwoPartLlc,
+};
+use sttgpu_device::cell::MemTechnology;
+use sttgpu_device::energy::EnergyEvent;
+use sttgpu_device::mtj::RetentionTime;
 use sttgpu_stats::Rng;
-use sttgpu_trace::{CheckReport, Checker, Trace};
+use sttgpu_trace::{CheckReport, Checker, Trace, TraceEvent, VecSink};
 
 /// One random op: (is_write, line index, time advance in ns).
 type Op = (bool, u64, u64);
@@ -136,5 +142,116 @@ fn checker_is_clean_on_read_mostly_traffic() {
             report.violations,
             report.samples.join("\n")
         );
+    }
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Replays `ops` into `llc` with a [`VecSink`] attached and digests what
+/// it observed: every event's `Debug` rendering in emission order, then
+/// the energy ledger per category. Returns the digest and the events.
+fn event_digest(mut llc: AnyLlc, ops: &[Op]) -> (u64, Vec<TraceEvent>) {
+    let sink = Rc::new(RefCell::new(VecSink::new()));
+    llc.set_trace(Trace::to_sink(Rc::clone(&sink)));
+    let mut clock = RequestClock::new(llc.maintenance_interval_ns());
+    for &(is_write, line, dt) in ops {
+        clock.access(&mut llc, dt, line, is_write);
+    }
+    let events = sink.borrow_mut().take();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for ev in &events {
+        h = fnv1a(h, format!("{ev:?}").as_bytes());
+    }
+    for ev in EnergyEvent::ALL {
+        h = fnv1a(h, &llc.energy().dynamic_nj_for(ev).to_bits().to_le_bytes());
+    }
+    (h, events)
+}
+
+/// Every LLC flavour's exact event stream and energy ledger, pinned per
+/// configuration: a refactor of the LLC models must keep every event,
+/// every deposit and their order. Idle gaps past the HR retention make
+/// expiries fire everywhere, and each non-corner config is checked to
+/// fire the mechanism it exists for.
+#[test]
+fn event_streams_are_pinned() {
+    let base = TwoPartConfig::new(8, 2, 56, 7, 256);
+    let stt = MemTechnology::stt_for_retention(RetentionTime::from_years(10.0));
+    let mut cases: Vec<(&str, AnyLlc)> = corner_configs()
+        .into_iter()
+        .chain([
+            (
+                "parallel-search",
+                base.clone().with_search(SearchMode::Parallel),
+            ),
+            ("write-threshold-3", base.clone().with_write_threshold(3)),
+            ("lr-rotation", base.clone().with_lr_rotation_ms(0.2)),
+            (
+                "faults",
+                base.clone().with_fault(FaultConfig::uniform(7, 3e-3)),
+            ),
+            (
+                "adaptive-retention",
+                base.clone().with_policy(LlcPolicy::AdaptiveRetention),
+            ),
+            ("adaptive-ways", base.with_policy(LlcPolicy::AdaptiveWays)),
+        ])
+        .map(|(name, cfg)| (name, TwoPartLlc::new(cfg).into()))
+        .collect();
+    cases.push((
+        "single-sram",
+        SingleLlc::new(16, 4, 256, 4, MemTechnology::Sram).into(),
+    ));
+    cases.push(("single-stt", SingleLlc::new(16, 4, 256, 4, stt).into()));
+    let pinned: [(&str, u64); 13] = [
+        ("paper-shape", 0x9ea41103f0357958),
+        ("one-way-lr", 0x9e09fee4c2a67f21),
+        ("equal-parts", 0xa0abf5a9b15c7f08),
+        ("tail-slack-max", 0x55a175e31e99353c),
+        ("single-slot-buffers", 0x063aa3ec4981593e),
+        ("parallel-search", 0x7fbbb0d3311b641d),
+        ("write-threshold-3", 0xe954200f38637df5),
+        ("lr-rotation", 0x4df9528631025d19),
+        ("faults", 0xdf125bc89cde64e2),
+        ("adaptive-retention", 0x1613ef9302639524),
+        ("adaptive-ways", 0xe1d02dd66502c1e5),
+        ("single-sram", 0x0004e849bcda2484),
+        ("single-stt", 0x9884ce3ba06a1290),
+    ];
+    let ops: Vec<Op> = stream(0xE7E7, 6_000, 0.4)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (w, line, dt))| (w, line, if i % 1000 == 999 { 5_000_000 } else { dt }))
+        .collect();
+    assert_eq!(cases.len(), pinned.len());
+    for ((name, llc), &(pinned_name, want)) in cases.into_iter().zip(&pinned) {
+        assert_eq!(name, pinned_name);
+        let (digest, events) = event_digest(llc, &ops);
+        let fired = |pred: fn(&TraceEvent) -> bool| events.iter().any(pred);
+        let exercised = match name {
+            "faults" => {
+                fired(|e| matches!(e, TraceEvent::EccCorrected { .. }))
+                    && fired(|e| matches!(e, TraceEvent::EccUncorrectable { .. }))
+                    && fired(|e| matches!(e, TraceEvent::RefreshDropped { .. }))
+                    && fired(|e| matches!(e, TraceEvent::BufferStall { .. }))
+                    && fired(|e| matches!(e, TraceEvent::BankFault { .. }))
+            }
+            "adaptive-retention" | "adaptive-ways" => {
+                fired(|e| matches!(e, TraceEvent::PolicySwitch { .. }))
+            }
+            "single-slot-buffers" => fired(|e| matches!(e, TraceEvent::BufferOverflow { .. })),
+            "single-sram" | "single-stt" => fired(|e| matches!(e, TraceEvent::Evict { .. })),
+            _ => fired(|e| matches!(e, TraceEvent::Expire { .. })),
+        };
+        assert!(
+            exercised,
+            "[{name}] the stream misses the config's mechanism"
+        );
+        assert_eq!(digest, want, "[{name}] event stream digest {digest:#018x}");
     }
 }
