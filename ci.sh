@@ -18,6 +18,9 @@
 #                      # same stats block (stdout compared with cmp), a
 #                      # record -> trace file -> replay round trip,
 #                      # checked runs under both adaptive LLC policies,
+#                      # the same with seeded faults firing (HR way
+#                      # drains and retention switches meet ECC drops,
+#                      # refresh drops and buffer stalls),
 #                      # and an --llc-policy fixed vs default
 #                      # byte-identity comparison
 set -euo pipefail
@@ -80,6 +83,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "==> repro adaptive-policy runs (scale 0.05, both adaptive policies, --check)"
     ./target/release/repro --scale 0.05 --llc-policy adaptive-retention fig8 --check > /dev/null
     ./target/release/repro --scale 0.05 --llc-policy adaptive-ways fig8 --check > /dev/null
+
+    echo "==> repro adaptive-policy runs under fault injection (scale 0.05, --faults 2e-4, both adaptive policies, --check)"
+    for policy in adaptive-ways adaptive-retention; do
+        ./target/release/repro --scale 0.05 --faults 2e-4 --fault-seed 7 --llc-policy "$policy" fig8 --check > /dev/null
+    done
 
     echo "==> repro perf canary (median of 3 timed samples vs results/canary_baseline.json baseline)"
     grep -q '"canary_baseline_cycles_per_second":' results/canary_baseline.json \

@@ -1,6 +1,6 @@
 //! Generic set-associative cache array.
 
-use crate::{CacheStats, Divisor, ReplacementPolicy};
+use crate::{CacheStats, Divisor};
 
 /// Kind of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,7 +131,7 @@ pub struct Evicted<M> {
     pub meta: M,
 }
 
-/// A set-associative cache array with pluggable replacement and per-line
+/// A set-associative cache array with LRU replacement and per-line
 /// metadata.
 ///
 /// Addresses are handled at line granularity (`line_addr = byte_addr /
@@ -142,9 +142,9 @@ pub struct Evicted<M> {
 /// # Example
 ///
 /// ```
-/// use sttgpu_cache::{AccessKind, ReplacementPolicy, SetAssocCache};
+/// use sttgpu_cache::{AccessKind, SetAssocCache};
 ///
-/// let mut c: SetAssocCache<()> = SetAssocCache::new(16, 4, 128, ReplacementPolicy::Lru);
+/// let mut c: SetAssocCache<()> = SetAssocCache::new(16, 4, 128);
 /// let la = c.line_addr(0xABCD);
 /// assert!(c.lookup(la, AccessKind::Write, 10).is_none());
 /// c.fill(la, true, 10);
@@ -159,20 +159,19 @@ pub struct SetAssocCache<M> {
     /// runtime reconfiguration policy and never selected as victims.
     active_ways: usize,
     line_bytes: u32,
-    policy: ReplacementPolicy,
     lines: Vec<Line<M>>,
     /// Per-slot line address, [`INVALID_TAG`] when the slot is empty.
     /// Mirrors `lines[slot].{line_addr, valid}` so the per-access way scan
     /// touches one cache-friendly `u64` row per set.
     tags: Vec<u64>,
-    /// Per-slot replacement stamp (monotone; LRU/FIFO victim = min).
+    /// Per-slot recency stamp, bumped on every fill and hit; the LRU
+    /// victim is the minimum.
     stamps: Vec<u64>,
     position_writes: Vec<u64>,
     /// `sets` as a [`Divisor`]: the set index is a mask or a multiply.
     set_div: Divisor,
     set_salt: u64,
     stamp: u64,
-    rng_state: u64,
     stats: CacheStats,
 }
 
@@ -190,7 +189,7 @@ impl<M: Default> SetAssocCache<M> {
     ///
     /// Panics if `sets`, `ways` or `line_bytes` is zero, or if `line_bytes`
     /// is not a power of two.
-    pub fn new(sets: usize, ways: usize, line_bytes: u32, policy: ReplacementPolicy) -> Self {
+    pub fn new(sets: usize, ways: usize, line_bytes: u32) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one line");
         assert!(
             line_bytes.is_power_of_two(),
@@ -212,7 +211,6 @@ impl<M: Default> SetAssocCache<M> {
             ways,
             active_ways: ways,
             line_bytes,
-            policy,
             lines,
             tags: vec![INVALID_TAG; sets * ways],
             stamps: vec![0; sets * ways],
@@ -220,7 +218,6 @@ impl<M: Default> SetAssocCache<M> {
             set_div: Divisor::new(sets as u64),
             set_salt: 0,
             stamp: 0,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
             stats: CacheStats::new(),
         }
     }
@@ -351,15 +348,6 @@ impl<M: Default> SetAssocCache<M> {
         self.stamp
     }
 
-    fn xorshift(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
-    }
-
     /// Looks a line up, updating replacement state, dirty/write counters
     /// and statistics. Returns the line on a hit, `None` on a miss.
     pub fn lookup(
@@ -406,9 +394,7 @@ impl<M: Default> SetAssocCache<M> {
     /// line's WWS state.
     pub fn hit(&mut self, slot: Slot, kind: AccessKind, now_ns: u64) -> &mut Line<M> {
         let slot = slot.0;
-        if self.policy.touches_on_hit() {
-            self.stamps[slot] = self.next_stamp();
-        }
+        self.stamps[slot] = self.next_stamp();
         let line = &mut self.lines[slot];
         if kind.is_write() {
             self.stats.write_hits.inc();
@@ -437,25 +423,22 @@ impl<M: Default> SetAssocCache<M> {
         self.find(line_addr).is_some()
     }
 
-    fn victim_way(&mut self, set: usize) -> usize {
+    fn victim_way(&self, set: usize) -> usize {
         // Only in-service ways participate; parked ways stay invalid.
         // Invalid lines are free slots.
-        let row = &self.tags[set * self.ways..set * self.ways + self.active_ways];
-        if let Some(w) = row.iter().position(|&t| t == INVALID_TAG) {
+        let row = set * self.ways..set * self.ways + self.active_ways;
+        if let Some(w) = self.tags[row.clone()]
+            .iter()
+            .position(|&t| t == INVALID_TAG)
+        {
             return w;
         }
-        match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                let stamps = &self.stamps[set * self.ways..set * self.ways + self.active_ways];
-                stamps
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, s)| s)
-                    .map(|(w, _)| w)
-                    .expect("ways > 0")
-            }
-            ReplacementPolicy::Random => (self.xorshift() % self.active_ways as u64) as usize,
-        }
+        self.stamps[row]
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, s)| s)
+            .map(|(w, _)| w)
+            .expect("ways > 0")
     }
 
     /// Fills `line_addr` into the array with default metadata, evicting a
@@ -629,7 +612,7 @@ mod tests {
     use super::*;
 
     fn cache(sets: usize, ways: usize) -> SetAssocCache<()> {
-        SetAssocCache::new(sets, ways, 128, ReplacementPolicy::Lru)
+        SetAssocCache::new(sets, ways, 128)
     }
 
     #[test]
@@ -660,30 +643,6 @@ mod tests {
         assert_eq!(ev.line_addr, 1);
         assert!(c.contains(0));
         assert!(c.contains(2));
-    }
-
-    #[test]
-    fn fifo_ignores_hits() {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(1, 2, 128, ReplacementPolicy::Fifo);
-        c.fill(0, false, 0);
-        c.fill(1, false, 1);
-        c.lookup(0, AccessKind::Read, 2); // would save 0 under LRU
-        let ev = c.fill(2, false, 3).expect("eviction");
-        assert_eq!(
-            ev.line_addr, 0,
-            "FIFO evicts oldest fill regardless of hits"
-        );
-    }
-
-    #[test]
-    fn random_policy_evicts_some_valid_line() {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(1, 4, 128, ReplacementPolicy::Random);
-        for a in 0..4 {
-            c.fill(a, false, a);
-        }
-        let ev = c.fill(99, false, 10).expect("eviction");
-        assert!(ev.line_addr < 4);
-        assert!(c.contains(99));
     }
 
     #[test]
@@ -765,7 +724,7 @@ mod tests {
 
     #[test]
     fn fill_with_reports_its_slot_and_whether_it_placed() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(4, 1, 128, ReplacementPolicy::Lru);
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(4, 1, 128);
         let first = c.fill_with(6, false, 0, 5, 0);
         assert!(first.placed && first.evicted.is_none());
         assert_eq!(Some(first.slot), c.find(6));
@@ -841,12 +800,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_odd_line_size() {
-        let _: SetAssocCache<()> = SetAssocCache::new(4, 2, 100, ReplacementPolicy::Lru);
+        let _: SetAssocCache<()> = SetAssocCache::new(4, 2, 100);
     }
 
     #[test]
     fn fully_associative_uses_whole_array() {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(1, 8, 128, ReplacementPolicy::Lru);
+        let mut c: SetAssocCache<()> = SetAssocCache::new(1, 8, 128);
         for a in 0..8 {
             assert!(c.fill(a, false, a).is_none(), "no eviction while not full");
         }
@@ -883,20 +842,14 @@ mod tests {
     }
 
     #[test]
-    fn victim_selection_respects_active_ways_for_every_policy() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
-            let mut c: SetAssocCache<()> = SetAssocCache::new(1, 4, 128, policy);
-            c.set_active_ways(2);
-            for a in 0..10 {
-                c.fill(a, false, a);
-            }
-            let valid = c.iter().filter(|l| l.is_valid()).count();
-            assert_eq!(valid, 2, "{policy:?} overflowed the active prefix");
+    fn victim_selection_respects_active_ways() {
+        let mut c = cache(1, 4);
+        c.set_active_ways(2);
+        for a in 0..10 {
+            c.fill(a, false, a);
         }
+        let valid = c.iter().filter(|l| l.is_valid()).count();
+        assert_eq!(valid, 2, "fills overflowed the active prefix");
     }
 
     #[test]
@@ -917,7 +870,7 @@ mod tests {
 
     #[test]
     fn slot_handles_match_address_lookups() {
-        let mut by_slot: SetAssocCache<u32> = SetAssocCache::new(3, 2, 128, ReplacementPolicy::Lru);
+        let mut by_slot: SetAssocCache<u32> = SetAssocCache::new(3, 2, 128);
         let mut by_addr = by_slot.clone();
         for c in [&mut by_slot, &mut by_addr] {
             for a in [0u64, 3, 1, 5] {
@@ -953,7 +906,7 @@ mod tests {
     #[test]
     fn set_index_matches_modulo_for_non_power_of_two_sets() {
         for sets in [3usize, 384, 768] {
-            let mut c: SetAssocCache<()> = SetAssocCache::new(sets, 2, 128, ReplacementPolicy::Lru);
+            let mut c: SetAssocCache<()> = SetAssocCache::new(sets, 2, 128);
             for salt in [0u64, 2593, u64::MAX] {
                 c.set_salt(salt);
                 for la in [0u64, 1, 383, 384, 767, 768, 1 << 50, u64::MAX - 1] {
@@ -966,7 +919,7 @@ mod tests {
 
     #[test]
     fn metadata_survives_on_hits_resets_on_fill() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 1, 128, ReplacementPolicy::Lru);
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 1, 128);
         c.fill(0, false, 0);
         c.peek_mut(0).expect("line").meta = 77;
         assert_eq!(c.lookup(0, AccessKind::Read, 1).expect("hit").meta, 77);

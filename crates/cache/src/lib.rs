@@ -1,7 +1,7 @@
 //! Cache substrate for the `sttgpu` stack.
 //!
 //! Everything a GPU cache hierarchy needs short of timing: set-associative
-//! tag/data bookkeeping with pluggable replacement ([`SetAssocCache`]),
+//! tag/data bookkeeping with LRU replacement ([`SetAssocCache`]),
 //! per-physical-line write accounting (the raw material of the paper's
 //! Fig. 3 write-variation study), miss-status holding registers
 //! ([`MshrTable`]), bank arbitration for occupancy modelling
@@ -14,10 +14,10 @@
 //! # Example
 //!
 //! ```
-//! use sttgpu_cache::{AccessKind, ReplacementPolicy, SetAssocCache};
+//! use sttgpu_cache::{AccessKind, SetAssocCache};
 //!
-//! // 4-set, 2-way cache of 128-byte lines with LRU replacement.
-//! let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2, 128, ReplacementPolicy::Lru);
+//! // 4-set, 2-way cache of 128-byte lines.
+//! let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2, 128);
 //! let addr = 0x1000;
 //! assert!(c.lookup(c.line_addr(addr), AccessKind::Read, 0).is_none()); // cold miss
 //! c.fill(c.line_addr(addr), false, 0);
@@ -32,7 +32,6 @@ mod cache;
 mod divisor;
 mod linemap;
 mod mshr;
-mod replacement;
 mod stats;
 
 pub use arbiter::BankArbiter;
@@ -40,5 +39,4 @@ pub use cache::{AccessKind, Evicted, Line, Placement, SetAssocCache, Slot};
 pub use divisor::Divisor;
 pub use linemap::{line_map_with_capacity, LineHasher, LineMap};
 pub use mshr::{MshrOutcome, MshrTable};
-pub use replacement::ReplacementPolicy;
 pub use stats::CacheStats;

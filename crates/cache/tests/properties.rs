@@ -1,7 +1,7 @@
 //! Randomized property tests for the cache substrate's invariants, driven
 //! by the in-tree deterministic [`Rng`] (no external fuzzing dependency).
 
-use sttgpu_cache::{AccessKind, MshrOutcome, MshrTable, ReplacementPolicy, SetAssocCache};
+use sttgpu_cache::{AccessKind, MshrOutcome, MshrTable, SetAssocCache};
 use sttgpu_stats::Rng;
 
 /// Draws a random op trace: (op selector, line address).
@@ -14,8 +14,8 @@ fn random_ops(rng: &mut Rng, max_addr: u64, max_len: usize) -> Vec<(u8, u64)> {
 
 /// Applies a random mix of fills/lookups/extracts and checks structural
 /// invariants after every step.
-fn run_ops(sets: usize, ways: usize, policy: ReplacementPolicy, ops: &[(u8, u64)]) {
-    let mut c: SetAssocCache<()> = SetAssocCache::new(sets, ways, 128, policy);
+fn run_ops(sets: usize, ways: usize, ops: &[(u8, u64)]) {
+    let mut c: SetAssocCache<()> = SetAssocCache::new(sets, ways, 128);
     let mut now = 0u64;
     for &(op, addr) in ops {
         now += 1;
@@ -53,38 +53,12 @@ fn run_ops(sets: usize, ways: usize, policy: ReplacementPolicy, ops: &[(u8, u64)
     }
 }
 
-/// No duplicate tags, correct set placement — under all policies.
+/// No duplicate tags, correct set placement.
 #[test]
 fn structural_invariants_lru() {
     let mut rng = Rng::new(0x10);
     for _ in 0..40 {
-        run_ops(4, 2, ReplacementPolicy::Lru, &random_ops(&mut rng, 64, 300));
-    }
-}
-
-#[test]
-fn structural_invariants_fifo() {
-    let mut rng = Rng::new(0x20);
-    for _ in 0..40 {
-        run_ops(
-            4,
-            2,
-            ReplacementPolicy::Fifo,
-            &random_ops(&mut rng, 64, 300),
-        );
-    }
-}
-
-#[test]
-fn structural_invariants_random() {
-    let mut rng = Rng::new(0x30);
-    for _ in 0..40 {
-        run_ops(
-            2,
-            4,
-            ReplacementPolicy::Random,
-            &random_ops(&mut rng, 64, 300),
-        );
+        run_ops(4, 2, &random_ops(&mut rng, 64, 300));
     }
 }
 
@@ -93,7 +67,7 @@ fn structural_invariants_random() {
 fn fill_then_hit() {
     let mut rng = Rng::new(0x40);
     for _ in 0..40 {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(8, 4, 128, ReplacementPolicy::Lru);
+        let mut c: SetAssocCache<()> = SetAssocCache::new(8, 4, 128);
         let n = rng.range_usize(1, 100);
         for i in 0..n {
             let a = rng.range_u64(0, 256);
@@ -110,7 +84,7 @@ fn fill_then_hit() {
 fn stats_conservation() {
     let mut rng = Rng::new(0x50);
     for _ in 0..40 {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2, 128, ReplacementPolicy::Lru);
+        let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2, 128);
         let mut lookups = 0u64;
         let n = rng.range_usize(1, 200);
         for i in 0..n {
@@ -137,7 +111,7 @@ fn stats_conservation() {
 fn eviction_accounting() {
     let mut rng = Rng::new(0x60);
     for _ in 0..40 {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2, 128, ReplacementPolicy::Lru);
+        let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2, 128);
         let mut resident = std::collections::HashSet::new();
         let n = rng.range_usize(1, 300);
         for i in 0..n {
@@ -166,7 +140,7 @@ fn eviction_accounting() {
 #[test]
 fn lru_evicts_oldest_touch() {
     for n in 2usize..8 {
-        let mut c: SetAssocCache<()> = SetAssocCache::new(1, n, 128, ReplacementPolicy::Lru);
+        let mut c: SetAssocCache<()> = SetAssocCache::new(1, n, 128);
         for a in 0..n as u64 {
             c.fill(a, false, a);
         }

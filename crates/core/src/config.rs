@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use sttgpu_cache::ReplacementPolicy;
 use sttgpu_device::mtj::RetentionTime;
 use sttgpu_fault::FaultConfig;
 
@@ -230,8 +229,6 @@ pub struct TwoPartConfig {
     pub ewt_savings: f64,
     /// Tag search strategy.
     pub search: SearchMode,
-    /// Replacement policy of both parts.
-    pub replacement: ReplacementPolicy,
     /// Injected-fault configuration (all-zero = no injection, the
     /// default; the model is then exactly transparent).
     pub fault: FaultConfig,
@@ -263,7 +260,6 @@ impl TwoPartConfig {
             refresh_slack_ticks: 0,
             ewt_savings: 0.0,
             search: SearchMode::Sequential,
-            replacement: ReplacementPolicy::Lru,
             policy: LlcPolicy::Fixed,
             fault: FaultConfig::disabled(),
         };

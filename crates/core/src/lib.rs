@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod array;
 mod config;
 mod llc;
 mod policy;

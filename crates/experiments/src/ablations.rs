@@ -105,8 +105,6 @@ pub fn search_mode(exec: &Executor, plan: &RunPlan) -> Vec<SearchRow> {
 pub struct BufferRow {
     /// Buffer capacity in blocks.
     pub blocks: usize,
-    /// Total buffer overflows across the suite subset.
-    pub overflows: u64,
     /// Forced write-backs caused by overflows.
     pub overflow_writebacks: u64,
     /// Fraction of demand writes lost to forced write-backs.
@@ -137,18 +135,15 @@ pub fn buffer_capacity(exec: &Executor, plan: &RunPlan) -> Vec<BufferRow> {
         .iter()
         .enumerate()
         .map(|(bi, &blocks)| {
-            let mut overflows = 0;
             let mut overflow_writebacks = 0;
             let mut writes = 0;
             for wi in 0..heavy.len() {
                 let tp = outs[bi * heavy.len() + wi].two_part.expect("two-part");
                 overflow_writebacks += tp.overflow_writebacks;
                 writes += tp.demand_writes();
-                overflows += tp.overflow_writebacks; // dirty overflows
             }
             BufferRow {
                 blocks,
-                overflows,
                 overflow_writebacks,
                 writeback_fraction: if writes == 0 {
                     0.0

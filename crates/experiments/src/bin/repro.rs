@@ -60,6 +60,7 @@ use sttgpu_experiments::{
     ablations, adaptive, cli, faults, fig3, fig4, fig5, fig6, fig8, table1, table2, workload_table,
     Executor, RunError, RunPlan,
 };
+use sttgpu_trace::CheckReport;
 
 const ARTEFACTS: [&str; 11] = [
     "table1",
@@ -291,19 +292,7 @@ fn run_scenario_mode(arg: &str, check: bool, trace_out: Option<&Path>) -> ExitCo
     for (corner, d) in &out.divergences {
         println!("divergence [{corner} scenario {}]: {d}", out.spec_name);
     }
-    if let Some(report) = &out.replay.check {
-        if report.is_clean() {
-            eprintln!("# check passed: 0 invariant violations in the replay");
-        } else {
-            eprintln!(
-                "# CHECK FAILED: {} violation(s) in the replay",
-                report.violations
-            );
-            for s in &report.samples {
-                eprintln!("#   {s}");
-            }
-        }
-    }
+    print_check_report(out.replay.check.as_ref());
     if out.is_clean() {
         eprintln!("# scenario {} clean", out.spec_name);
         ExitCode::SUCCESS
@@ -337,32 +326,37 @@ fn run_trace_mode(path: &Path, check: bool) -> ExitCode {
         run.header.line_bytes
     );
     println!("{}", sttgpu_experiments::render_stats(&run.replay.stats));
-    let mut failed = false;
     if let Some(d) = &run.divergence {
         println!("divergence [C1 trace {}]: {d}", path.display());
-        failed = true;
     } else if requests {
         eprintln!("# differential vs the oracle: clean");
     }
-    if let Some(report) = &run.replay.check {
-        if report.is_clean() {
-            eprintln!("# check passed: 0 invariant violations in the replay");
-        } else {
-            eprintln!(
-                "# CHECK FAILED: {} violation(s) in the replay",
-                report.violations
-            );
-            for s in &report.samples {
-                eprintln!("#   {s}");
-            }
-            failed = true;
+    if print_check_report(run.replay.check.as_ref()) && run.divergence.is_none() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Prints a replay's checker verdict to stderr, with the violation
+/// samples when it failed. Returns whether the report is clean (true
+/// when no checker was attached).
+fn print_check_report(report: Option<&CheckReport>) -> bool {
+    let Some(report) = report else {
+        return true;
+    };
+    if report.is_clean() {
+        eprintln!("# check passed: 0 invariant violations in the replay");
+    } else {
+        eprintln!(
+            "# CHECK FAILED: {} violation(s) in the replay",
+            report.violations
+        );
+        for s in &report.samples {
+            eprintln!("#   {s}");
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    report.is_clean()
 }
 
 /// Record mode: `--record WORKLOAD --trace-out FILE` runs a built-in

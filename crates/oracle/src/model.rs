@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use sttgpu_cache::ReplacementPolicy;
 use sttgpu_core::{
     lr_maintenance_floor_ns, lr_tracker_at, PolicyEngine, RetentionTracker, SearchMode,
     TwoPartConfig, TwoPartStats,
@@ -324,10 +323,10 @@ impl OracleLlc {
     /// # Panics
     ///
     /// Panics if the configuration is invalid, or if it enables a
-    /// feature outside the oracle's scope: wear rotation, non-LRU
-    /// replacement, or a fault plan with any nonzero rate (zero-rate
-    /// plans are accepted — the implementation promises they are
-    /// exactly transparent, and the oracle holds it to that).
+    /// feature outside the oracle's scope: wear rotation or a fault plan
+    /// with any nonzero rate (zero-rate plans are accepted — the
+    /// implementation promises they are exactly transparent, and the
+    /// oracle holds it to that).
     pub fn new(cfg: &TwoPartConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
@@ -335,11 +334,6 @@ impl OracleLlc {
         assert!(
             cfg.lr_rotation_period_ns.is_none(),
             "the oracle does not model wear rotation"
-        );
-        assert_eq!(
-            cfg.replacement,
-            ReplacementPolicy::Lru,
-            "the oracle models LRU replacement only"
         );
         assert!(
             !cfg.fault.is_enabled(),

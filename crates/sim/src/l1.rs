@@ -5,7 +5,7 @@
 //! to L2, write misses forward without allocating. MSHRs merge secondary
 //! misses to in-flight lines.
 
-use sttgpu_cache::{AccessKind, MshrOutcome, MshrTable, ReplacementPolicy, SetAssocCache};
+use sttgpu_cache::{AccessKind, MshrOutcome, MshrTable, SetAssocCache};
 use sttgpu_trace::Trace;
 
 use crate::config::L1Config;
@@ -52,12 +52,7 @@ impl L1Cache {
         let lines = cfg.kb * 1024 / cfg.line_bytes as u64;
         let sets = (lines / cfg.ways as u64) as usize;
         L1Cache {
-            cache: SetAssocCache::new(
-                sets,
-                cfg.ways as usize,
-                cfg.line_bytes,
-                ReplacementPolicy::Lru,
-            ),
+            cache: SetAssocCache::new(sets, cfg.ways as usize, cfg.line_bytes),
             mshr: MshrTable::new(cfg.mshr_entries, cfg.mshr_targets),
             line_bytes: cfg.line_bytes,
             write_evictions: 0,

@@ -7,7 +7,7 @@
 //!
 //! * [`stats`] — counters, histograms, write-variation metrics,
 //! * [`device`] — MTJ/STT-RAM and SRAM device models, CACTI-lite arrays,
-//! * [`cache`] — set-associative cache substrate (replacement, MSHRs, banks),
+//! * [`cache`] — set-associative cache substrate (LRU arrays, MSHRs, banks),
 //! * [`core`] — the paper's contribution: the two-part low/high-retention
 //!   STT-RAM LLC with WWS monitoring, retention counters, refresh and swap
 //!   buffers,
