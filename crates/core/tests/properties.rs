@@ -2,7 +2,8 @@
 //! invariants, driven by the in-tree deterministic [`Rng`].
 
 use sttgpu_cache::AccessKind;
-use sttgpu_core::{LlcModel, SearchMode, SwapBuffer, TwoPartConfig, TwoPartLlc};
+use sttgpu_core::{LlcModel, SearchMode, SingleLlc, SwapBuffer, TwoPartConfig, TwoPartLlc};
+use sttgpu_device::cell::MemTechnology;
 use sttgpu_stats::Rng;
 
 fn small_cfg() -> TwoPartConfig {
@@ -71,6 +72,39 @@ fn probe_accounting() {
         let reads = ops.len() as u64 - writes;
         assert_eq!(s.read_hits + s.read_misses, reads);
         assert_eq!(s.write_hits + s.write_misses, writes);
+    }
+}
+
+/// The single-array LLC's summary counts every probe exactly once: hits
+/// plus misses equal the probes issued, per kind, and hits equal the
+/// probes that reported a hit.
+#[test]
+fn stats_conservation() {
+    let mut rng = Rng::new(0x50);
+    for _ in 0..40 {
+        let mut llc = SingleLlc::new(4, 2, 256, 2, MemTechnology::Sram);
+        let ops = random_trace(&mut rng, 64, 1, 300);
+        let mut now = 0u64;
+        let mut hits = 0u64;
+        for &(is_write, block) in &ops {
+            now += 7;
+            let kind = if is_write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            if llc.probe(block * 256, kind, now).hit {
+                hits += 1;
+            } else if block % 3 != 0 {
+                llc.fill(block * 256, is_write, now + 50);
+            }
+        }
+        let s = llc.summary();
+        let writes = ops.iter().filter(|(w, _)| *w).count() as u64;
+        assert_eq!(s.read_hits + s.read_misses, ops.len() as u64 - writes);
+        assert_eq!(s.write_hits + s.write_misses, writes);
+        assert_eq!(s.accesses(), ops.len() as u64);
+        assert_eq!(s.read_hits + s.write_hits, hits);
     }
 }
 
