@@ -1,6 +1,6 @@
 //! Generic set-associative cache array.
 
-use crate::{CacheStats, Divisor};
+use crate::Divisor;
 
 /// Kind of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,62 +18,26 @@ impl AccessKind {
     }
 }
 
-/// One cache line's bookkeeping state plus caller-defined metadata `M`.
+/// One resident line's state: the dirty bit plus caller-defined metadata
+/// `M`.
 ///
-/// The line address and replacement stamp live in parallel arrays on
+/// The line address and replacement stamp live in parallel rows on
 /// [`SetAssocCache`] (not here): way lookups and victim scans read one
-/// contiguous `u64` row per set instead of striding across these fatter
+/// contiguous `u64` row per set instead of striding across these
 /// records.
 #[derive(Debug, Clone)]
 pub struct Line<M> {
-    line_addr: u64,
-    valid: bool,
     dirty: bool,
-    write_count: u32,
-    last_write_ns: u64,
-    /// Caller-defined metadata (e.g. retention counters in the two-part
-    /// LLC). Reset to `M::default()` on fill.
+    /// Caller-defined metadata (e.g. retention clocks and write-working-set
+    /// history in the two-part LLC). Set by the fill that places the line.
     pub meta: M,
 }
 
 impl<M> Line<M> {
-    /// The line-granular address cached here (only meaningful when valid).
-    pub fn line_addr(&self) -> u64 {
-        self.line_addr
-    }
-
-    /// Whether the line holds valid data.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
     /// Whether the line has been written since fill (the "modified bit" the
     /// paper reuses as its write-working-set monitor at threshold 1).
     pub fn is_dirty(&self) -> bool {
         self.dirty
-    }
-
-    /// Saturating count of writes this line has received since fill.
-    pub fn write_count(&self) -> u32 {
-        self.write_count
-    }
-
-    /// Simulation time (ns) of the last write to this line, 0 if never.
-    pub fn last_write_ns(&self) -> u64 {
-        self.last_write_ns
-    }
-
-    /// Records a write for WWS accounting (normally done by `lookup`).
-    pub fn note_write(&mut self, now_ns: u64) {
-        self.write_count = self.write_count.saturating_add(1);
-        self.dirty = true;
-        self.last_write_ns = now_ns;
-    }
-
-    /// Overwrites the WWS write count (used by demotion paths whose
-    /// residency restarts the count regardless of the fill's dirtiness).
-    pub fn set_write_count(&mut self, count: u32) {
-        self.write_count = count;
     }
 }
 
@@ -86,8 +50,8 @@ impl<M> Line<M> {
 /// `extract_slot`, `flush`, `flush_into` or `drain_ways_into`.
 ///
 /// Each slot is one physical position with a dense index in
-/// `[0, capacity_lines)`, the position [`iter`](SetAssocCache::iter)
-/// visits it at, so owners can keep per-slot side tables.
+/// `[0, capacity_lines)`, (set, way) order, so owners can keep per-slot
+/// side tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot(usize);
 
@@ -123,10 +87,6 @@ pub struct Evicted<M> {
     pub line_addr: u64,
     /// Whether the victim was dirty (needs a write-back).
     pub dirty: bool,
-    /// Accumulated write count of the victim.
-    pub write_count: u32,
-    /// Time of the victim's last write, ns.
-    pub last_write_ns: u64,
     /// Caller metadata carried by the victim.
     pub meta: M,
 }
@@ -137,7 +97,8 @@ pub struct Evicted<M> {
 /// Addresses are handled at line granularity (`line_addr = byte_addr /
 /// line_bytes`); the [`line_addr`](SetAssocCache::line_addr) helper does the
 /// conversion. Physical (set, way) write counts are accumulated across
-/// evictions for write-variation analysis (Fig. 3 of the paper).
+/// evictions for write-variation analysis (Fig. 3 of the paper). The array
+/// keeps no access statistics: its owners count what they report.
 ///
 /// # Example
 ///
@@ -146,10 +107,10 @@ pub struct Evicted<M> {
 ///
 /// let mut c: SetAssocCache<()> = SetAssocCache::new(16, 4, 128);
 /// let la = c.line_addr(0xABCD);
-/// assert!(c.lookup(la, AccessKind::Write, 10).is_none());
-/// c.fill(la, true, 10);
-/// let line = c.peek(la).expect("filled");
-/// assert!(line.is_dirty());
+/// assert!(c.lookup(la, AccessKind::Write).is_none());
+/// c.fill(la, true);
+/// let slot = c.find(la).expect("filled");
+/// assert!(c.line(slot).is_dirty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
@@ -160,9 +121,9 @@ pub struct SetAssocCache<M> {
     active_ways: usize,
     line_bytes: u32,
     lines: Vec<Line<M>>,
-    /// Per-slot line address, [`INVALID_TAG`] when the slot is empty.
-    /// Mirrors `lines[slot].{line_addr, valid}` so the per-access way scan
-    /// touches one cache-friendly `u64` row per set.
+    /// Per-slot line address, [`INVALID_TAG`] when the slot is empty: the
+    /// one record of residency, so the per-access way scan touches one
+    /// cache-friendly `u64` row per set.
     tags: Vec<u64>,
     /// Per-slot recency stamp, bumped on every fill and hit; the LRU
     /// victim is the minimum.
@@ -172,7 +133,6 @@ pub struct SetAssocCache<M> {
     set_div: Divisor,
     set_salt: u64,
     stamp: u64,
-    stats: CacheStats,
 }
 
 /// Tag sentinel for an empty slot. Line addresses are byte addresses
@@ -195,17 +155,12 @@ impl<M: Default> SetAssocCache<M> {
             line_bytes.is_power_of_two(),
             "line size must be a power of two, got {line_bytes}"
         );
-        let mut lines = Vec::with_capacity(sets * ways);
-        for _ in 0..sets * ways {
-            lines.push(Line {
-                line_addr: 0,
-                valid: false,
+        let lines = (0..sets * ways)
+            .map(|_| Line {
                 dirty: false,
-                write_count: 0,
-                last_write_ns: 0,
                 meta: M::default(),
-            });
-        }
+            })
+            .collect();
         SetAssocCache {
             sets,
             ways,
@@ -218,7 +173,6 @@ impl<M: Default> SetAssocCache<M> {
             set_div: Divisor::new(sets as u64),
             set_salt: 0,
             stamp: 0,
-            stats: CacheStats::new(),
         }
     }
 
@@ -256,7 +210,7 @@ impl<M: Default> SetAssocCache<M> {
         debug_assert!(
             n >= self.active_ways
                 || (0..self.sets)
-                    .all(|s| { (n..self.ways).all(|w| !self.lines[self.slot(s, w)].valid) }),
+                    .all(|s| { (n..self.ways).all(|w| self.tags[self.slot(s, w)] == INVALID_TAG) }),
             "shrinking active ways requires draining the parked range first"
         );
         self.active_ways = n;
@@ -269,18 +223,8 @@ impl<M: Default> SetAssocCache<M> {
         for set in 0..self.sets {
             for way in from_way..self.ways {
                 let slot = self.slot(set, way);
-                if self.lines[slot].valid {
-                    self.stats.invalidations.inc();
-                    self.tags[slot] = INVALID_TAG;
-                    let line = &mut self.lines[slot];
-                    line.valid = false;
-                    out.push(Evicted {
-                        line_addr: line.line_addr,
-                        dirty: line.dirty,
-                        write_count: line.write_count,
-                        last_write_ns: line.last_write_ns,
-                        meta: std::mem::take(&mut line.meta),
-                    });
+                if self.tags[slot] != INVALID_TAG {
+                    out.push(self.take(slot));
                 }
             }
         }
@@ -294,11 +238,6 @@ impl<M: Default> SetAssocCache<M> {
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
         self.sets * self.ways
-    }
-
-    /// Total data capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_lines() as u64 * self.line_bytes as u64
     }
 
     /// Converts a byte address to this cache's line-granular address.
@@ -322,7 +261,7 @@ impl<M: Default> SetAssocCache<M> {
     /// Panics in debug builds if any valid line remains.
     pub fn set_salt(&mut self, salt: u64) {
         debug_assert!(
-            self.lines.iter().all(|l| !l.valid),
+            self.tags.iter().all(|&t| t == INVALID_TAG),
             "set_salt requires a flushed cache"
         );
         self.set_salt = salt;
@@ -348,25 +287,10 @@ impl<M: Default> SetAssocCache<M> {
         self.stamp
     }
 
-    /// Looks a line up, updating replacement state, dirty/write counters
-    /// and statistics. Returns the line on a hit, `None` on a miss.
-    pub fn lookup(
-        &mut self,
-        line_addr: u64,
-        kind: AccessKind,
-        now_ns: u64,
-    ) -> Option<&mut Line<M>> {
-        match self.find(line_addr) {
-            Some(slot) => Some(self.hit(slot, kind, now_ns)),
-            None => {
-                if kind.is_write() {
-                    self.stats.write_misses.inc();
-                } else {
-                    self.stats.read_misses.inc();
-                }
-                None
-            }
-        }
+    /// Looks a line up, updating replacement state and, for a write, the
+    /// dirty bit. Returns the line on a hit, `None` on a miss.
+    pub fn lookup(&mut self, line_addr: u64, kind: AccessKind) -> Option<&mut Line<M>> {
+        self.find(line_addr).map(|slot| self.hit(slot, kind))
     }
 
     /// Finds a resident line without updating any state. The handle
@@ -382,40 +306,24 @@ impl<M: Default> SetAssocCache<M> {
         &self.lines[slot.0]
     }
 
-    /// The line at a handle, mutably, without updating replacement or
-    /// statistics state (for metadata such as retention counters).
+    /// The line at a handle, mutably, without updating replacement state
+    /// (for metadata such as retention clocks).
     pub fn line_mut(&mut self, slot: Slot) -> &mut Line<M> {
         &mut self.lines[slot.0]
     }
 
     /// Records a hit on the line at `slot` exactly as
-    /// [`lookup`](Self::lookup) does on a hit: replacement stamp, hit
-    /// statistics and, for a write, the position write count and the
-    /// line's WWS state.
-    pub fn hit(&mut self, slot: Slot, kind: AccessKind, now_ns: u64) -> &mut Line<M> {
+    /// [`lookup`](Self::lookup) does on a hit: replacement stamp and, for
+    /// a write, the position write count and the dirty bit.
+    pub fn hit(&mut self, slot: Slot, kind: AccessKind) -> &mut Line<M> {
         let slot = slot.0;
         self.stamps[slot] = self.next_stamp();
         let line = &mut self.lines[slot];
         if kind.is_write() {
-            self.stats.write_hits.inc();
             self.position_writes[slot] += 1;
-            line.note_write(now_ns);
-        } else {
-            self.stats.read_hits.inc();
+            line.dirty = true;
         }
         line
-    }
-
-    /// Returns the line without updating any state, or `None` when absent.
-    pub fn peek(&self, line_addr: u64) -> Option<&Line<M>> {
-        self.find(line_addr).map(|s| self.line(s))
-    }
-
-    /// Returns a mutable reference to the line without updating replacement
-    /// or statistics state (for metadata maintenance such as retention
-    /// counters).
-    pub fn peek_mut(&mut self, line_addr: u64) -> Option<&mut Line<M>> {
-        self.find(line_addr).map(|s| self.line_mut(s))
     }
 
     /// Whether the line is present and valid.
@@ -447,25 +355,16 @@ impl<M: Default> SetAssocCache<M> {
     /// Filling an already-present line just merges the dirty bit and
     /// returns `None` (this happens when an in-flight fill races a
     /// write-allocate).
-    pub fn fill(&mut self, line_addr: u64, dirty: bool, now_ns: u64) -> Option<Evicted<M>> {
-        self.fill_with(line_addr, dirty, 0, M::default(), now_ns)
-            .evicted
+    pub fn fill(&mut self, line_addr: u64, dirty: bool) -> Option<Evicted<M>> {
+        self.fill_with(line_addr, dirty, M::default()).evicted
     }
 
-    /// Fills a line carrying existing `write_count` and metadata — the
-    /// migration path between the LR and HR arrays uses this so WWS history
-    /// survives the move. Semantics otherwise match [`fill`](Self::fill);
-    /// the [`Placement`] also names the slot the line now occupies and
-    /// whether the fill wrote it (a merge into a resident line drops
-    /// `write_count` and `meta`).
-    pub fn fill_with(
-        &mut self,
-        line_addr: u64,
-        dirty: bool,
-        write_count: u32,
-        meta: M,
-        now_ns: u64,
-    ) -> Placement<M> {
+    /// Fills a line carrying owner metadata — the two-part LLC dates its
+    /// lines and carries their write history this way. Semantics
+    /// otherwise match [`fill`](Self::fill); the [`Placement`] also names
+    /// the slot the line now occupies and whether the fill wrote it (a
+    /// merge into a resident line drops `meta`).
+    pub fn fill_with(&mut self, line_addr: u64, dirty: bool, meta: M) -> Placement<M> {
         let (set, found) = self.locate(line_addr);
         if let Some(slot) = found {
             self.lines[slot].dirty |= dirty;
@@ -478,38 +377,26 @@ impl<M: Default> SetAssocCache<M> {
         let way = self.victim_way(set);
         let stamp = self.next_stamp();
         let slot = self.slot(set, way);
-        self.stats.fills.inc();
         // The fill itself writes the data array at this position.
         self.position_writes[slot] += 1;
-
-        let line = &mut self.lines[slot];
-        let evicted = if line.valid {
-            self.stats.evictions.inc();
-            if line.dirty {
-                self.stats.dirty_evictions.inc();
-            }
-            Some(Evicted {
-                line_addr: line.line_addr,
-                dirty: line.dirty,
-                write_count: line.write_count,
-                last_write_ns: line.last_write_ns,
-                meta: std::mem::take(&mut line.meta),
-            })
-        } else {
-            None
-        };
-        line.line_addr = line_addr;
-        line.valid = true;
-        line.dirty = dirty;
-        line.write_count = write_count.saturating_add(dirty as u32);
-        line.last_write_ns = if dirty { now_ns } else { 0 };
-        line.meta = meta;
+        let evicted = (self.tags[slot] != INVALID_TAG).then(|| self.take(slot));
+        self.lines[slot] = Line { dirty, meta };
         self.tags[slot] = line_addr;
         self.stamps[slot] = stamp;
         Placement {
             slot: Slot(slot),
             placed: true,
             evicted,
+        }
+    }
+
+    /// Empties the resident `slot`, returning what it held.
+    fn take(&mut self, slot: usize) -> Evicted<M> {
+        let line = &mut self.lines[slot];
+        Evicted {
+            line_addr: std::mem::replace(&mut self.tags[slot], INVALID_TAG),
+            dirty: line.dirty,
+            meta: std::mem::take(&mut line.meta),
         }
     }
 
@@ -522,18 +409,7 @@ impl<M: Default> SetAssocCache<M> {
     /// Removes the line at a handle from [`find`](Self::find), returning
     /// its state as [`extract`](Self::extract) does.
     pub fn extract_slot(&mut self, slot: Slot) -> Evicted<M> {
-        let slot = slot.0;
-        self.stats.invalidations.inc();
-        self.tags[slot] = INVALID_TAG;
-        let line = &mut self.lines[slot];
-        line.valid = false;
-        Evicted {
-            line_addr: line.line_addr,
-            dirty: line.dirty,
-            write_count: line.write_count,
-            last_write_ns: line.last_write_ns,
-            meta: std::mem::take(&mut line.meta),
-        }
+        self.take(slot.0)
     }
 
     /// Invalidates every line, returning the dirty victims (for flush).
@@ -547,63 +423,49 @@ impl<M: Default> SetAssocCache<M> {
     /// caller-owned buffer, so periodic flushes can reuse one allocation.
     pub fn flush_into(&mut self, dirty: &mut Vec<Evicted<M>>) {
         for slot in 0..self.lines.len() {
-            let line = &mut self.lines[slot];
-            if line.valid {
-                line.valid = false;
-                self.tags[slot] = INVALID_TAG;
-                self.stats.invalidations.inc();
-                if line.dirty {
-                    dirty.push(Evicted {
-                        line_addr: line.line_addr,
-                        dirty: true,
-                        write_count: line.write_count,
-                        last_write_ns: line.last_write_ns,
-                        meta: std::mem::take(&mut line.meta),
-                    });
+            if self.tags[slot] != INVALID_TAG {
+                let victim = self.take(slot);
+                if victim.dirty {
+                    dirty.push(victim);
                 }
             }
         }
     }
 
-    /// Iterates over all lines (valid and invalid) in (set, way) order,
-    /// which is [`Slot::index`] order.
-    pub fn iter(&self) -> impl Iterator<Item = &Line<M>> {
-        self.lines.iter()
+    /// Iterates over the resident lines in (set, way) order, which is
+    /// [`Slot::index`] order, each with its slot and line address.
+    pub fn iter(&self) -> impl Iterator<Item = (Slot, u64, &Line<M>)> {
+        self.tags
+            .iter()
+            .zip(&self.lines)
+            .enumerate()
+            .filter(|&(_, (&tag, _))| tag != INVALID_TAG)
+            .map(|(i, (&tag, line))| (Slot(i), tag, line))
     }
 
-    /// Iterates mutably over all lines in (set, way) order, which is
-    /// [`Slot::index`] order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Line<M>> {
-        self.lines.iter_mut()
-    }
-
-    /// Fraction of lines currently valid.
-    pub fn occupancy(&self) -> f64 {
-        let valid = self.lines.iter().filter(|l| l.valid).count();
-        valid as f64 / self.lines.len() as f64
+    /// Iterates mutably over the resident lines in (set, way) order, as
+    /// [`iter`](Self::iter) does.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Slot, u64, &mut Line<M>)> {
+        self.tags
+            .iter()
+            .zip(&mut self.lines)
+            .enumerate()
+            .filter(|&(_, (&tag, _))| tag != INVALID_TAG)
+            .map(|(i, (&tag, line))| (Slot(i), tag, line))
     }
 
     /// Cumulative per-(set, way) data-array write counts (write hits plus
     /// fills) — the matrix behind the paper's Fig. 3 COV analysis.
     pub fn write_count_matrix(&self) -> Vec<Vec<u64>> {
-        (0..self.sets)
-            .map(|s| {
-                (0..self.ways)
-                    .map(|w| self.position_writes[self.slot(s, w)])
-                    .collect()
-            })
+        self.position_writes
+            .chunks(self.ways)
+            .map(<[u64]>::to_vec)
             .collect()
     }
 
-    /// Access statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Resets access statistics and the write-count matrix.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.position_writes.iter_mut().for_each(|c| *c = 0);
+    /// Zeroes the write-count matrix (a new measurement window).
+    pub fn clear_write_counts(&mut self) {
+        self.position_writes.fill(0);
     }
 }
 
@@ -615,14 +477,18 @@ mod tests {
         SetAssocCache::new(sets, ways, 128)
     }
 
+    fn dirty_at(c: &SetAssocCache<()>, line_addr: u64) -> bool {
+        c.line(c.find(line_addr).expect("line present")).is_dirty()
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = cache(4, 2);
-        assert!(c.lookup(7, AccessKind::Read, 0).is_none());
-        c.fill(7, false, 0);
-        assert!(c.lookup(7, AccessKind::Read, 1).is_some());
-        assert_eq!(c.stats().read_misses.get(), 1);
-        assert_eq!(c.stats().read_hits.get(), 1);
+        assert!(c.lookup(7, AccessKind::Read).is_none());
+        assert!(!c.contains(7), "a miss allocates nothing");
+        c.fill(7, false);
+        assert!(c.lookup(7, AccessKind::Read).is_some());
+        assert!(!dirty_at(&c, 7), "a read hit leaves the line clean");
     }
 
     #[test]
@@ -636,67 +502,41 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = cache(1, 2);
-        c.fill(0, false, 0);
-        c.fill(1, false, 1);
-        c.lookup(0, AccessKind::Read, 2); // 0 is now MRU
-        let ev = c.fill(2, false, 3).expect("set full, someone evicted");
+        c.fill(0, false);
+        c.fill(1, false);
+        c.lookup(0, AccessKind::Read); // 0 is now MRU
+        let ev = c.fill(2, false).expect("set full, someone evicted");
         assert_eq!(ev.line_addr, 1);
         assert!(c.contains(0));
         assert!(c.contains(2));
     }
 
     #[test]
-    fn write_sets_dirty_and_counts() {
-        let mut c = cache(4, 2);
-        c.fill(5, false, 0);
-        c.lookup(5, AccessKind::Write, 10);
-        c.lookup(5, AccessKind::Write, 20);
-        let l = c.peek(5).expect("line present");
-        assert!(l.is_dirty());
-        assert_eq!(l.write_count(), 2);
-        assert_eq!(l.last_write_ns(), 20);
-    }
-
-    #[test]
-    fn dirty_fill_counts_as_one_write() {
-        let mut c = cache(4, 2);
-        c.fill(5, true, 7);
-        let l = c.peek(5).expect("line");
-        assert!(l.is_dirty());
-        assert_eq!(l.write_count(), 1);
-        assert_eq!(l.last_write_ns(), 7);
-    }
-
-    #[test]
     fn eviction_reports_victim_state() {
         let mut c = cache(1, 1);
-        c.fill(3, false, 0);
-        c.lookup(3, AccessKind::Write, 5);
-        let ev = c.fill(4, false, 6).expect("victim");
+        c.fill(3, false);
+        c.lookup(3, AccessKind::Write);
+        let ev = c.fill(4, false).expect("victim");
         assert_eq!(ev.line_addr, 3);
-        assert!(ev.dirty);
-        assert_eq!(ev.write_count, 1);
-        assert_eq!(c.stats().dirty_evictions.get(), 1);
+        assert!(ev.dirty, "the write hit dirtied the victim");
+        assert!(!dirty_at(&c, 4), "the clean newcomer starts clean");
     }
 
     #[test]
     fn refill_of_present_line_merges_dirty() {
         let mut c = cache(4, 2);
-        c.fill(5, false, 0);
-        assert!(c.fill(5, true, 1).is_none());
-        assert!(c.peek(5).expect("line").is_dirty());
+        c.fill(5, false);
+        assert!(c.fill(5, true).is_none());
+        assert!(dirty_at(&c, 5));
         // No phantom second copy.
-        let copies = c
-            .iter()
-            .filter(|l| l.is_valid() && l.line_addr() == 5)
-            .count();
+        let copies = c.iter().filter(|&(_, la, _)| la == 5).count();
         assert_eq!(copies, 1);
     }
 
     #[test]
     fn extract_removes_line() {
         let mut c = cache(4, 2);
-        c.fill(9, true, 0);
+        c.fill(9, true);
         let ev = c.extract(9).expect("present");
         assert!(ev.dirty);
         assert!(!c.contains(9));
@@ -706,45 +546,40 @@ mod tests {
     #[test]
     fn flush_returns_only_dirty_lines() {
         let mut c = cache(4, 2);
-        c.fill(1, true, 0);
-        c.fill(2, false, 0);
+        c.fill(1, true);
+        c.fill(2, false);
         let dirty = c.flush();
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty[0].line_addr, 1);
-        assert_eq!(c.occupancy(), 0.0);
-    }
-
-    #[test]
-    fn fill_with_carries_history() {
-        let mut c = cache(4, 2);
-        c.fill_with(11, true, 6, (), 42);
-        let l = c.peek(11).expect("line");
-        assert_eq!(l.write_count(), 7, "6 carried + 1 for the dirty fill");
+        assert_eq!(c.iter().count(), 0);
     }
 
     #[test]
     fn fill_with_reports_its_slot_and_whether_it_placed() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(4, 1, 128);
-        let first = c.fill_with(6, false, 0, 5, 0);
+        let first = c.fill_with(6, false, 5);
         assert!(first.placed && first.evicted.is_none());
         assert_eq!(Some(first.slot), c.find(6));
         assert_eq!(first.slot.index(), c.set_index(6), "one way: slot = set");
         assert_eq!(Slot::new(first.slot.index()), first.slot);
         // A merge names the resident slot and keeps its metadata.
-        let merged = c.fill_with(6, true, 3, 9, 1);
+        let merged = c.fill_with(6, true, 9);
         assert_eq!((merged.slot, merged.placed), (first.slot, false));
         assert!(merged.evicted.is_none());
         assert_eq!(c.line(merged.slot).meta, 5);
         assert!(c.line(merged.slot).is_dirty());
         // A conflicting fill reuses the slot and reports the victim.
-        let conflict = c.fill_with(10, false, 0, 7, 2);
+        let conflict = c.fill_with(10, false, 7);
         assert_eq!((conflict.slot, conflict.placed), (first.slot, true));
         assert_eq!(
             conflict.evicted.map(|v| (v.line_addr, v.meta)),
             Some((6, 5))
         );
-        let line = c.iter().nth(conflict.slot.index()).expect("slot in range");
-        assert_eq!((line.line_addr(), line.meta), (10, 7));
+        let (slot, la, line) = c
+            .iter()
+            .find(|&(s, _, _)| s == conflict.slot)
+            .expect("slot resident");
+        assert_eq!((slot, la, line.meta), (conflict.slot, 10, 7));
     }
 
     #[test]
@@ -758,40 +593,44 @@ mod tests {
     #[test]
     fn set_salt_rotates_the_mapping() {
         let mut c = cache(4, 2);
-        c.fill(0, false, 0);
+        c.fill(0, false);
         c.flush();
         c.set_salt(1);
         assert_eq!(c.set_index(0), 1);
         assert_eq!(c.set_index(7), 0);
         // Lines filled under the new mapping are found under it.
-        c.fill(0, false, 1);
+        c.fill(0, false);
         assert!(c.contains(0));
     }
 
     #[test]
     fn position_writes_accumulate_across_evictions() {
         let mut c = cache(1, 1);
-        c.fill(0, false, 0); // fill writes position
-        c.lookup(0, AccessKind::Write, 1); // write hit
-        c.fill(1, false, 2); // evicts, writes position again
-        let m = c.write_count_matrix();
-        assert_eq!(m, vec![vec![3]]);
+        c.fill(0, false); // fill writes position
+        c.lookup(0, AccessKind::Write); // write hit
+        c.fill(1, false); // evicts, writes position again
+        assert_eq!(c.write_count_matrix(), vec![vec![3]]);
+        c.clear_write_counts();
+        assert_eq!(c.write_count_matrix(), vec![vec![0]]);
+        assert!(c.contains(1), "a reset keeps the contents");
     }
 
     #[test]
     fn occupancy_tracks_valid_lines() {
         let mut c = cache(2, 2);
-        assert_eq!(c.occupancy(), 0.0);
-        c.fill(0, false, 0);
-        c.fill(1, false, 0);
-        assert_eq!(c.occupancy(), 0.5);
+        assert_eq!(c.iter().count(), 0);
+        c.fill(0, false);
+        c.fill(1, false);
+        let resident: Vec<u64> = c.iter().map(|(_, la, _)| la).collect();
+        assert_eq!(resident, vec![0, 1], "(set, way) order");
+        c.extract(0);
+        assert_eq!(c.iter().count(), 1);
     }
 
     #[test]
     fn capacity_accessors() {
         let c = cache(16, 4);
         assert_eq!(c.capacity_lines(), 64);
-        assert_eq!(c.capacity_bytes(), 64 * 128);
         assert_eq!(c.sets(), 16);
         assert_eq!(c.ways(), 4);
         assert_eq!(c.line_bytes(), 128);
@@ -807,9 +646,9 @@ mod tests {
     fn fully_associative_uses_whole_array() {
         let mut c: SetAssocCache<()> = SetAssocCache::new(1, 8, 128);
         for a in 0..8 {
-            assert!(c.fill(a, false, a).is_none(), "no eviction while not full");
+            assert!(c.fill(a, false).is_none(), "no eviction while not full");
         }
-        assert!(c.fill(8, false, 9).is_some());
+        assert!(c.fill(8, false).is_some());
     }
 
     #[test]
@@ -818,9 +657,9 @@ mod tests {
         // Fill every way of set 0 (addresses 0,2,4,6 map to set 0) and one
         // line of set 1.
         for a in [0u64, 2, 4, 6] {
-            c.fill(a, a == 4, a);
+            c.fill(a, a == 4);
         }
-        c.fill(1, false, 9);
+        c.fill(1, false);
         let mut out = Vec::new();
         c.drain_ways_into(2, &mut out);
         // Set 0 loses ways 2 and 3 (fill order = way order in an empty
@@ -831,14 +670,14 @@ mod tests {
         c.set_active_ways(2);
         assert_eq!(c.active_ways(), 2);
         // New fills never land in the parked range.
-        c.fill(8, false, 10); // set 0 is full at 2 ways -> evicts
-        for (i, l) in c.iter().enumerate() {
-            let way = i % 4;
-            assert!(way < 2 || !l.is_valid(), "parked way {way} stayed empty");
+        c.fill(8, false); // set 0 is full at 2 ways -> evicts
+        for (slot, _, _) in c.iter() {
+            let way = slot.index() % 4;
+            assert!(way < 2, "parked way {way} stayed empty");
         }
         // Growing back re-enables the ways with no residual state.
         c.set_active_ways(4);
-        assert!(c.fill(10, false, 11).is_none(), "free parked way reused");
+        assert!(c.fill(10, false).is_none(), "free parked way reused");
     }
 
     #[test]
@@ -846,10 +685,9 @@ mod tests {
         let mut c = cache(1, 4);
         c.set_active_ways(2);
         for a in 0..10 {
-            c.fill(a, false, a);
+            c.fill(a, false);
         }
-        let valid = c.iter().filter(|l| l.is_valid()).count();
-        assert_eq!(valid, 2, "fills overflowed the active prefix");
+        assert_eq!(c.iter().count(), 2, "fills overflowed the active prefix");
     }
 
     #[test]
@@ -860,47 +698,38 @@ mod tests {
     }
 
     #[test]
-    fn set_write_count_overwrites_wws_history() {
-        let mut c = cache(4, 2);
-        c.fill(5, true, 7);
-        c.peek_mut(5).expect("line").set_write_count(0);
-        assert_eq!(c.peek(5).expect("line").write_count(), 0);
-        assert!(c.peek(5).expect("line").is_dirty(), "dirty bit untouched");
-    }
-
-    #[test]
     fn slot_handles_match_address_lookups() {
         let mut by_slot: SetAssocCache<u32> = SetAssocCache::new(3, 2, 128);
         let mut by_addr = by_slot.clone();
         for c in [&mut by_slot, &mut by_addr] {
             for a in [0u64, 3, 1, 5] {
-                c.fill(a, a == 3, a);
+                c.fill(a, a == 3);
             }
         }
         assert_eq!(by_slot.find(4), None);
         let s3 = by_slot.find(3).expect("resident");
-        assert_eq!(by_slot.line(s3).line_addr(), 3);
-        by_slot.hit(s3, AccessKind::Write, 10).meta = 7;
-        by_addr.lookup(3, AccessKind::Write, 10).expect("hit").meta = 7;
+        by_slot.hit(s3, AccessKind::Write).meta = 7;
+        by_addr.lookup(3, AccessKind::Write).expect("hit").meta = 7;
         let s0 = by_slot.find(0).expect("resident");
-        by_slot.hit(s0, AccessKind::Read, 11);
-        by_addr.lookup(0, AccessKind::Read, 11);
-        by_slot.line_mut(s0).set_write_count(4);
-        by_addr.peek_mut(0).expect("resident").set_write_count(4);
+        by_slot.hit(s0, AccessKind::Read);
+        by_addr.lookup(0, AccessKind::Read);
+        by_slot.line_mut(s0).meta = 4;
+        let s0_addr = by_addr.find(0).expect("resident");
+        by_addr.line_mut(s0_addr).meta = 4;
         // Same replacement state: both evict line 3, the LRU of set 0.
-        let victim = by_slot.fill(6, false, 12);
+        let victim = by_slot.fill(6, false);
         assert_eq!(victim.as_ref().map(|v| v.line_addr), Some(3));
-        assert_eq!(victim, by_addr.fill(6, false, 12));
+        assert_eq!(victim, by_addr.fill(6, false));
         let s0 = by_slot.find(0).expect("still resident");
         assert_eq!(Some(by_slot.extract_slot(s0)), by_addr.extract(0));
-        assert_eq!(by_slot.stats(), by_addr.stats());
         assert_eq!(by_slot.write_count_matrix(), by_addr.write_count_matrix());
-        for (a, b) in by_slot.iter().zip(by_addr.iter()) {
+        for ((sa, la, a), (sb, lb, b)) in by_slot.iter().zip(by_addr.iter()) {
             assert_eq!(
-                (a.is_valid(), a.line_addr(), a.write_count(), a.meta),
-                (b.is_valid(), b.line_addr(), b.write_count(), b.meta)
+                (sa, la, a.is_dirty(), a.meta),
+                (sb, lb, b.is_dirty(), b.meta)
             );
         }
+        assert_eq!(by_slot.iter().count(), by_addr.iter().count());
     }
 
     #[test]
@@ -920,14 +749,12 @@ mod tests {
     #[test]
     fn metadata_survives_on_hits_resets_on_fill() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 1, 128);
-        c.fill(0, false, 0);
-        c.peek_mut(0).expect("line").meta = 77;
-        assert_eq!(c.lookup(0, AccessKind::Read, 1).expect("hit").meta, 77);
-        c.fill(1, false, 2); // evicts line 0
-        assert_eq!(
-            c.peek(1).expect("line").meta,
-            0,
-            "fresh fill gets default meta"
-        );
+        c.fill(0, false);
+        let s0 = c.find(0).expect("line");
+        c.line_mut(s0).meta = 77;
+        assert_eq!(c.lookup(0, AccessKind::Read).expect("hit").meta, 77);
+        c.fill(1, false); // evicts line 0
+        let s1 = c.find(1).expect("line");
+        assert_eq!(c.line(s1).meta, 0, "fresh fill gets default meta");
     }
 }

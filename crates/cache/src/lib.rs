@@ -8,8 +8,11 @@
 //! ([`BankArbiter`]) and division-free address mapping ([`Divisor`]).
 //!
 //! The cache array is generic over a per-line metadata type `M`, which is
-//! how the two-part LLC of `sttgpu-core` attaches retention counters and
-//! write-working-set state to lines without this crate knowing about them.
+//! how the two-part LLC of `sttgpu-core` attaches retention clocks and
+//! write-working-set history to lines without this crate knowing about
+//! them. The array stores residency, recency, the dirty bit and `M`, and
+//! counts no accesses: hit and miss counts belong to the owners that
+//! report them.
 //!
 //! # Example
 //!
@@ -19,9 +22,9 @@
 //! // 4-set, 2-way cache of 128-byte lines.
 //! let mut c: SetAssocCache<()> = SetAssocCache::new(4, 2, 128);
 //! let addr = 0x1000;
-//! assert!(c.lookup(c.line_addr(addr), AccessKind::Read, 0).is_none()); // cold miss
-//! c.fill(c.line_addr(addr), false, 0);
-//! assert!(c.lookup(c.line_addr(addr), AccessKind::Read, 1).is_some()); // hit
+//! assert!(c.lookup(c.line_addr(addr), AccessKind::Read).is_none()); // cold miss
+//! c.fill(c.line_addr(addr), false);
+//! assert!(c.lookup(c.line_addr(addr), AccessKind::Read).is_some()); // hit
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,11 +35,9 @@ mod cache;
 mod divisor;
 mod linemap;
 mod mshr;
-mod stats;
 
 pub use arbiter::BankArbiter;
 pub use cache::{AccessKind, Evicted, Line, Placement, SetAssocCache, Slot};
 pub use divisor::Divisor;
 pub use linemap::{line_map_with_capacity, LineHasher, LineMap};
 pub use mshr::{MshrOutcome, MshrTable};
-pub use stats::CacheStats;

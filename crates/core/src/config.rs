@@ -53,7 +53,7 @@ pub enum ConfigError {
     RetentionTooShort {
         /// Part name ("LR" or "HR").
         part: &'static str,
-        /// Counter width, bits.
+        /// Retention-counter width, bits.
         bits: u32,
     },
     /// The early-write-termination savings fraction is outside `[0, 0.9]`.

@@ -143,7 +143,7 @@ pub trait LlcModel {
 pub struct SingleLlc {
     array: PricedArray<()>,
     ledger: Ledger,
-    stats_writebacks: u64,
+    stats: LlcStats,
 }
 
 impl SingleLlc {
@@ -158,7 +158,7 @@ impl SingleLlc {
         SingleLlc {
             ledger: Ledger::new(array.design.leakage_mw()),
             array,
-            stats_writebacks: 0,
+            stats: LlcStats::default(),
         }
     }
 
@@ -176,7 +176,11 @@ impl LlcModel for SingleLlc {
     fn probe(&mut self, byte_addr: u64, kind: AccessKind, now_ns: u64) -> ProbeOutcome {
         let la = self.array.cache.line_addr(byte_addr);
         let tag_done = now_ns + self.array.tag_lookup(&mut self.ledger);
-        if self.array.cache.lookup(la, kind, now_ns).is_some() {
+        if self.array.cache.lookup(la, kind).is_some() {
+            match kind {
+                AccessKind::Read => self.stats.read_hits += 1,
+                AccessKind::Write => self.stats.write_hits += 1,
+            }
             self.ledger.trace.emit(|| TraceEvent::Hit {
                 part: PartId::Mono,
                 la,
@@ -190,6 +194,10 @@ impl LlcModel for SingleLlc {
                 writebacks: 0,
             }
         } else {
+            match kind {
+                AccessKind::Read => self.stats.read_misses += 1,
+                AccessKind::Write => self.stats.write_misses += 1,
+            }
             self.ledger.trace.emit(|| TraceEvent::Miss {
                 la,
                 write: kind.is_write(),
@@ -207,7 +215,7 @@ impl LlcModel for SingleLlc {
         let la = self.array.cache.line_addr(byte_addr);
         let ready_ns = self.array.fill_write(now_ns, &mut self.ledger);
         let mut writebacks = 0;
-        if let Some(victim) = self.array.cache.fill(la, dirty, now_ns) {
+        if let Some(victim) = self.array.cache.fill(la, dirty) {
             self.ledger.trace.emit(|| TraceEvent::Evict {
                 part: PartId::Mono,
                 la: victim.line_addr,
@@ -216,7 +224,7 @@ impl LlcModel for SingleLlc {
             });
             writebacks =
                 self.array
-                    .write_back(victim.dirty, &mut self.stats_writebacks, &mut self.ledger);
+                    .write_back(victim.dirty, &mut self.stats.writebacks, &mut self.ledger);
         }
         self.ledger.trace.emit(|| TraceEvent::Fill {
             part: PartId::Mono,
@@ -240,14 +248,7 @@ impl LlcModel for SingleLlc {
     }
 
     fn summary(&self) -> LlcStats {
-        let s = self.array.cache.stats();
-        LlcStats {
-            read_hits: s.read_hits.get(),
-            read_misses: s.read_misses.get(),
-            write_hits: s.write_hits.get(),
-            write_misses: s.write_misses.get(),
-            writebacks: self.stats_writebacks,
-        }
+        self.stats
     }
 
     fn write_count_matrix(&self) -> Vec<Vec<u64>> {
@@ -255,9 +256,9 @@ impl LlcModel for SingleLlc {
     }
 
     fn reset_measurement(&mut self) {
-        self.array.cache.reset_stats();
+        self.array.cache.clear_write_counts();
         self.ledger.energy.reset();
-        self.stats_writebacks = 0;
+        self.stats = LlcStats::default();
         self.ledger.trace.emit(|| TraceEvent::ResetMeasurement);
     }
 }

@@ -82,7 +82,7 @@ impl RetentionTracker {
         self.retention_ns
     }
 
-    /// Counter width in bits.
+    /// Retention-counter width in bits.
     pub fn bits(&self) -> u32 {
         self.bits
     }

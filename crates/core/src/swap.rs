@@ -12,8 +12,6 @@
 //! until the destination array finishes writing the block; the model keeps
 //! the completion time per slot and prunes lazily.
 
-use sttgpu_stats::Counter;
-
 /// A capacity-limited migration buffer between the two cache parts.
 ///
 /// # Example
@@ -32,8 +30,8 @@ use sttgpu_stats::Counter;
 pub struct SwapBuffer {
     capacity: usize,
     completions: Vec<u64>,
-    overflows: Counter,
-    admissions: Counter,
+    overflows: u64,
+    admissions: u64,
     peak_occupancy: usize,
 }
 
@@ -48,8 +46,8 @@ impl SwapBuffer {
         SwapBuffer {
             capacity,
             completions: Vec::with_capacity(capacity),
-            overflows: Counter::new(),
-            admissions: Counter::new(),
+            overflows: 0,
+            admissions: 0,
             peak_occupancy: 0,
         }
     }
@@ -69,11 +67,11 @@ impl SwapBuffer {
     pub fn try_reserve(&mut self, now_ns: u64, completes_at_ns: u64) -> bool {
         self.prune(now_ns);
         if self.completions.len() >= self.capacity {
-            self.overflows.inc();
+            self.overflows += 1;
             return false;
         }
         self.completions.push(completes_at_ns);
-        self.admissions.inc();
+        self.admissions += 1;
         self.peak_occupancy = self.peak_occupancy.max(self.completions.len());
         true
     }
@@ -86,13 +84,13 @@ impl SwapBuffer {
 
     /// Total blocks admitted.
     pub fn admissions(&self) -> u64 {
-        self.admissions.get()
+        self.admissions
     }
 
     /// Total admission failures (each costs a forced DRAM write-back for
     /// dirty blocks).
     pub fn overflows(&self) -> u64 {
-        self.overflows.get()
+        self.overflows
     }
 
     /// Highest simultaneous occupancy seen (for sizing studies).
@@ -103,8 +101,8 @@ impl SwapBuffer {
     /// Clears in-flight state and statistics.
     pub fn reset(&mut self) {
         self.completions.clear();
-        self.overflows.reset();
-        self.admissions.reset();
+        self.overflows = 0;
+        self.admissions = 0;
         self.peak_occupancy = 0;
     }
 }

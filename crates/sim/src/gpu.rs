@@ -289,7 +289,7 @@ impl Gpu {
         let mut sm_idle_cycles = 0;
         for sm in &self.sms {
             instructions += sm.instructions;
-            let (hits, misses, _w, _e) = sm.l1().counters();
+            let (hits, misses) = sm.l1().counters();
             l1_read_hits += hits;
             l1_read_misses += misses;
             mshr_stalls += sm.mshr_stalls;

@@ -270,7 +270,7 @@ impl Sm {
     /// written back to `mem` at once. Returns the number of blocks that
     /// retired as a result.
     pub fn apply_fill(&mut self, byte_addr: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
-        let (tokens, dirty_victim) = self.l1.fill(byte_addr, now_ns);
+        let (tokens, dirty_victim) = self.l1.fill(byte_addr);
         if let Some(victim_addr) = dirty_victim {
             mem.write_request(self.id, victim_addr, now_ns);
         }
@@ -308,7 +308,7 @@ impl Sm {
     ) -> (u32, bool) {
         let mut misses = 0;
         for &addr in addrs {
-            match self.l1.read(addr, slot as u64, now_ns) {
+            match self.l1.read(addr, slot as u64) {
                 L1ReadOutcome::Hit => {}
                 L1ReadOutcome::MissIssued => {
                     mem.read_request(self.id, addr, now_ns);
@@ -355,7 +355,7 @@ impl Sm {
             }
             WarpInstr::MemWrite(addrs) => {
                 for &addr in &addrs {
-                    self.l1.write(addr, now_ns);
+                    self.l1.write(addr);
                     mem.write_request(self.id, addr, now_ns);
                 }
                 self.instructions += self.warp_size as u64;
@@ -365,7 +365,7 @@ impl Sm {
                 // Write-back/write-allocate (paper Fig. 1-b): the write
                 // stays in L1; only displaced dirty lines reach L2.
                 for &addr in &addrs {
-                    if let Some(victim) = self.l1.write_local(addr, now_ns) {
+                    if let Some(victim) = self.l1.write_local(addr) {
                         mem.write_request(self.id, victim, now_ns);
                     }
                 }

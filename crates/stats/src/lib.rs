@@ -2,10 +2,11 @@
 //!
 //! The DAC 2014 paper this project reproduces characterises GPGPU
 //! applications through a handful of statistics: per-block write counts and
-//! their **coefficient of variation** across and within cache sets (Fig. 3),
-//! **rewrite-interval histograms** (Fig. 6), and plain event counters used
-//! everywhere in the evaluation. This crate provides those primitives with
-//! no dependency on the rest of the stack so every other crate can use them.
+//! their **coefficient of variation** across and within cache sets (Fig. 3)
+//! and **rewrite-interval histograms** (Fig. 6). This crate provides those
+//! primitives, plus the seeded RNG every workload draws from, with no
+//! dependency on the rest of the stack so every other crate can use them.
+//! Event counts are plain `u64` fields on the structs that report them.
 //!
 //! # Example
 //!
@@ -32,13 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counter;
 mod cov;
 mod histogram;
 pub mod rng;
 mod running;
 
-pub use counter::Counter;
 pub use cov::{coefficient_of_variation, WriteVariation};
 pub use histogram::{Bucket, Histogram};
 pub use rng::{Chance, Rng};
