@@ -91,12 +91,6 @@ impl Histogram {
         self.counts.clone()
     }
 
-    /// The configured inclusive upper bounds (the overflow bucket is
-    /// implicit and not listed).
-    pub fn bounds(&self) -> Vec<u64> {
-        self.bounds.clone()
-    }
-
     /// Fraction of samples in bucket `idx`, or 0.0 when empty.
     ///
     /// # Panics
@@ -141,19 +135,6 @@ impl Histogram {
             .map(|(_, &c)| c)
             .sum();
         upto as f64 / self.total as f64
-    }
-
-    /// Merges another histogram with identical bounds into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds mismatch");
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c = c.saturating_add(*o);
-        }
-        self.total = self.total.saturating_add(other.total);
     }
 
     /// Clears all counts, keeping the bucket layout.
@@ -215,26 +196,6 @@ mod tests {
         h.record(5000); // overflow
         assert!((h.cumulative_fraction_at(100) - 0.5).abs() < 1e-12);
         assert!((h.cumulative_fraction_at(1000) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(&[10]);
-        let mut b = Histogram::new(&[10]);
-        a.record(1);
-        b.record(1);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.counts(), vec![2, 1]);
-        assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds mismatch")]
-    fn merge_rejects_different_layouts() {
-        let mut a = Histogram::new(&[10]);
-        let b = Histogram::new(&[20]);
-        a.merge(&b);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Single-pass mean/variance accumulation (Welford's algorithm).
 
-/// Running mean, variance, min and max over a stream of samples.
+/// Running mean and variance over a stream of samples.
 ///
 /// Uses Welford's numerically stable single-pass algorithm, so the whole
 /// sample stream never has to be materialised. This is the building block
@@ -23,8 +23,6 @@ pub struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
@@ -34,8 +32,6 @@ impl RunningStats {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -46,8 +42,6 @@ impl RunningStats {
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of samples pushed so far.
@@ -78,16 +72,6 @@ impl RunningStats {
         self.population_variance().sqrt()
     }
 
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Coefficient of variation (population std-dev / mean), or 0.0 when the
     /// mean is zero.
     pub fn cov(&self) -> f64 {
@@ -97,26 +81,6 @@ impl RunningStats {
         } else {
             self.population_std_dev() / m
         }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -146,8 +110,6 @@ mod tests {
         assert_eq!(rs.count(), 0);
         assert_eq!(rs.mean(), 0.0);
         assert_eq!(rs.population_variance(), 0.0);
-        assert_eq!(rs.min(), None);
-        assert_eq!(rs.max(), None);
     }
 
     #[test]
@@ -155,8 +117,6 @@ mod tests {
         let rs: RunningStats = [3.5].into_iter().collect();
         assert_eq!(rs.mean(), 3.5);
         assert_eq!(rs.population_variance(), 0.0);
-        assert_eq!(rs.min(), Some(3.5));
-        assert_eq!(rs.max(), Some(3.5));
     }
 
     #[test]
@@ -178,32 +138,5 @@ mod tests {
     fn cov_zero_mean_guard() {
         let rs: RunningStats = [1.0, -1.0].into_iter().collect();
         assert_eq!(rs.cov(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.5, -2.0];
-        let sequential: RunningStats = xs.into_iter().collect();
-        let mut a: RunningStats = xs[..3].iter().copied().collect();
-        let b: RunningStats = xs[3..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), sequential.count());
-        assert!((a.mean() - sequential.mean()).abs() < 1e-12);
-        assert!((a.population_variance() - sequential.population_variance()).abs() < 1e-12);
-        assert_eq!(a.min(), sequential.min());
-        assert_eq!(a.max(), sequential.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let xs = [1.0, 2.0, 3.0];
-        let mut a: RunningStats = xs.into_iter().collect();
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 }

@@ -19,27 +19,6 @@ fn welford_matches_naive() {
     }
 }
 
-/// Merging two accumulators equals accumulating the concatenation.
-#[test]
-fn merge_is_concatenation() {
-    let mut rng = Rng::new(0xBEEF);
-    for _ in 0..50 {
-        let a: Vec<f64> = (0..rng.range_usize(0, 50))
-            .map(|_| rng.range_f64(-1e3, 1e3))
-            .collect();
-        let b: Vec<f64> = (0..rng.range_usize(0, 50))
-            .map(|_| rng.range_f64(-1e3, 1e3))
-            .collect();
-        let mut left: RunningStats = a.iter().copied().collect();
-        let right: RunningStats = b.iter().copied().collect();
-        left.merge(&right);
-        let both: RunningStats = a.iter().chain(b.iter()).copied().collect();
-        assert_eq!(left.count(), both.count());
-        assert!((left.mean() - both.mean()).abs() < 1e-6);
-        assert!((left.population_variance() - both.population_variance()).abs() < 1e-4);
-    }
-}
-
 /// Draws a sorted set of distinct histogram bounds.
 fn random_bounds(rng: &mut Rng, lo: u64, hi: u64, min_n: usize, max_n: usize) -> Vec<u64> {
     let n = rng.range_usize(min_n, max_n);
