@@ -21,8 +21,10 @@
 #                      # the same with seeded faults firing (HR way
 #                      # drains and retention switches meet ECC drops,
 #                      # refresh drops and buffer stalls),
-#                      # and an --llc-policy fixed vs default
-#                      # byte-identity comparison
+#                      # an --llc-policy fixed vs default
+#                      # byte-identity comparison, and the four
+#                      # library examples at scale 0.05 (cargo test only
+#                      # compiles them)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -115,6 +117,13 @@ if [[ "${1:-}" == "--smoke" ]]; then
         cmp "$smoke_tmp/default/$f" "$smoke_tmp/fixed/$f" \
             || { echo "policy smoke: $f differs between default and --llc-policy fixed"; exit 1; }
     done
+
+    echo "==> library examples (scale 0.05)"
+    example() { cargo run --release --offline -q --example "$@" > /dev/null; }
+    example quickstart bfs 0.05
+    example wws_inspector bfs 0.05
+    example stencil_vs_kmeans 0.05
+    example design_space 0.05
 fi
 
 echo "CI OK"
