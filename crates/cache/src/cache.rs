@@ -47,7 +47,7 @@ impl<M> Line<M> {
 /// A handle lets one address lookup serve every later step of an access
 /// (hit bookkeeping, metadata updates, extraction). It stays valid until
 /// the next call that changes residency: `fill`, `fill_with`, `extract`,
-/// `extract_slot`, `flush`, `flush_into` or `drain_ways_into`.
+/// `extract_slot`, `flush` or `flush_into`.
 ///
 /// Each slot is one physical position with a dense index in
 /// `[0, capacity_lines)`, (set, way) order, so owners can keep per-slot
@@ -116,9 +116,6 @@ pub struct Evicted<M> {
 pub struct SetAssocCache<M> {
     sets: usize,
     ways: usize,
-    /// Ways `[0, active_ways)` are in service; the rest are parked by a
-    /// runtime reconfiguration policy and never selected as victims.
-    active_ways: usize,
     line_bytes: u32,
     lines: Vec<Line<M>>,
     /// Per-slot line address, [`INVALID_TAG`] when the slot is empty: the
@@ -164,7 +161,6 @@ impl<M: Default> SetAssocCache<M> {
         SetAssocCache {
             sets,
             ways,
-            active_ways: ways,
             line_bytes,
             lines,
             tags: vec![INVALID_TAG; sets * ways],
@@ -184,50 +180,6 @@ impl<M: Default> SetAssocCache<M> {
     /// Ways per set.
     pub fn ways(&self) -> usize {
         self.ways
-    }
-
-    /// Ways per set currently in service (≤ [`ways`](Self::ways)).
-    pub fn active_ways(&self) -> usize {
-        self.active_ways
-    }
-
-    /// Changes the number of in-service ways. Shrinking callers must
-    /// first evacuate the parked range with
-    /// [`drain_ways_into`](Self::drain_ways_into): victim selection only
-    /// ever picks ways `[0, n)`, so a valid line left behind in a parked
-    /// way would sit unreachable-for-replacement forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds the physical associativity;
-    /// panics in debug builds if a shrink leaves valid lines parked.
-    pub fn set_active_ways(&mut self, n: usize) {
-        assert!(
-            (1..=self.ways).contains(&n),
-            "active ways {n} outside [1, {}]",
-            self.ways
-        );
-        debug_assert!(
-            n >= self.active_ways
-                || (0..self.sets)
-                    .all(|s| { (n..self.ways).all(|w| self.tags[self.slot(s, w)] == INVALID_TAG) }),
-            "shrinking active ways requires draining the parked range first"
-        );
-        self.active_ways = n;
-    }
-
-    /// Invalidates every valid line in ways `[from_way, ways)` across all
-    /// sets — the evacuation step before parking those ways — appending
-    /// each victim (dirty or clean) to `out` in (set, way) order.
-    pub fn drain_ways_into(&mut self, from_way: usize, out: &mut Vec<Evicted<M>>) {
-        for set in 0..self.sets {
-            for way in from_way..self.ways {
-                let slot = self.slot(set, way);
-                if self.tags[slot] != INVALID_TAG {
-                    out.push(self.take(slot));
-                }
-            }
-        }
     }
 
     /// Line size in bytes.
@@ -332,9 +284,8 @@ impl<M: Default> SetAssocCache<M> {
     }
 
     fn victim_way(&self, set: usize) -> usize {
-        // Only in-service ways participate; parked ways stay invalid.
         // Invalid lines are free slots.
-        let row = set * self.ways..set * self.ways + self.active_ways;
+        let row = set * self.ways..(set + 1) * self.ways;
         if let Some(w) = self.tags[row.clone()]
             .iter()
             .position(|&t| t == INVALID_TAG)
@@ -649,52 +600,6 @@ mod tests {
             assert!(c.fill(a, false).is_none(), "no eviction while not full");
         }
         assert!(c.fill(8, false).is_some());
-    }
-
-    #[test]
-    fn drain_then_shrink_parks_ways() {
-        let mut c = cache(2, 4);
-        // Fill every way of set 0 (addresses 0,2,4,6 map to set 0) and one
-        // line of set 1.
-        for a in [0u64, 2, 4, 6] {
-            c.fill(a, a == 4);
-        }
-        c.fill(1, false);
-        let mut out = Vec::new();
-        c.drain_ways_into(2, &mut out);
-        // Set 0 loses ways 2 and 3 (fill order = way order in an empty
-        // set); set 1 only had way 0 occupied.
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().any(|e| e.line_addr == 4 && e.dirty));
-        assert!(out.iter().any(|e| e.line_addr == 6 && !e.dirty));
-        c.set_active_ways(2);
-        assert_eq!(c.active_ways(), 2);
-        // New fills never land in the parked range.
-        c.fill(8, false); // set 0 is full at 2 ways -> evicts
-        for (slot, _, _) in c.iter() {
-            let way = slot.index() % 4;
-            assert!(way < 2, "parked way {way} stayed empty");
-        }
-        // Growing back re-enables the ways with no residual state.
-        c.set_active_ways(4);
-        assert!(c.fill(10, false).is_none(), "free parked way reused");
-    }
-
-    #[test]
-    fn victim_selection_respects_active_ways() {
-        let mut c = cache(1, 4);
-        c.set_active_ways(2);
-        for a in 0..10 {
-            c.fill(a, false);
-        }
-        assert_eq!(c.iter().count(), 2, "fills overflowed the active prefix");
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn rejects_zero_active_ways() {
-        let mut c = cache(2, 4);
-        c.set_active_ways(0);
     }
 
     #[test]

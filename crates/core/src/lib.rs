@@ -16,9 +16,8 @@
 //! eviction, through a pair of small swap buffers that absorb the
 //! write-latency gap between the arrays. A search selector orders the
 //! sequential two-part lookup by access type: writes probe LR first, reads
-//! probe HR first. The threshold rule and its two runtime-adaptive
-//! variants (retention scaling, HR way reconfiguration) are one
-//! [`PolicyEngine`], selected by [`LlcPolicy`].
+//! probe HR first. The threshold rule and its runtime-adaptive retention
+//! variant are one [`PolicyEngine`], selected by [`LlcPolicy`].
 //!
 //! [`TwoPartLlc`] implements all of that behind the [`LlcModel`] trait,
 //! alongside the evaluation's baselines ([`SingleLlc`] over SRAM or
@@ -61,7 +60,7 @@ mod two_part;
 pub use config::{ConfigError, SearchMode, TwoPartConfig};
 pub use llc::{AnyLlc, FillOutcome, LlcModel, LlcStats, ProbeOutcome, SingleLlc};
 pub use policy::{
-    lr_maintenance_floor_ns, lr_tracker_at, EpochActions, LlcPolicy, PolicyEngine, POLICY_EPOCH_NS,
+    lr_maintenance_floor_ns, lr_tracker_at, LlcPolicy, PolicyEngine, POLICY_EPOCH_NS,
     RETENTION_LADDER,
 };
 pub use requests::{close_check, RequestClock};

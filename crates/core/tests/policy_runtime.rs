@@ -1,16 +1,11 @@
 //! Runtime-adaptive policy tests against the live invariant checker.
 //!
-//! Three properties anchor the pluggable-policy refactor:
+//! Two properties anchor the policy engine:
 //!
 //! 1. **Fixed is free** — selecting [`LlcPolicy::Fixed`] explicitly is
 //!    byte-identical (every event, counter and energy bit) to the
 //!    default configuration, and emits no `PolicySwitch` events.
-//! 2. **Way reallocation is safe mid-drain** — under
-//!    [`LlcPolicy::AdaptiveWays`] the checker's residency, exclusivity
-//!    and swap-conservation invariants hold through every shrink drain
-//!    and grow, across seeds, and the active way count never leaves
-//!    `[max/2, max]`.
-//! 3. **Retention ladder switches keep the checker in step** — under
+//! 2. **Retention ladder switches keep the checker in step** — under
 //!    [`LlcPolicy::AdaptiveRetention`] the ladder climbs when refreshes
 //!    dominate, descends when demand writes dominate, and the
 //!    `PolicySwitch`-driven window updates keep every post-switch
@@ -70,22 +65,6 @@ fn drive(llc: &mut TwoPartLlc, ops: &[Op]) {
     }
 }
 
-/// The `active_ways` values carried by a run's HR `PolicySwitch` events,
-/// in emission order.
-fn way_switches(events: &[TraceEvent]) -> Vec<u32> {
-    events
-        .iter()
-        .filter_map(|ev| match *ev {
-            TraceEvent::PolicySwitch {
-                part: PartId::Hr,
-                active_ways,
-                ..
-            } => Some(active_ways),
-            _ => None,
-        })
-        .collect()
-}
-
 /// The `lr_max_hit_age_ns` values carried by a run's LR `PolicySwitch`
 /// events, in emission order.
 fn retention_switches(events: &[TraceEvent]) -> Vec<u64> {
@@ -130,45 +109,6 @@ fn explicit_fixed_policy_is_byte_identical_to_the_default() {
             .any(|ev| matches!(ev, TraceEvent::PolicySwitch { .. })),
         "the fixed policy never reconfigures"
     );
-}
-
-#[test]
-fn adaptive_ways_reallocation_preserves_invariants_mid_drain() {
-    let cfg = paper_shape().with_policy(LlcPolicy::AdaptiveWays);
-    for seed in [0xA11, 0xA22, 0xA33u64] {
-        // Phase 1: a tiny read-only hot set — once warm, epochs see no
-        // HR write traffic, so the partition sheds ways. Phase 2: a
-        // wide low-gap write/fill storm rebuilds write pressure and
-        // grows them back.
-        let mut ops = stream(seed, 2_000, 6, 0.0, 400);
-        ops.extend(stream(seed ^ 0x5A5A, 4_000, 400, 0.5, 20));
-
-        let (_, events) = replay_traced(&cfg, &ops);
-        let ways = way_switches(&events);
-        assert!(
-            ways.iter().any(|&w| w < 7),
-            "[{seed:#x}] idle epochs must shed HR ways (saw {ways:?})"
-        );
-        assert!(
-            ways.windows(2).any(|w| w[1] > w[0]),
-            "[{seed:#x}] write pressure must grow HR ways back (saw {ways:?})"
-        );
-        assert!(
-            ways.iter().all(|&w| (3..=7).contains(&w)),
-            "[{seed:#x}] active ways left [max/2, max]: {ways:?}"
-        );
-
-        // The same run under the checker: every shrink drain (evictions
-        // of parked-way residents, dirty ones writing back) must respect
-        // residency, exclusivity and swap-buffer conservation.
-        let report = replay_checked(&cfg, &ops);
-        assert!(
-            report.is_clean(),
-            "[{seed:#x}] {} violation(s):\n{}",
-            report.violations,
-            report.samples.join("\n")
-        );
-    }
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! Adaptive-policy ablation: the paper-exact fixed policy vs. the two
-//! shipped runtime-adaptive policies, across the whole workload suite
-//! and the fault ladder.
+//! Adaptive-policy ablation: the paper-exact fixed policy vs. the
+//! shipped runtime-adaptive retention policy, across the whole workload
+//! suite and the fault ladder.
 //!
 //! The paper fixes its policy bundle at design time (write-threshold
 //! migration, static retention, static LR/HR split). The runtime
 //! policies ([`LlcPolicy`]) make that bundle a runtime choice, so
-//! the natural question is what the adaptive variants actually buy:
+//! the natural question is what the adaptive variant actually buys:
 //! per workload, this artefact reports IPC, dynamic L2 energy and LR
 //! refresh work under each policy (normalised to the fixed run), then
 //! repeats the fault-injection ladder under each policy to show whether
@@ -22,8 +22,8 @@ use crate::report;
 use crate::runner::{Executor, RunPlan};
 
 /// Policy order of every per-policy array in this artefact: fixed
-/// first (it anchors the normalisation), then the adaptive variants.
-pub const POLICIES: [LlcPolicy; 3] = LlcPolicy::ALL;
+/// first (it anchors the normalisation), then the adaptive variant.
+pub const POLICIES: [LlcPolicy; 2] = LlcPolicy::ALL;
 
 /// One workload measured under every shipped policy (C1 geometry).
 #[derive(Debug, Clone, PartialEq)]
@@ -31,11 +31,11 @@ pub struct AdaptiveRow {
     /// Workload name.
     pub workload: String,
     /// IPC under each policy, [`POLICIES`] order.
-    pub ipc: [f64; 3],
+    pub ipc: [f64; 2],
     /// Dynamic L2 energy (nJ) under each policy, [`POLICIES`] order.
-    pub dyn_energy_nj: [f64; 3],
+    pub dyn_energy_nj: [f64; 2],
     /// LR refreshes under each policy, [`POLICIES`] order.
-    pub refreshes: [u64; 3],
+    pub refreshes: [u64; 2],
 }
 
 /// The full artefact: the per-workload grid plus one fault ladder per
@@ -67,9 +67,9 @@ pub fn compute(exec: &Executor, plan: &RunPlan) -> AdaptiveReport {
         .iter()
         .enumerate()
         .map(|(wi, w)| {
-            let mut ipc = [0.0; 3];
-            let mut dyn_energy_nj = [0.0; 3];
-            let mut refreshes = [0u64; 3];
+            let mut ipc = [0.0; 2];
+            let mut dyn_energy_nj = [0.0; 2];
+            let mut refreshes = [0u64; 2];
             for pi in 0..POLICIES.len() {
                 let out = &outs[wi * POLICIES.len() + pi];
                 ipc[pi] = out.metrics.ipc();
@@ -91,9 +91,9 @@ pub fn compute(exec: &Executor, plan: &RunPlan) -> AdaptiveReport {
     AdaptiveReport { rows, fault }
 }
 
-/// Geometric-mean ratio of policy column `pi` over the fixed column.
-fn gmean_vs_fixed(rows: &[AdaptiveRow], pi: usize, f: impl Fn(&AdaptiveRow, usize) -> f64) -> f64 {
-    let ratios: Vec<f64> = rows.iter().map(|r| f(r, pi) / f(r, 0).max(1e-12)).collect();
+/// Geometric-mean ratio of the adaptive column over the fixed column.
+fn gmean_vs_fixed(rows: &[AdaptiveRow], f: impl Fn(&AdaptiveRow, usize) -> f64) -> f64 {
+    let ratios: Vec<f64> = rows.iter().map(|r| f(r, 1) / f(r, 0).max(1e-12)).collect();
     report::gmean(&ratios)
 }
 
@@ -109,9 +109,7 @@ pub fn render(rep: &AdaptiveReport) -> String {
                 r.workload.clone(),
                 format!("{:.0}", r.ipc[0]),
                 report::ratio(r.ipc[1] / r.ipc[0].max(1e-12)),
-                report::ratio(r.ipc[2] / r.ipc[0].max(1e-12)),
                 report::ratio(r.dyn_energy_nj[1] / r.dyn_energy_nj[0].max(1e-12)),
-                report::ratio(r.dyn_energy_nj[2] / r.dyn_energy_nj[0].max(1e-12)),
                 format!("{}", r.refreshes[0]),
                 format!("{}", r.refreshes[1]),
             ]
@@ -122,21 +120,16 @@ pub fn render(rep: &AdaptiveReport) -> String {
             "workload",
             "IPC fixed",
             "IPC adapt-ret",
-            "IPC adapt-ways",
             "energy adapt-ret",
-            "energy adapt-ways",
             "refreshes fixed",
             "refreshes adapt-ret",
         ],
         &body,
     ));
     out.push_str(&format!(
-        "\ngmean vs fixed: IPC {} (retention) / {} (ways), \
-         dynamic energy {} (retention) / {} (ways)\n",
-        report::ratio(gmean_vs_fixed(&rep.rows, 1, |r, i| r.ipc[i])),
-        report::ratio(gmean_vs_fixed(&rep.rows, 2, |r, i| r.ipc[i])),
-        report::ratio(gmean_vs_fixed(&rep.rows, 1, |r, i| r.dyn_energy_nj[i])),
-        report::ratio(gmean_vs_fixed(&rep.rows, 2, |r, i| r.dyn_energy_nj[i])),
+        "\ngmean vs fixed: IPC {} (retention), dynamic energy {} (retention)\n",
+        report::ratio(gmean_vs_fixed(&rep.rows, |r, i| r.ipc[i])),
+        report::ratio(gmean_vs_fixed(&rep.rows, |r, i| r.dyn_energy_nj[i])),
     ));
     out.push_str("\nFault ladder under each policy (heaviest rate)\n\n");
     let body: Vec<Vec<String>> = rep
@@ -187,13 +180,10 @@ pub fn to_csv(rep: &AdaptiveReport) -> String {
             "workload",
             "ipc_fixed",
             "ipc_adaptive_retention",
-            "ipc_adaptive_ways",
             "dyn_energy_nj_fixed",
             "dyn_energy_nj_adaptive_retention",
-            "dyn_energy_nj_adaptive_ways",
             "refreshes_fixed",
             "refreshes_adaptive_retention",
-            "refreshes_adaptive_ways",
         ],
         &body,
     )

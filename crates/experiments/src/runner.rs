@@ -640,7 +640,7 @@ mod tests {
             key(
                 L2Choice::TwoPartC1,
                 "lud",
-                &plan.with_policy(LlcPolicy::AdaptiveWays),
+                &plan.with_policy(LlcPolicy::AdaptiveRetention),
             ),
             memo_key(&slower_icnt, &lud, &plan),
             memo_key(&gpu_config(L2Choice::TwoPartC1), &reseeded, &plan),

@@ -71,10 +71,6 @@ struct PartArray {
     /// a mask), `None` when it is taken with `%`.
     set_mask: Option<u64>,
     ways: usize,
-    /// Ways currently in service; a partition policy may park the tail
-    /// `ways - active_ways` ways of every set (they are drained first,
-    /// so residency lookups over the full row stay correct).
-    active_ways: usize,
     /// Line address per slot, [`EMPTY`] when free.
     tags: Vec<u64>,
     /// Retention clock per slot: when the cell array last physically
@@ -93,7 +89,6 @@ impl PartArray {
             sets,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
             ways,
-            active_ways: ways,
             tags: vec![EMPTY; slots],
             clocks: vec![u64::MAX; slots],
             state: vec![LineState::default(); slots],
@@ -156,16 +151,14 @@ impl PartArray {
             }
             return None;
         }
-        // Only the set's active prefix takes fills.
         let start = self.set_start(la);
-        let active = start..start + self.active_ways;
-        let slot = self.tags[active.clone()]
+        let row = start..start + self.ways;
+        let slot = self.tags[row.clone()]
             .iter()
             .position(|&t| t == EMPTY)
             .map(|w| start + w)
             .unwrap_or_else(|| {
-                active
-                    .min_by_key(|&s| self.state[s].stamp)
+                row.min_by_key(|&s| self.state[s].stamp)
                     .expect("a set has at least one way")
             });
         self.stamp += 1;
@@ -274,7 +267,6 @@ pub struct OracleLlc {
     engine: PolicyEngine,
     lr_base_retention: RetentionTime,
     lr_rc_bits: u32,
-    hr_max_ways: u32,
     lr: PartArray,
     hr: PartArray,
     lr_rc: RetentionTracker,
@@ -361,7 +353,6 @@ impl OracleLlc {
             engine: PolicyEngine::new(cfg),
             lr_base_retention: cfg.lr_retention,
             lr_rc_bits: cfg.lr_rc_bits,
-            hr_max_ways: cfg.hr_ways,
             lr: PartArray::new(cfg.lr_sets(), cfg.lr_ways as usize),
             hr: PartArray::new(cfg.hr_sets(), cfg.hr_ways as usize),
             lr_rc: RetentionTracker::new(cfg.lr_retention, cfg.lr_rc_bits),
@@ -636,20 +627,8 @@ impl OracleLlc {
         // Evaluated before the retention engines, exactly like the
         // implementation's `policy_epoch` — the shared engine sees the
         // same statistics at the same times, so its decisions coincide.
-        if !self.engine.is_fixed() {
-            let actions = self.engine.poll(
-                now_ns,
-                &self.stats,
-                self.hr.active_ways as u32,
-                self.hr_max_ways,
-                self.hr.sets,
-            );
-            if let Some(level) = actions.retention_level {
-                self.apply_retention_level(level, now_ns);
-            }
-            if let Some(ways) = actions.hr_ways {
-                self.apply_hr_ways(ways);
-            }
+        if let Some(level) = self.engine.poll(now_ns, &self.stats) {
+            self.apply_retention_level(level, now_ns);
         }
 
         // --- LR refresh engine ---------------------------------------
@@ -726,27 +705,6 @@ impl OracleLlc {
                 self.stats.lr_array_writes += 1;
             }
         }
-    }
-
-    /// Reconfigures the HR part to `ways` active ways, draining the
-    /// parked ways of every set first on a shrink, set-major (dirty
-    /// victims write back to DRAM, clean ones drop).
-    fn apply_hr_ways(&mut self, ways: u32) {
-        let target = ways as usize;
-        if target < self.hr.active_ways {
-            for slot in 0..self.hr.tags.len() {
-                if slot % self.hr.ways < target {
-                    continue;
-                }
-                if let Some(victim) = self.hr.take(slot) {
-                    self.retire(&victim);
-                    if victim.dirty {
-                        self.stats.writebacks += 1;
-                    }
-                }
-            }
-        }
-        self.hr.active_ways = target;
     }
 }
 
