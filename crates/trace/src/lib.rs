@@ -303,9 +303,9 @@ pub enum TraceEvent {
         total_nj: f64,
     },
     /// A runtime-adaptive LLC policy reconfigured `part` — a retention
-    /// ladder step (LR) or a way reallocation (HR). Carries the *new*
-    /// retention windows so a consuming [`Checker`] can retire the stale
-    /// bounds it was configured with; zero fields mean "unchanged".
+    /// ladder step of the LR part. Carries the *new* retention windows so
+    /// a consuming [`Checker`] can retire the stale bounds it was
+    /// configured with; zero fields mean "unchanged".
     PolicySwitch {
         /// Part that was reconfigured.
         part: PartId,
@@ -315,8 +315,6 @@ pub enum TraceEvent {
         lr_tail_start_ns: u64,
         /// New minimum LR expiry age, ns; 0 = unchanged.
         lr_min_expire_age_ns: u64,
-        /// New number of active HR ways; 0 = unchanged.
-        active_ways: u32,
         /// Simulated time, ns.
         now_ns: u64,
     },
@@ -556,10 +554,9 @@ pub fn to_json(ev: &TraceEvent) -> String {
             lr_max_hit_age_ns,
             lr_tail_start_ns,
             lr_min_expire_age_ns,
-            active_ways,
             now_ns,
         } => format!(
-            "{{\"ev\":\"policy_switch\",\"part\":\"{}\",\"lr_max_hit_age_ns\":{lr_max_hit_age_ns},\"lr_tail_start_ns\":{lr_tail_start_ns},\"lr_min_expire_age_ns\":{lr_min_expire_age_ns},\"active_ways\":{active_ways},\"now_ns\":{now_ns}}}",
+            "{{\"ev\":\"policy_switch\",\"part\":\"{}\",\"lr_max_hit_age_ns\":{lr_max_hit_age_ns},\"lr_tail_start_ns\":{lr_tail_start_ns},\"lr_min_expire_age_ns\":{lr_min_expire_age_ns},\"now_ns\":{now_ns}}}",
             json_escape_free(part.name())
         ),
         ResetMeasurement => "{\"ev\":\"reset_measurement\"}".to_string(),
@@ -1522,7 +1519,6 @@ mod tests {
                     lr_max_hit_age_ns: 2000,
                     lr_tail_start_ns: 1600,
                     lr_min_expire_age_ns: 2000,
-                    active_ways: 0,
                     now_ns: 500,
                 });
             }
@@ -1549,7 +1545,6 @@ mod tests {
                 lr_max_hit_age_ns: 1000,
                 lr_tail_start_ns: 1000,
                 lr_min_expire_age_ns: 1000,
-                active_ways: 0,
                 now_ns: 0,
             }],
         );
@@ -1572,7 +1567,6 @@ mod tests {
                     lr_max_hit_age_ns: 0,
                     lr_tail_start_ns: 0,
                     lr_min_expire_age_ns: 0,
-                    active_ways: 4,
                     now_ns: 100,
                 },
                 TraceEvent::Refresh {
@@ -1593,10 +1587,9 @@ mod tests {
                 lr_max_hit_age_ns: 0,
                 lr_tail_start_ns: 0,
                 lr_min_expire_age_ns: 0,
-                active_ways: 5,
                 now_ns: 42,
             }),
-            "{\"ev\":\"policy_switch\",\"part\":\"HR\",\"lr_max_hit_age_ns\":0,\"lr_tail_start_ns\":0,\"lr_min_expire_age_ns\":0,\"active_ways\":5,\"now_ns\":42}"
+            "{\"ev\":\"policy_switch\",\"part\":\"HR\",\"lr_max_hit_age_ns\":0,\"lr_tail_start_ns\":0,\"lr_min_expire_age_ns\":0,\"now_ns\":42}"
         );
     }
 
