@@ -5,7 +5,9 @@
 //! Good input writes its reports under `--out` without touching the
 //! committed canary baseline, and a panicking artefact is quarantined
 //! without aborting the sweep, and `--scenario --trace-out` writes the
-//! bytes the library's `save_ops` writes for the same scenario.
+//! bytes the library's `save_ops` writes for the same scenario. Every
+//! run mode rejects the flags it does not read and runs with the ones
+//! it does.
 
 use std::fs;
 use std::path::Path;
@@ -105,6 +107,187 @@ fn repro_rejects_bad_flags_by_name() {
     for (args, fragment) in cases {
         rejects(repro, args, fragment);
     }
+}
+
+/// The arguments that give `flag` a valid value.
+fn with_value(flag: &str) -> Vec<&str> {
+    let value = match flag {
+        "--quick" | "--check" => return vec![flag],
+        "--scale" => "0.05",
+        "--jobs" | "--fault-seed" | "--fuzz-seed" => "2",
+        "--faults" => "1e-4",
+        "--llc-policy" => "adaptive-retention",
+        "--out" => "out-dir",
+        "--trace-out" => "out.trc",
+        _ => unreachable!("{flag} takes no part in the mode table"),
+    };
+    vec![flag, value]
+}
+
+/// The modes that read `flag`, as `repro`'s rejection names them.
+fn readers(flag: &str) -> &'static str {
+    match flag {
+        "--quick" | "--scale" => "artefact targets or --record WORKLOAD",
+        "--jobs" => "artefact targets or --fuzz N",
+        "--out" => "artefact targets or --canary",
+        "--check" => "artefact targets, --scenario NAME[:seed] or --trace FILE",
+        "--faults" | "--fault-seed" | "--llc-policy" => "artefact targets",
+        "--fuzz-seed" => "--fuzz N",
+        "--trace-out" => "--record WORKLOAD or --scenario NAME[:seed]",
+        _ => unreachable!("{flag} takes no part in the mode table"),
+    }
+}
+
+/// A flag that a run mode does not read would parse cleanly and change
+/// nothing, so each (mode, ignored flag) pair is a typed rejection that
+/// names the flag, the modes that read it and the mode given.
+#[test]
+fn repro_rejects_every_flag_its_mode_ignores() {
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let modes: [(&[&str], &str, &[&str]); 6] = [
+        (
+            &["fig8"],
+            "artefact targets",
+            &["--fuzz-seed", "--trace-out"],
+        ),
+        (
+            &["--record", "nw", "--trace-out", "nw.trc"],
+            "--record WORKLOAD",
+            &[
+                "--jobs",
+                "--out",
+                "--check",
+                "--faults",
+                "--fault-seed",
+                "--llc-policy",
+                "--fuzz-seed",
+            ],
+        ),
+        (
+            &["--fuzz", "10"],
+            "--fuzz N",
+            &[
+                "--quick",
+                "--scale",
+                "--out",
+                "--check",
+                "--faults",
+                "--fault-seed",
+                "--llc-policy",
+                "--trace-out",
+            ],
+        ),
+        (
+            &["--canary"],
+            "--canary",
+            &[
+                "--quick",
+                "--scale",
+                "--jobs",
+                "--check",
+                "--faults",
+                "--fault-seed",
+                "--llc-policy",
+                "--fuzz-seed",
+                "--trace-out",
+            ],
+        ),
+        (
+            &["--scenario", "write-ramp:3"],
+            "--scenario NAME[:seed]",
+            &[
+                "--quick",
+                "--scale",
+                "--jobs",
+                "--out",
+                "--faults",
+                "--fault-seed",
+                "--llc-policy",
+                "--fuzz-seed",
+            ],
+        ),
+        (
+            &["--trace", "in.trc"],
+            "--trace FILE",
+            &[
+                "--quick",
+                "--scale",
+                "--jobs",
+                "--out",
+                "--faults",
+                "--fault-seed",
+                "--llc-policy",
+                "--fuzz-seed",
+                "--trace-out",
+            ],
+        ),
+    ];
+    let mut pairs = 0;
+    for (mode_args, mode, ignored) in modes {
+        for &flag in ignored {
+            let mut args = mode_args.to_vec();
+            args.extend(with_value(flag));
+            let want = format!("{flag} pairs with {}, not {mode}", readers(flag));
+            rejects(repro, &args, &want);
+            pairs += 1;
+        }
+    }
+    assert_eq!(pairs, 43);
+}
+
+/// Each mode still runs with every flag it reads. The canary is left
+/// out: it times three full fig8 sweeps.
+#[test]
+fn repro_modes_run_with_every_flag_they_read() {
+    let dir = std::env::temp_dir().join(format!("sttgpu-cli-modes-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create dir");
+    let trc = dir.join("zipf-hot.trc").display().to_string();
+    let out = dir.join("out").display().to_string();
+    let runs: [&[&str]; 5] = [
+        &[
+            "--quick",
+            "--scale",
+            "0.01",
+            "--jobs",
+            "1",
+            "--out",
+            &out,
+            "--check",
+            "--faults",
+            "1e-4",
+            "--fault-seed",
+            "3",
+            "--llc-policy",
+            "fixed",
+            "table1",
+        ],
+        &[
+            "--record",
+            "nw",
+            "--quick",
+            "--scale",
+            "0.01",
+            "--trace-out",
+            &trc,
+        ],
+        &["--fuzz", "4", "--fuzz-seed", "3", "--jobs", "2"],
+        &["--scenario", "zipf-hot:7", "--check", "--trace-out", &trc],
+        &["--trace", &trc, "--check"],
+    ];
+    for args in runs {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn");
+        assert!(
+            output.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    fs::remove_dir_all(&dir).expect("clean up");
 }
 
 /// A line-oriented text trace is not a trace file: `repro --trace`
