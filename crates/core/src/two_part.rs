@@ -813,7 +813,6 @@ impl TwoPartLlc {
         self.resident_scratch = resident;
         let (lr_rc, slack) = (lr.rc, lr.slack_ticks);
         self.ledger.trace.emit(|| TraceEvent::PolicySwitch {
-            part: PartId::Lr,
             lr_max_hit_age_ns: lr_rc.retention_ns(),
             lr_tail_start_ns: lr_rc.refresh_deadline_with_slack_ns(0, slack),
             lr_min_expire_age_ns: lr_rc.retention_ns(),

@@ -217,7 +217,7 @@ fn event_streams_are_pinned() {
         ("write-threshold-3", 0xe954200f38637df5),
         ("lr-rotation", 0x4df9528631025d19),
         ("faults", 0xdf125bc89cde64e2),
-        ("adaptive-retention", 0x6010461ecf39b8fe),
+        ("adaptive-retention", 0x387a1f47df2085e4),
         ("single-sram", 0x0004e849bcda2484),
         ("single-stt", 0x9884ce3ba06a1290),
     ];

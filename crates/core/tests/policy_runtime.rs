@@ -19,7 +19,7 @@ use sttgpu_core::{
 };
 use sttgpu_device::mtj::RetentionTime;
 use sttgpu_stats::Rng;
-use sttgpu_trace::{CheckReport, Checker, PartId, Trace, TraceEvent, VecSink};
+use sttgpu_trace::{CheckReport, Checker, Trace, TraceEvent, VecSink};
 
 /// One op: (is_write, line index, time advance in ns).
 type Op = (bool, u64, u64);
@@ -72,9 +72,7 @@ fn retention_switches(events: &[TraceEvent]) -> Vec<u64> {
         .iter()
         .filter_map(|ev| match *ev {
             TraceEvent::PolicySwitch {
-                part: PartId::Lr,
-                lr_max_hit_age_ns,
-                ..
+                lr_max_hit_age_ns, ..
             } => Some(lr_max_hit_age_ns),
             _ => None,
         })
