@@ -65,16 +65,6 @@ impl BankArbiter {
         start
     }
 
-    /// When `bank` next becomes free.
-    pub fn free_at(&self, bank: usize) -> u64 {
-        self.free_at[bank]
-    }
-
-    /// Queueing delay an access arriving `now` would see on `bank`.
-    pub fn queue_delay(&self, bank: usize, now: u64) -> u64 {
-        self.free_at[bank].saturating_sub(now)
-    }
-
     /// Forgets all reservations (new kernel / new measurement window).
     pub fn reset(&mut self) {
         self.free_at.iter_mut().for_each(|t| *t = 0);
@@ -91,7 +81,7 @@ mod tests {
         assert_eq!(a.reserve(0, 0, 5), 0);
         assert_eq!(a.reserve(0, 0, 5), 5);
         assert_eq!(a.reserve(0, 0, 5), 10);
-        assert_eq!(a.free_at(0), 15);
+        assert_eq!(a.free_at[0], 15);
     }
 
     #[test]
@@ -114,8 +104,9 @@ mod tests {
     fn queue_delay_reflects_backlog() {
         let mut a = BankArbiter::new(1);
         a.reserve(0, 0, 30);
-        assert_eq!(a.queue_delay(0, 10), 20);
-        assert_eq!(a.queue_delay(0, 50), 0);
+        // A zero-length probe reservation starts when the backlog clears.
+        assert_eq!(a.reserve(0, 10, 0) - 10, 20);
+        assert_eq!(a.reserve(0, 50, 0) - 50, 0);
     }
 
     #[test]
@@ -141,6 +132,6 @@ mod tests {
         let mut a = BankArbiter::new(2);
         a.reserve(0, 0, 100);
         a.reset();
-        assert_eq!(a.free_at(0), 0);
+        assert_eq!(a.free_at[0], 0);
     }
 }

@@ -39,5 +39,5 @@ mod mshr;
 pub use arbiter::BankArbiter;
 pub use cache::{AccessKind, Evicted, Line, Placement, SetAssocCache, Slot};
 pub use divisor::Divisor;
-pub use linemap::{line_map_with_capacity, LineHasher, LineMap};
+pub use linemap::{LineHasher, LineMap};
 pub use mshr::{MshrOutcome, MshrTable};

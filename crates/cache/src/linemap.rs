@@ -44,7 +44,7 @@ impl Hasher for LineHasher {
 pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 /// An empty [`LineMap`] with room for `capacity` entries.
-pub fn line_map_with_capacity<V>(capacity: usize) -> LineMap<V> {
+pub(crate) fn line_map_with_capacity<V>(capacity: usize) -> LineMap<V> {
     LineMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
 }
 

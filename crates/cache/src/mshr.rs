@@ -107,11 +107,6 @@ impl MshrTable {
         }
     }
 
-    /// Whether `line_addr` currently has an in-flight fill.
-    pub fn is_pending(&self, line_addr: u64) -> bool {
-        self.entries.contains_key(&line_addr)
-    }
-
     /// Number of in-flight lines.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -121,23 +116,28 @@ impl MshrTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Whether the table can accept a brand-new line miss.
-    pub fn has_free_entry(&self) -> bool {
-        self.entries.len() < self.capacity
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Whether `line_addr` currently has an in-flight fill.
+    fn is_pending(m: &MshrTable, line_addr: u64) -> bool {
+        m.entries.contains_key(&line_addr)
+    }
+
+    /// Whether the table can accept a brand-new line miss.
+    fn has_free_entry(m: &MshrTable) -> bool {
+        m.entries.len() < m.capacity
+    }
+
     #[test]
     fn allocate_then_merge() {
         let mut m = MshrTable::new(2, 2);
         assert_eq!(m.allocate(1, 100), MshrOutcome::Allocated);
         assert_eq!(m.allocate(1, 101), MshrOutcome::Merged);
-        assert!(m.is_pending(1));
+        assert!(is_pending(&m, 1));
         assert_eq!(m.len(), 1);
     }
 
@@ -154,7 +154,7 @@ mod tests {
         let mut m = MshrTable::new(1, 4);
         assert_eq!(m.allocate(1, 0), MshrOutcome::Allocated);
         assert_eq!(m.allocate(2, 0), MshrOutcome::Full);
-        assert!(!m.has_free_entry());
+        assert!(!has_free_entry(&m));
     }
 
     #[test]
@@ -164,7 +164,7 @@ mod tests {
         m.allocate(9, 2);
         m.allocate(9, 3);
         assert_eq!(m.complete(9), vec![1, 2, 3]);
-        assert!(!m.is_pending(9));
+        assert!(!is_pending(&m, 9));
         assert!(m.is_empty());
     }
 
@@ -180,5 +180,52 @@ mod tests {
         m.allocate(1, 0);
         m.complete(1);
         assert_eq!(m.allocate(2, 0), MshrOutcome::Allocated);
+    }
+
+    // MSHR: a `Full` outcome is a pure rejection — the entry it bounced off
+    // keeps exactly the targets it had, and completing it releases each
+    // token exactly once while freeing the entry's capacity.
+    #[test]
+    fn mshr_full_leaves_entry_unmodified() {
+        // Target-list saturation: third merge into a 2-target entry bounces.
+        let mut m = MshrTable::new(8, 2);
+        assert_eq!(m.allocate(7, 1), MshrOutcome::Allocated);
+        assert_eq!(m.allocate(7, 2), MshrOutcome::Merged);
+        assert_eq!(m.allocate(7, 3), MshrOutcome::Full);
+        assert_eq!(m.allocate(7, 4), MshrOutcome::Full);
+        assert!(is_pending(&m, 7));
+        assert_eq!(m.len(), 1);
+        assert_eq!(
+            m.complete(7),
+            vec![1, 2],
+            "rejected tokens must not leak in"
+        );
+        assert!(m.is_empty(), "complete frees the entry");
+        assert!(!is_pending(&m, 7));
+        assert_eq!(
+            m.complete(7),
+            Vec::<u64>::new(),
+            "tokens release exactly once"
+        );
+
+        // Table saturation: with every entry taken, a new line bounces but
+        // existing entries still merge, and completing one frees an entry
+        // for the previously rejected line.
+        let mut m = MshrTable::new(2, 4);
+        assert_eq!(m.allocate(10, 100), MshrOutcome::Allocated);
+        assert_eq!(m.allocate(20, 200), MshrOutcome::Allocated);
+        assert!(!has_free_entry(&m));
+        assert_eq!(m.allocate(30, 300), MshrOutcome::Full);
+        assert!(
+            !is_pending(&m, 30),
+            "a rejected line must not appear pending"
+        );
+        assert_eq!(m.allocate(10, 101), MshrOutcome::Merged);
+        assert_eq!(m.complete(10), vec![100, 101]);
+        assert!(has_free_entry(&m), "completion frees table capacity");
+        assert_eq!(m.allocate(30, 300), MshrOutcome::Allocated);
+        assert_eq!(m.complete(30), vec![300]);
+        assert_eq!(m.complete(20), vec![200]);
+        assert!(m.is_empty());
     }
 }

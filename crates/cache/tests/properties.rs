@@ -146,47 +146,3 @@ fn mshr_conserves_tokens() {
         assert!(m.is_empty());
     }
 }
-
-// MSHR: a `Full` outcome is a pure rejection — the entry it bounced off
-// keeps exactly the targets it had, and completing it releases each
-// token exactly once while freeing the entry's capacity.
-#[test]
-fn mshr_full_leaves_entry_unmodified() {
-    // Target-list saturation: third merge into a 2-target entry bounces.
-    let mut m = MshrTable::new(8, 2);
-    assert_eq!(m.allocate(7, 1), MshrOutcome::Allocated);
-    assert_eq!(m.allocate(7, 2), MshrOutcome::Merged);
-    assert_eq!(m.allocate(7, 3), MshrOutcome::Full);
-    assert_eq!(m.allocate(7, 4), MshrOutcome::Full);
-    assert!(m.is_pending(7));
-    assert_eq!(m.len(), 1);
-    assert_eq!(
-        m.complete(7),
-        vec![1, 2],
-        "rejected tokens must not leak in"
-    );
-    assert!(m.is_empty(), "complete frees the entry");
-    assert!(!m.is_pending(7));
-    assert_eq!(
-        m.complete(7),
-        Vec::<u64>::new(),
-        "tokens release exactly once"
-    );
-
-    // Table saturation: with every entry taken, a new line bounces but
-    // existing entries still merge, and completing one frees an entry
-    // for the previously rejected line.
-    let mut m = MshrTable::new(2, 4);
-    assert_eq!(m.allocate(10, 100), MshrOutcome::Allocated);
-    assert_eq!(m.allocate(20, 200), MshrOutcome::Allocated);
-    assert!(!m.has_free_entry());
-    assert_eq!(m.allocate(30, 300), MshrOutcome::Full);
-    assert!(!m.is_pending(30), "a rejected line must not appear pending");
-    assert_eq!(m.allocate(10, 101), MshrOutcome::Merged);
-    assert_eq!(m.complete(10), vec![100, 101]);
-    assert!(m.has_free_entry(), "completion frees table capacity");
-    assert_eq!(m.allocate(30, 300), MshrOutcome::Allocated);
-    assert_eq!(m.complete(30), vec![300]);
-    assert_eq!(m.complete(20), vec![200]);
-    assert!(m.is_empty());
-}

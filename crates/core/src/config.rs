@@ -411,7 +411,7 @@ impl TwoPartConfig {
     }
 
     /// Number of HR lines.
-    pub fn hr_lines(&self) -> u64 {
+    pub(crate) fn hr_lines(&self) -> u64 {
         self.hr_kb * 1024 / self.line_bytes as u64
     }
 

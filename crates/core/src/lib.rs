@@ -59,13 +59,10 @@ mod two_part;
 
 pub use config::{ConfigError, SearchMode, TwoPartConfig};
 pub use llc::{AnyLlc, FillOutcome, LlcModel, LlcStats, ProbeOutcome, SingleLlc};
-pub use policy::{
-    lr_maintenance_floor_ns, lr_tracker_at, LlcPolicy, PolicyEngine, POLICY_EPOCH_NS,
-    RETENTION_LADDER,
-};
+pub use policy::{lr_maintenance_floor_ns, lr_tracker_at, LlcPolicy, PolicyEngine};
 pub use requests::{close_check, RequestClock};
 pub use retention::RetentionTracker;
-pub use search::{Part, SearchSelector};
+pub use search::Part;
 pub use sttgpu_fault::{FaultConfig, FaultOutcome, FaultPart, FaultPlan};
 pub use swap::SwapBuffer;
 pub use two_part::{TwoPartLlc, TwoPartStats};

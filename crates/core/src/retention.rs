@@ -48,7 +48,7 @@ impl RetentionTracker {
     /// `2^bits - 1` ns of every period uncovered, pulling each refresh
     /// deadline early by that much. Rounding up is clamped back to the
     /// floor whenever it would push the last-tick deadline to or past the
-    /// expiry deadline, so `refresh_deadline_ns < expiry_deadline_ns`
+    /// expiry deadline, so `refresh_deadline_ns(w) < w + retention_ns`
     /// holds for every constructible tracker.
     ///
     /// # Panics
@@ -88,7 +88,7 @@ impl RetentionTracker {
     }
 
     /// Duration of one counter tick, ns.
-    pub fn tick_ns(&self) -> u64 {
+    pub(crate) fn tick_ns(&self) -> u64 {
         self.tick_ns
     }
 
@@ -112,7 +112,12 @@ impl RetentionTracker {
 
     /// Like [`needs_refresh`](Self::needs_refresh) but triggering `slack`
     /// ticks early (0 = the paper's postpone-to-the-last-tick policy).
-    pub fn needs_refresh_with_slack(&self, written_at_ns: u64, now_ns: u64, slack: u64) -> bool {
+    pub(crate) fn needs_refresh_with_slack(
+        &self,
+        written_at_ns: u64,
+        now_ns: u64,
+        slack: u64,
+    ) -> bool {
         self.count(written_at_ns, now_ns) >= self.max_count().saturating_sub(slack)
     }
 
@@ -123,22 +128,15 @@ impl RetentionTracker {
     }
 
     /// The absolute time at which the line enters its last tick; the
-    /// refresh engine must run before [`expiry_deadline_ns`] but may wait
+    /// refresh engine must run before the line expires but may wait
     /// until here.
-    ///
-    /// [`expiry_deadline_ns`]: RetentionTracker::expiry_deadline_ns
     pub fn refresh_deadline_ns(&self, written_at_ns: u64) -> u64 {
         written_at_ns.saturating_add(self.tick_ns.saturating_mul(self.max_count()))
     }
 
-    /// The absolute time at which the data is lost.
-    pub fn expiry_deadline_ns(&self, written_at_ns: u64) -> u64 {
-        written_at_ns.saturating_add(self.retention_ns)
-    }
-
     /// Like [`refresh_deadline_ns`](Self::refresh_deadline_ns) but `slack`
     /// ticks earlier: the first instant at which
-    /// [`needs_refresh_with_slack`](Self::needs_refresh_with_slack) holds.
+    /// `needs_refresh_with_slack` holds.
     pub fn refresh_deadline_with_slack_ns(&self, written_at_ns: u64, slack: u64) -> u64 {
         written_at_ns.saturating_add(
             self.tick_ns
@@ -214,8 +212,8 @@ mod tests {
     fn deadlines() {
         let rc = lr();
         assert_eq!(rc.refresh_deadline_ns(2_000), 17_000);
-        assert_eq!(rc.expiry_deadline_ns(2_000), 18_000);
-        assert!(rc.refresh_deadline_ns(0) < rc.expiry_deadline_ns(0));
+        assert!(!rc.is_expired(2_000, 17_999) && rc.is_expired(2_000, 18_000));
+        assert!(rc.refresh_deadline_ns(0) < rc.retention_ns());
     }
 
     #[test]
@@ -264,7 +262,7 @@ mod tests {
         let rc = RetentionTracker::new(RetentionTime::from_nanos(1_000.0), 4);
         assert_eq!(rc.tick_ns(), 63);
         assert_eq!(rc.refresh_deadline_ns(0), 945);
-        assert!(rc.refresh_deadline_ns(0) < rc.expiry_deadline_ns(0));
+        assert!(rc.refresh_deadline_ns(0) < rc.retention_ns());
         assert_eq!(rc.count(0, 945), 15, "deadline is the last tick");
         assert!(!rc.is_expired(0, 999));
     }
@@ -283,7 +281,7 @@ mod tests {
         // 2·15 = 30 ≥ 24, past expiry; the tick must fall back to 1.
         let rc = RetentionTracker::new(RetentionTime::from_nanos(24.0), 4);
         assert_eq!(rc.tick_ns(), 1);
-        assert!(rc.refresh_deadline_ns(0) < rc.expiry_deadline_ns(0));
+        assert!(rc.refresh_deadline_ns(0) < rc.retention_ns());
     }
 
     #[test]
@@ -297,7 +295,7 @@ mod tests {
                 }
                 let rc = RetentionTracker::new(RetentionTime::from_nanos(ns as f64), bits);
                 assert!(
-                    rc.refresh_deadline_ns(0) < rc.expiry_deadline_ns(0),
+                    rc.refresh_deadline_ns(0) < rc.retention_ns(),
                     "{ns} ns / {bits} bits"
                 );
                 assert!(rc.maintenance_interval_ns() >= 1, "{ns} ns / {bits} bits");
@@ -327,7 +325,7 @@ mod tests {
         let relaxed = rc.refresh_deadline_with_slack_ns(written, 3);
         assert_eq!(refresh, u64::MAX);
         assert!(relaxed <= refresh);
-        assert!(refresh <= rc.expiry_deadline_ns(written));
+        assert!(refresh <= written.saturating_add(rc.retention_ns()));
         assert!(rc.is_expired(0, u64::MAX) || rc.retention_ns() > 0);
     }
 

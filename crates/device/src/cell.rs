@@ -14,42 +14,45 @@ use crate::mtj::MtjDesign;
 
 /// 6T SRAM cell footprint in F² (feature-size-squared), typical for a
 /// high-performance 40 nm macro.
-pub const SRAM_CELL_AREA_F2: f64 = 146.0;
+pub(crate) const SRAM_CELL_AREA_F2: f64 = 146.0;
 
 /// 1T1J STT-RAM cell footprint in F²: 4× denser than SRAM, as assumed by
 /// the paper when sizing C1–C3.
-pub const STT_CELL_AREA_F2: f64 = SRAM_CELL_AREA_F2 / 4.0;
+pub(crate) const STT_CELL_AREA_F2: f64 = SRAM_CELL_AREA_F2 / 4.0;
 
 /// SRAM leakage power per kilobyte of data array, in milliwatts (40 nm,
 /// high-performance cells; calibrated so a 384 KB L2 leaks ~290 mW —
 /// leakage dominates SRAM L2 power at 40 nm, which is what makes the
 /// near-zero-leakage STT designs win on total power in Fig. 8c).
-pub const SRAM_LEAKAGE_MW_PER_KB: f64 = 0.75;
+pub(crate) const SRAM_LEAKAGE_MW_PER_KB: f64 = 0.75;
 
 /// STT-RAM array leakage per kilobyte (periphery only — row/column logic
 /// and sense amps; the cells themselves do not leak).
-pub const STT_LEAKAGE_MW_PER_KB: f64 = 0.03;
+pub(crate) const STT_LEAKAGE_MW_PER_KB: f64 = 0.03;
 
 /// SRAM cell read/write latency contribution, ns (bitline + sense).
-pub const SRAM_CELL_ACCESS_NS: f64 = 0.4;
+pub(crate) const SRAM_CELL_ACCESS_NS: f64 = 0.4;
 
 /// SRAM cell-array energy per line access, nJ.
-pub const SRAM_CELL_ENERGY_NJ: f64 = 0.05;
+pub(crate) const SRAM_CELL_ENERGY_NJ: f64 = 0.05;
 
 /// A memory technology choice for a cache data array.
 ///
 /// # Example
 ///
 /// ```
+/// use sttgpu_device::array::{ArrayDesign, ArrayGeometry};
 /// use sttgpu_device::cell::MemTechnology;
-/// use sttgpu_device::mtj::{MtjDesign, RetentionTime};
+/// use sttgpu_device::mtj::RetentionTime;
 ///
-/// let sram = MemTechnology::Sram;
+/// let geometry = ArrayGeometry::new(384 * 1024, 256, 8, 6);
+/// let sram = ArrayDesign::new(geometry, MemTechnology::Sram);
 /// let stt = MemTechnology::stt_for_retention(RetentionTime::from_years(10.0));
-/// // STT is 4x denser...
-/// assert!((sram.cell_area_f2() / stt.cell_area_f2() - 4.0).abs() < 1e-9);
+/// let stt = ArrayDesign::new(geometry, stt);
+/// // STT is denser...
+/// assert!(stt.area_mm2() < sram.area_mm2());
 /// // ...but its writes are slower.
-/// assert!(stt.cell_write_latency_ns() > sram.cell_write_latency_ns());
+/// assert!(stt.write_latency_ns() > sram.write_latency_ns());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemTechnology {
@@ -66,7 +69,7 @@ impl MemTechnology {
     }
 
     /// Cell footprint in F².
-    pub fn cell_area_f2(&self) -> f64 {
+    pub(crate) fn cell_area_f2(&self) -> f64 {
         match self {
             MemTechnology::Sram => SRAM_CELL_AREA_F2,
             MemTechnology::SttRam(_) => STT_CELL_AREA_F2,
@@ -74,7 +77,7 @@ impl MemTechnology {
     }
 
     /// Array leakage in mW per KB of capacity.
-    pub fn leakage_mw_per_kb(&self) -> f64 {
+    pub(crate) fn leakage_mw_per_kb(&self) -> f64 {
         match self {
             MemTechnology::Sram => SRAM_LEAKAGE_MW_PER_KB,
             MemTechnology::SttRam(_) => STT_LEAKAGE_MW_PER_KB,
@@ -82,7 +85,7 @@ impl MemTechnology {
     }
 
     /// Cell-level read latency contribution, ns.
-    pub fn cell_read_latency_ns(&self) -> f64 {
+    pub(crate) fn cell_read_latency_ns(&self) -> f64 {
         match self {
             MemTechnology::Sram => SRAM_CELL_ACCESS_NS,
             MemTechnology::SttRam(m) => m.read_latency_ns(),
@@ -91,7 +94,7 @@ impl MemTechnology {
 
     /// Cell-level write latency contribution, ns. For STT-RAM this is the
     /// MTJ write pulse — the quantity the paper's LR partition shrinks.
-    pub fn cell_write_latency_ns(&self) -> f64 {
+    pub(crate) fn cell_write_latency_ns(&self) -> f64 {
         match self {
             MemTechnology::Sram => SRAM_CELL_ACCESS_NS,
             MemTechnology::SttRam(m) => m.write_latency_ns(),
@@ -99,7 +102,7 @@ impl MemTechnology {
     }
 
     /// Cell-array read energy per line access, nJ.
-    pub fn cell_read_energy_nj(&self) -> f64 {
+    pub(crate) fn cell_read_energy_nj(&self) -> f64 {
         match self {
             MemTechnology::Sram => SRAM_CELL_ENERGY_NJ,
             MemTechnology::SttRam(m) => m.read_energy_nj(),
@@ -107,7 +110,7 @@ impl MemTechnology {
     }
 
     /// Cell-array write energy per line access, nJ.
-    pub fn cell_write_energy_nj(&self) -> f64 {
+    pub(crate) fn cell_write_energy_nj(&self) -> f64 {
         match self {
             MemTechnology::Sram => SRAM_CELL_ENERGY_NJ,
             MemTechnology::SttRam(m) => m.write_energy_nj(),
@@ -152,6 +155,7 @@ mod tests {
     fn stt_write_is_the_expensive_operation() {
         let stt = MemTechnology::stt_for_retention(RetentionTime::from_years(10.0));
         assert!(stt.cell_write_latency_ns() > 5.0 * stt.cell_read_latency_ns());
+        assert!(stt.cell_write_latency_ns() > MemTechnology::Sram.cell_write_latency_ns());
         assert!(stt.cell_write_energy_nj() > 5.0 * stt.cell_read_energy_nj());
     }
 

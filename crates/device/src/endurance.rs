@@ -12,7 +12,7 @@
 /// Writes an STT-RAM cell endures before its oxide barrier degrades
 /// (literature values range 10¹²–10¹⁵; 4×10¹² is the common planning
 /// number for cache-class MTJs).
-pub const CELL_ENDURANCE_WRITES: f64 = 4e12;
+pub(crate) const CELL_ENDURANCE_WRITES: f64 = 4e12;
 
 /// Seconds per (Julian) year.
 const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
@@ -72,37 +72,21 @@ impl LifetimeEstimate {
         self.max_line_writes
     }
 
-    /// Mean writes per line.
-    pub fn mean_line_writes(&self) -> f64 {
-        self.mean_line_writes
-    }
-
     /// Number of physical lines in the array.
     pub fn lines(&self) -> usize {
         self.lines
     }
 
     /// Write rate of the hottest line, writes per second.
-    pub fn max_line_write_rate_per_sec(&self) -> f64 {
+    pub(crate) fn max_line_write_rate_per_sec(&self) -> f64 {
         self.max_line_writes as f64 / (self.elapsed_ns as f64 * 1e-9)
     }
 
     /// Estimated array lifetime in years: the hottest line's cells reach
-    /// [`CELL_ENDURANCE_WRITES`] first. Returns `f64::INFINITY` when no
+    /// `CELL_ENDURANCE_WRITES` first. Returns `f64::INFINITY` when no
     /// writes were observed.
     pub fn lifetime_years(&self) -> f64 {
         let rate = self.max_line_write_rate_per_sec();
-        if rate == 0.0 {
-            f64::INFINITY
-        } else {
-            CELL_ENDURANCE_WRITES / rate / SECONDS_PER_YEAR
-        }
-    }
-
-    /// Lifetime the same write volume would allow under *perfect* wear
-    /// leveling (every line ages at the mean rate), years.
-    pub fn ideal_lifetime_years(&self) -> f64 {
-        let rate = self.mean_line_writes / (self.elapsed_ns as f64 * 1e-9);
         if rate == 0.0 {
             f64::INFINITY
         } else {
@@ -129,7 +113,6 @@ mod tests {
     fn uniform_writes_are_perfectly_level() {
         let est = LifetimeEstimate::from_write_matrix(&[vec![10, 10], vec![10, 10]], 1_000);
         assert!((est.leveling_headroom() - 1.0).abs() < 1e-12);
-        assert!((est.lifetime_years() - est.ideal_lifetime_years()).abs() < 1e-6);
     }
 
     #[test]

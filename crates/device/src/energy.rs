@@ -144,11 +144,6 @@ impl EnergyAccount {
         }
     }
 
-    /// Leakage energy accumulated over `elapsed_ns`, nJ.
-    pub fn leakage_nj(&self, elapsed_ns: u64) -> f64 {
-        self.leakage_mw * elapsed_ns as f64 / 1000.0
-    }
-
     /// Average total power (dynamic + leakage) over `elapsed_ns`, mW.
     pub fn total_power_mw(&self, elapsed_ns: u64) -> f64 {
         self.dynamic_power_mw(elapsed_ns) + self.leakage_mw
@@ -206,7 +201,6 @@ mod tests {
     fn leakage_integration() {
         let a = EnergyAccount::with_leakage_mw(50.0);
         // 50 mW for 1000 ns = 50e-3 J/s * 1e-6 s = 5e-8 J = 50 nJ.
-        assert!((a.leakage_nj(1_000) - 50.0).abs() < 1e-9);
         assert!((a.total_power_mw(1_000) - 50.0).abs() < 1e-9);
     }
 

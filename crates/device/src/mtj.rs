@@ -24,22 +24,22 @@ pub const ATTEMPT_PERIOD_NS: f64 = 1.0;
 
 /// Write-pulse latency model: `WL(Δ) = WRITE_LATENCY_BASE_NS +
 /// WRITE_LATENCY_SLOPE_NS * Δ` (calibrated to 10 ns at Δ = 40.3).
-pub const WRITE_LATENCY_BASE_NS: f64 = 0.6;
+pub(crate) const WRITE_LATENCY_BASE_NS: f64 = 0.6;
 /// Slope of the write-latency fit, ns per unit Δ.
-pub const WRITE_LATENCY_SLOPE_NS: f64 = 0.2333;
+pub(crate) const WRITE_LATENCY_SLOPE_NS: f64 = 0.2333;
 
 /// Cell write-energy model: `WE(Δ) = WRITE_ENERGY_BASE_NJ +
 /// WRITE_ENERGY_QUAD_NJ * Δ²` (calibrated to ~0.83 nJ at Δ = 40.3).
 /// Energy grows superlinearly with Δ because both the switching current
 /// and the pulse width rise with the stability barrier (E ≈ I²·R·t).
-pub const WRITE_ENERGY_BASE_NJ: f64 = 0.01;
+pub(crate) const WRITE_ENERGY_BASE_NJ: f64 = 0.01;
 /// Quadratic coefficient of the write-energy fit, nJ per unit Δ².
-pub const WRITE_ENERGY_QUAD_NJ: f64 = 0.00025;
+pub(crate) const WRITE_ENERGY_QUAD_NJ: f64 = 0.00025;
 
 /// MTJ read sensing latency, ns (read cost is essentially Δ-independent).
-pub const READ_LATENCY_NS: f64 = 1.0;
+pub(crate) const READ_LATENCY_NS: f64 = 1.0;
 /// MTJ read sensing energy, nJ per line access.
-pub const READ_ENERGY_NJ: f64 = 0.04;
+pub(crate) const READ_ENERGY_NJ: f64 = 0.04;
 
 /// Smallest Δ this model accepts; below ~5 the cell is not a memory.
 pub const MIN_DELTA: f64 = 5.0;
@@ -124,7 +124,7 @@ impl RetentionTime {
     }
 
     /// Creates a retention time from seconds.
-    pub fn from_secs(s: f64) -> Self {
+    pub(crate) fn from_secs(s: f64) -> Self {
         Self::from_nanos(s * 1e9)
     }
 

@@ -1,9 +1,7 @@
 //! Randomized property tests for the device models, driven by the in-tree
 //! deterministic [`Rng`] (no external fuzzing dependency).
 
-use sttgpu_device::array::{
-    sram_equivalent_bytes, stt_capacity_for_sram_area, ArrayDesign, ArrayGeometry,
-};
+use sttgpu_device::array::{ArrayDesign, ArrayGeometry};
 use sttgpu_device::cell::MemTechnology;
 use sttgpu_device::mtj::{Delta, MtjDesign, RetentionTime, MAX_DELTA, MIN_DELTA};
 use sttgpu_stats::Rng;
@@ -95,23 +93,6 @@ fn banking_helps_latency() {
             let b = ArrayDesign::new(ArrayGeometry::new(1024 * 1024, 256, 8, banks_b), tech);
             assert!(b.read_latency_ns() <= a.read_latency_ns());
         }
-    }
-}
-
-/// Area-capacity conversion round-trips within rounding.
-#[test]
-fn area_conversion_roundtrip() {
-    let mut rng = Rng::new(0xFEED);
-    for _ in 0..200 {
-        let kb = rng.range_u64(16, 4096);
-        let stt = MemTechnology::stt_for_retention(RetentionTime::from_years(10.0));
-        let bytes = kb * 1024;
-        let cap = stt_capacity_for_sram_area(bytes, &stt);
-        let back = sram_equivalent_bytes(cap, &stt);
-        assert!(
-            (back as i64 - bytes as i64).abs() <= 1,
-            "round trip at {kb} KB"
-        );
     }
 }
 

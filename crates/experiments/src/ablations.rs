@@ -55,11 +55,11 @@ pub struct SearchRow {
     /// Workload name.
     pub workload: String,
     /// IPC ratio parallel / sequential.
-    pub ipc_ratio: f64,
+    pub(crate) ipc_ratio: f64,
     /// Tag-lookup energy ratio parallel / sequential.
-    pub tag_energy_ratio: f64,
+    pub(crate) tag_energy_ratio: f64,
     /// Fraction of sequential hits that needed the second probe.
-    pub second_search_fraction: f64,
+    pub(crate) second_search_fraction: f64,
 }
 
 /// Runs the sequential-vs-parallel search ablation.
@@ -108,15 +108,15 @@ pub struct BufferRow {
     /// Forced write-backs caused by overflows.
     pub overflow_writebacks: u64,
     /// Fraction of demand writes lost to forced write-backs.
-    pub writeback_fraction: f64,
+    pub(crate) writeback_fraction: f64,
 }
 
 /// Capacities swept by the buffer ablation.
-pub const BUFFER_SIZES: [usize; 5] = [1, 2, 5, 10, 20];
+pub(crate) const BUFFER_SIZES: [usize; 5] = [1, 2, 5, 10, 20];
 
 /// Runs the swap-buffer sizing ablation over the write-heavy workloads,
 /// fanning every (capacity, workload) point across the executor's pool.
-pub fn buffer_capacity(exec: &Executor, plan: &RunPlan) -> Vec<BufferRow> {
+pub(crate) fn buffer_capacity(exec: &Executor, plan: &RunPlan) -> Vec<BufferRow> {
     let heavy: Vec<_> = ["nw", "lbm", "mri_gridding", "kmeans"]
         .iter()
         .map(|n| suite::by_name(n).expect("suite workload"))
@@ -159,19 +159,19 @@ pub fn buffer_capacity(exec: &Executor, plan: &RunPlan) -> Vec<BufferRow> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HrRetentionRow {
     /// HR retention, ms.
-    pub retention_ms: f64,
+    pub(crate) retention_ms: f64,
     /// HR lines expired per million cycles.
-    pub expiries_per_mcycle: f64,
+    pub(crate) expiries_per_mcycle: f64,
     /// L2 hit rate.
     pub hit_rate: f64,
     /// IPC relative to the 4 ms default.
-    pub ipc_norm: f64,
+    pub(crate) ipc_norm: f64,
 }
 
 /// Retentions swept by the HR ablation, ms. The low end sits below the
 /// lifetime of hot read-only data so expiries become visible; 4 ms is the
 /// paper's choice.
-pub const HR_RETENTIONS_MS: [f64; 4] = [0.02, 0.1, 1.0, 4.0];
+pub(crate) const HR_RETENTIONS_MS: [f64; 4] = [0.02, 0.1, 1.0, 4.0];
 
 /// Runs the HR-retention ablation over read-mostly workloads (where
 /// expiry hurts most). The workload is scaled up 4x so the run spans a
@@ -221,15 +221,15 @@ pub struct LrSizeRow {
     /// LR write utilisation (fraction of demand writes served in LR).
     pub lr_write_utilization: f64,
     /// LR→HR demotions per thousand demand writes (thrash indicator).
-    pub demotions_per_kilo_write: f64,
+    pub(crate) demotions_per_kilo_write: f64,
 }
 
 /// LR capacities swept, KB.
-pub const LR_SIZES_KB: [u64; 4] = [48, 96, 192, 384];
+pub(crate) const LR_SIZES_KB: [u64; 4] = [48, 96, 192, 384];
 
 /// Runs the LR sizing ablation on the most write-concentrated workloads,
 /// fanning every (size, workload) point across the executor's pool.
-pub fn lr_size(exec: &Executor, plan: &RunPlan) -> Vec<LrSizeRow> {
+pub(crate) fn lr_size(exec: &Executor, plan: &RunPlan) -> Vec<LrSizeRow> {
     let heavy: Vec<_> = ["kmeans", "mri_gridding", "bfs"]
         .iter()
         .map(|n| suite::by_name(n).expect("suite workload"))
@@ -273,18 +273,18 @@ pub struct EnduranceRow {
     /// Workload name.
     pub workload: String,
     /// Estimated lifetime of the uniform STT-RAM baseline L2, years.
-    pub stt_lifetime_years: f64,
+    pub(crate) stt_lifetime_years: f64,
     /// Estimated lifetime of C1's LR partition, years (its hottest line
     /// wears first — the cost of concentrating the WWS).
-    pub c1_lr_lifetime_years: f64,
+    pub(crate) c1_lr_lifetime_years: f64,
     /// Estimated lifetime of C1's HR partition, years.
-    pub c1_hr_lifetime_years: f64,
+    pub(crate) c1_hr_lifetime_years: f64,
     /// i2WAP-style mean/max leveling headroom of the LR partition.
-    pub lr_leveling_headroom: f64,
+    pub(crate) lr_leveling_headroom: f64,
     /// LR lifetime with 1 ms wear-rotation enabled, years (ablation 9).
-    pub rotated_lr_lifetime_years: f64,
+    pub(crate) rotated_lr_lifetime_years: f64,
     /// LR leveling headroom with rotation enabled.
-    pub rotated_lr_headroom: f64,
+    pub(crate) rotated_lr_headroom: f64,
 }
 
 /// Runs the endurance study on the write-concentrated workloads.
@@ -327,9 +327,9 @@ pub struct SchedulerRow {
     /// Workload name.
     pub workload: String,
     /// IPC ratio GTO / loose round-robin on the C1 configuration.
-    pub gto_ipc_ratio: f64,
+    pub(crate) gto_ipc_ratio: f64,
     /// L1 hit-rate difference (GTO − LRR), percentage points.
-    pub l1_hit_delta_pp: f64,
+    pub(crate) l1_hit_delta_pp: f64,
 }
 
 /// Runs the warp-scheduler ablation on a locality-sensitive subset.
@@ -358,13 +358,13 @@ pub struct EwtRow {
     /// Workload name.
     pub workload: String,
     /// L2 dynamic power with EWT / without, on C1.
-    pub dynamic_power_ratio: f64,
+    pub(crate) dynamic_power_ratio: f64,
     /// IPC ratio (should be 1.0 — EWT is energy-only).
-    pub ipc_ratio: f64,
+    pub(crate) ipc_ratio: f64,
 }
 
 /// Early-write-termination savings fraction used by the ablation.
-pub const EWT_SAVINGS: f64 = 0.6;
+pub(crate) const EWT_SAVINGS: f64 = 0.6;
 
 /// Runs the EWT ablation on the write-heavy subset.
 pub fn ewt(exec: &Executor, plan: &RunPlan) -> Vec<EwtRow> {
@@ -395,17 +395,17 @@ pub struct RefreshRow {
     /// Total LR refreshes across the subset.
     pub refreshes: u64,
     /// Refresh share of dynamic L2 energy.
-    pub refresh_energy_share: f64,
+    pub(crate) refresh_energy_share: f64,
     /// LR expirations (data loss; must stay 0 for every policy).
     pub lr_expirations: u64,
 }
 
 /// Slack values swept by the refresh-timing ablation.
-pub const REFRESH_SLACKS: [u32; 4] = [0, 4, 8, 12];
+pub(crate) const REFRESH_SLACKS: [u32; 4] = [0, 4, 8, 12];
 
 /// Runs the refresh-timing ablation on workloads whose LR lines linger
 /// (rare rewrites), where refresh policy actually matters.
-pub fn refresh_timing(exec: &Executor, plan: &RunPlan) -> Vec<RefreshRow> {
+pub(crate) fn refresh_timing(exec: &Executor, plan: &RunPlan) -> Vec<RefreshRow> {
     use sttgpu_device::energy::EnergyEvent;
     let lingering: Vec<_> = ["sad", "pathfinder", "streamcluster"]
         .iter()

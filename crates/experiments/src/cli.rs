@@ -18,15 +18,15 @@ use crate::error::RunError;
 
 /// Upper bound on `--jobs`: far beyond any real core count, low enough
 /// that a mistyped value cannot spawn tens of thousands of threads.
-pub const MAX_JOBS: usize = 4096;
+pub(crate) const MAX_JOBS: usize = 4096;
 
 /// Upper bound on `--scale`: the reference scale is 1.0 and nothing in
 /// the tree goes past single digits, so beyond this a typo is certain.
-pub const MAX_SCALE: f64 = 64.0;
+pub(crate) const MAX_SCALE: f64 = 64.0;
 
 /// Upper bound on a cache-part capacity, KB (64 MB, some 40× the
 /// paper's 1.5 MB LLC), so `KB * 1024` cannot overflow.
-pub const MAX_KB: u64 = 65_536;
+pub(crate) const MAX_KB: u64 = 65_536;
 
 /// The command line after the program name, consumed front to back.
 pub struct Args(std::vec::IntoIter<String>);

@@ -16,16 +16,16 @@
 //! The OCR of the paper's Table 2 garbles the C2/C3 register counts, so
 //! they are **derived** from the same area arithmetic the paper describes
 //! (STT-RAM 4× denser; saved SRAM-equivalent area converted to 32-bit
-//! registers spread over 15 SMs) — see [`registers_per_sm_with_saved_area`].
+//! registers spread over 15 SMs) — see `registers_per_sm_with_saved_area`.
 
 use sttgpu_core::TwoPartConfig;
 use sttgpu_sim::{GpuConfig, L2ModelConfig};
 
 /// SRAM-equivalent KB of the baseline L2 data array.
-pub const BASELINE_L2_KB: u64 = 384;
+pub(crate) const BASELINE_L2_KB: u64 = 384;
 
 /// Baseline registers per SM (32 K 32-bit registers).
-pub const BASELINE_REGISTERS_PER_SM: u32 = 32 * 1024;
+pub(crate) const BASELINE_REGISTERS_PER_SM: u32 = 32 * 1024;
 
 /// One of the five evaluated configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,7 +65,7 @@ impl L2Choice {
 
     /// Total L2 STT-RAM capacity of this configuration in KB (0 for the
     /// SRAM baseline).
-    pub fn stt_kb(self) -> u64 {
+    pub(crate) fn stt_kb(self) -> u64 {
         match self {
             L2Choice::SramBaseline => 0,
             L2Choice::SttBaseline | L2Choice::TwoPartC1 => 1536,
@@ -79,7 +79,7 @@ impl L2Choice {
 /// STT-RAM L2 (4× denser, so it occupies `stt_kb / 4` SRAM-equivalent KB)
 /// into 32-bit registers spread over `sms` SMs, rounded down to a 256-
 /// register allocation granule.
-pub fn registers_per_sm_with_saved_area(stt_kb: u64, sms: u64) -> u32 {
+pub(crate) fn registers_per_sm_with_saved_area(stt_kb: u64, sms: u64) -> u32 {
     let sram_equiv_kb = stt_kb / 4;
     let saved_kb = BASELINE_L2_KB.saturating_sub(sram_equiv_kb);
     let extra_regs = saved_kb * 1024 / 4 / sms;
@@ -88,7 +88,7 @@ pub fn registers_per_sm_with_saved_area(stt_kb: u64, sms: u64) -> u32 {
 }
 
 /// The two-part geometry of a configuration (LR KB, HR KB).
-pub fn two_part_geometry(choice: L2Choice) -> Option<(u64, u64)> {
+pub(crate) fn two_part_geometry(choice: L2Choice) -> Option<(u64, u64)> {
     match choice {
         L2Choice::TwoPartC1 => Some((192, 1344)),
         L2Choice::TwoPartC2 => Some((48, 336)),

@@ -23,7 +23,7 @@ pub struct FaultRow {
     /// Injected per-mechanism error rate.
     pub rate: f64,
     /// Geometric-mean IPC normalised to the rate-0 run.
-    pub ipc_norm: f64,
+    pub(crate) ipc_norm: f64,
     /// Single-bit errors corrected by SECDED across the subset.
     pub ecc_corrections: u64,
     /// Uncorrectable errors (line dropped, access missed).
@@ -33,11 +33,11 @@ pub struct FaultRow {
     /// LR refreshes dropped by the fault process.
     pub refresh_drops: u64,
     /// ECC share of dynamic L2 energy.
-    pub ecc_energy_share: f64,
+    pub(crate) ecc_energy_share: f64,
 }
 
 /// Error rates swept by the ablation (per-mechanism, uniform).
-pub const FAULT_RATES: [f64; 6] = [0.0, 1e-6, 1e-5, 1e-4, 5e-4, 1e-3];
+pub(crate) const FAULT_RATES: [f64; 6] = [0.0, 1e-6, 1e-5, 1e-4, 5e-4, 1e-3];
 
 /// Workloads the sweep runs on: a read-led, a write-led and a
 /// long-resident workload, so all fault mechanisms get exercised.

@@ -15,7 +15,7 @@ use sttgpu_core::TwoPartConfig;
 use sttgpu_sim::L2ModelConfig;
 
 /// The thresholds Fig. 4 sweeps.
-pub const THRESHOLDS: [u32; 4] = [1, 3, 7, 15];
+pub(crate) const THRESHOLDS: [u32; 4] = [1, 3, 7, 15];
 
 /// Results of one workload across the threshold sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,9 +24,9 @@ pub struct Fig4Row {
     pub workload: String,
     /// LR/HR demand-write ratio normalised to TH1, indexed like
     /// [`THRESHOLDS`].
-    pub lr_hr_ratio_norm: [f64; 4],
+    pub(crate) lr_hr_ratio_norm: [f64; 4],
     /// Total physical array writes normalised to TH1.
-    pub write_overhead_norm: [f64; 4],
+    pub(crate) write_overhead_norm: [f64; 4],
 }
 
 fn c1_with_threshold(th: u32) -> sttgpu_sim::GpuConfig {

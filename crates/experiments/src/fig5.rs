@@ -14,7 +14,7 @@ use crate::runner::{Executor, RunPlan};
 use sttgpu_sim::L2ModelConfig;
 
 /// The swept way counts; `None` stands for fully associative.
-pub const WAYS: [u32; 5] = [1, 2, 4, 8, 16];
+pub(crate) const WAYS: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// Results of one workload across the associativity sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,9 +23,9 @@ pub struct Fig5Row {
     pub workload: String,
     /// LR write utilisation per way count, normalised to fully
     /// associative (indexed like [`WAYS`]).
-    pub utilization_norm: [f64; 5],
+    pub(crate) utilization_norm: [f64; 5],
     /// The raw fully-associative utilisation (the normalisation base).
-    pub full_assoc_utilization: f64,
+    pub(crate) full_assoc_utilization: f64,
 }
 
 fn c1_with_lr_ways(ways: Option<u32>) -> sttgpu_sim::GpuConfig {

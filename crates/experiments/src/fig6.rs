@@ -14,7 +14,8 @@ use crate::runner::{Executor, RunPlan};
 
 /// Bucket labels, matching [`sttgpu_core`]'s rewrite-interval histogram
 /// layout.
-pub const BUCKET_LABELS: [&str; 6] = ["<=1us", "<=5us", "<=10us", "<=1ms", "<=2.5ms", ">2.5ms"];
+pub(crate) const BUCKET_LABELS: [&str; 6] =
+    ["<=1us", "<=5us", "<=10us", "<=1ms", "<=2.5ms", ">2.5ms"];
 
 /// One workload's rewrite-interval distribution.
 #[derive(Debug, Clone, PartialEq)]

@@ -29,9 +29,9 @@ pub struct Fig8Row {
     /// baseline's own entry is 1.0).
     pub speedup: [f64; 5],
     /// Dynamic L2 power normalised to the SRAM baseline.
-    pub dynamic_power: [f64; 5],
+    pub(crate) dynamic_power: [f64; 5],
     /// Total L2 power normalised to the SRAM baseline.
-    pub total_power: [f64; 5],
+    pub(crate) total_power: [f64; 5],
 }
 
 /// Aggregate (geometric-mean) row across the suite.
@@ -40,9 +40,9 @@ pub struct Fig8Summary {
     /// Gmean speedups by configuration.
     pub speedup: [f64; 5],
     /// Gmean normalised dynamic power.
-    pub dynamic_power: [f64; 5],
+    pub(crate) dynamic_power: [f64; 5],
     /// Gmean normalised total power.
-    pub total_power: [f64; 5],
+    pub(crate) total_power: [f64; 5],
 }
 
 /// Runs the full (workload × configuration) cross product — every point
@@ -161,7 +161,7 @@ pub fn render(rows: &[Fig8Row], summary: &Fig8Summary) -> String {
 
 /// Geometric-mean speedups per behavioural region (the paper walks Fig. 8a
 /// region by region).
-pub fn region_summary(rows: &[Fig8Row]) -> Vec<(Region, [f64; 5])> {
+pub(crate) fn region_summary(rows: &[Fig8Row]) -> Vec<(Region, [f64; 5])> {
     Region::ALL
         .iter()
         .map(|&region| {

@@ -2,7 +2,7 @@
 
 /// Geometric mean of positive samples (the paper's "Gmean" columns);
 /// returns 0.0 for empty input and skips non-positive entries.
-pub fn gmean(xs: &[f64]) -> f64 {
+pub(crate) fn gmean(xs: &[f64]) -> f64 {
     let logs: Vec<f64> = xs.iter().filter(|&&x| x > 0.0).map(|x| x.ln()).collect();
     if logs.is_empty() {
         0.0

@@ -47,7 +47,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// No fault injection.
-    pub const NONE: FaultSpec = FaultSpec { rate: 0.0, seed: 0 };
+    pub(crate) const NONE: FaultSpec = FaultSpec { rate: 0.0, seed: 0 };
 
     /// Whether this spec injects anything.
     pub fn is_enabled(&self) -> bool {
@@ -172,10 +172,10 @@ pub struct WriteSummary {
     /// Lifetime estimate of the LR part (two-part runs only).
     pub lr_lifetime: Option<LifetimeEstimate>,
     /// Lifetime estimate of the HR part (two-part runs only).
-    pub hr_lifetime: Option<LifetimeEstimate>,
+    pub(crate) hr_lifetime: Option<LifetimeEstimate>,
     /// 64-bit FNV-1a digest of the full matrix, so equality checks keep
     /// per-line strength.
-    pub matrix_digest: u64,
+    pub(crate) matrix_digest: u64,
 }
 
 impl WriteSummary {

@@ -16,11 +16,11 @@ pub struct Table2Row {
     /// Registers per SM.
     pub registers_per_sm: u32,
     /// L2 organisation description.
-    pub l2_description: String,
+    pub(crate) l2_description: String,
     /// Total L2 capacity, KB.
-    pub l2_kb: u64,
+    pub(crate) l2_kb: u64,
     /// L2 silicon area, mm² (data + SRAM tags, CACTI-lite).
-    pub l2_area_mm2: f64,
+    pub(crate) l2_area_mm2: f64,
 }
 
 fn l2_area_mm2(choice: L2Choice) -> f64 {

@@ -28,13 +28,13 @@ pub struct WorkloadRow {
     /// L1 read hit rate.
     pub l1_hit_rate: f64,
     /// L2 hit rate.
-    pub l2_hit_rate: f64,
+    pub(crate) l2_hit_rate: f64,
     /// Write share of L2 accesses.
-    pub l2_write_share: f64,
+    pub(crate) l2_write_share: f64,
     /// L2 accesses per kilo-instruction.
-    pub l2_apki: f64,
+    pub(crate) l2_apki: f64,
     /// DRAM reads per kilo-instruction.
-    pub dram_rpki: f64,
+    pub(crate) dram_rpki: f64,
 }
 
 /// Measures the whole suite on the SRAM baseline.

@@ -20,7 +20,7 @@ use crate::trace_gen::{generate, Op};
 pub struct Divergence {
     /// Index of the op after which the disagreement surfaced (`None`
     /// for pre-trace checks such as the maintenance cadence).
-    pub op_index: Option<usize>,
+    pub(crate) op_index: Option<usize>,
     /// Which observation differed (`hit`, `writebacks`, a residency
     /// bit, a counter named as in
     /// [`TwoPartStats::fields`](sttgpu_core::TwoPartStats::fields), or

@@ -383,7 +383,7 @@ impl OracleLlc {
     }
 
     /// Whether `la` resides in the HR part.
-    pub fn hr_resident(&self, la: u64) -> bool {
+    pub(crate) fn hr_resident(&self, la: u64) -> bool {
         self.hr.contains(la)
     }
 

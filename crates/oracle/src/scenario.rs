@@ -73,7 +73,7 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Total operations across all phases.
-    pub fn total_ops(&self) -> usize {
+    pub(crate) fn total_ops(&self) -> usize {
         self.phases.iter().map(|p| p.ops).sum()
     }
 

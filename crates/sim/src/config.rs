@@ -6,7 +6,7 @@ use sttgpu_device::mtj::RetentionTime;
 
 /// L1 data cache configuration (per SM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct L1Config {
+pub(crate) struct L1Config {
     /// Capacity, KB (paper: 16 KB).
     pub kb: u64,
     /// Associativity (paper: 4).
@@ -14,9 +14,9 @@ pub struct L1Config {
     /// Line size, bytes (paper: 128 B).
     pub line_bytes: u32,
     /// MSHR entries (in-flight missed lines).
-    pub mshr_entries: usize,
+    pub(crate) mshr_entries: usize,
     /// Waiting requests per MSHR entry.
-    pub mshr_targets: usize,
+    pub(crate) mshr_targets: usize,
 }
 
 impl Default for L1Config {
@@ -33,20 +33,20 @@ impl Default for L1Config {
 
 /// DRAM / memory-controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DramConfig {
+pub(crate) struct DramConfig {
     /// Number of memory controllers (paper: 6), each with a point-to-point
     /// link to one L2 bank.
     pub controllers: u32,
     /// Access latency when the request misses the open row (precharge +
     /// activate + CAS), ns.
-    pub latency_ns: u64,
+    pub(crate) latency_ns: u64,
     /// Access latency when the request hits the controller's open row, ns.
-    pub row_hit_latency_ns: u64,
+    pub(crate) row_hit_latency_ns: u64,
     /// DRAM row size, bytes (the open-row granularity per controller).
-    pub row_bytes: u64,
+    pub(crate) row_bytes: u64,
     /// Per-controller service time per request, ns (bandwidth model: one
     /// 256 B L2-line transfer at ~32 GB/s per controller).
-    pub service_ns: u64,
+    pub(crate) service_ns: u64,
 }
 
 impl Default for DramConfig {
@@ -145,41 +145,41 @@ pub struct GpuConfig {
     /// Number of streaming multiprocessors (paper: 15 clusters × 1 SM).
     pub num_sms: usize,
     /// Threads per warp (32 on all NVIDIA generations the paper covers).
-    pub warp_size: u32,
+    pub(crate) warp_size: u32,
     /// Maximum resident warps per SM (GTX480/Fermi: 48).
-    pub max_warps_per_sm: u32,
+    pub(crate) max_warps_per_sm: u32,
     /// Maximum resident thread blocks per SM (Fermi: 8).
-    pub max_blocks_per_sm: u32,
+    pub(crate) max_blocks_per_sm: u32,
     /// 32-bit registers per SM (Fermi: 32768) — enlarged in C2/C3.
     pub registers_per_sm: u32,
     /// Shared memory per SM, bytes (paper: 48 KB).
-    pub shared_mem_per_sm: u32,
+    pub(crate) shared_mem_per_sm: u32,
     /// SM clock, MHz (GTX480 shader clock: 1400).
-    pub clock_mhz: u64,
+    pub(crate) clock_mhz: u64,
     /// Instructions issued per SM per cycle.
-    pub issue_width: u32,
+    pub(crate) issue_width: u32,
     /// Cycles before the same warp may issue its next (dependent)
     /// instruction — models pipeline/RAW latency. An SM therefore needs
     /// about `dep_interval_cycles × issue_width` *ready* warps to stay
     /// saturated, which is what makes occupancy (and the register-file
     /// enlargements of C2/C3) matter.
-    pub dep_interval_cycles: u32,
+    pub(crate) dep_interval_cycles: u32,
     /// Maximum outstanding load instructions per warp before it stalls.
-    pub max_pending_loads: u32,
+    pub(crate) max_pending_loads: u32,
     /// Warp scheduling policy.
     pub scheduler: WarpScheduler,
     /// One-way interconnect latency between SMs and L2 banks, ns.
     pub icnt_latency_ns: u64,
     /// Per-SM interconnect port service time per packet, ns (bandwidth).
-    pub icnt_flit_ns: u64,
+    pub(crate) icnt_flit_ns: u64,
     /// L1 data cache configuration.
-    pub l1: L1Config,
+    pub(crate) l1: L1Config,
     /// L2 line size, bytes (paper: 256 B).
     pub l2_line_bytes: u32,
     /// The L2 under evaluation.
     pub l2: L2ModelConfig,
     /// DRAM configuration.
-    pub dram: DramConfig,
+    pub(crate) dram: DramConfig,
 }
 
 impl GpuConfig {
@@ -211,7 +211,7 @@ impl GpuConfig {
     }
 
     /// Converts a cycle count to nanoseconds of simulated time.
-    pub fn ns_of_cycle(&self, cycle: u64) -> u64 {
+    pub(crate) fn ns_of_cycle(&self, cycle: u64) -> u64 {
         cycle * 1000 / self.clock_mhz
     }
 
@@ -220,13 +220,8 @@ impl GpuConfig {
     /// turn a memory-event deadline back into a wake-up cycle.
     /// (`floor(c·1000/f) ≥ ns ⇔ c·1000 ≥ ns·f` for integer `ns`, so the
     /// ceiling division is exact, not an approximation.)
-    pub fn cycle_of_ns_ceil(&self, ns: u64) -> u64 {
+    pub(crate) fn cycle_of_ns_ceil(&self, ns: u64) -> u64 {
         ns.saturating_mul(self.clock_mhz).div_ceil(1000)
-    }
-
-    /// Peak thread-instructions per cycle (the IPC ceiling).
-    pub fn peak_ipc(&self) -> f64 {
-        (self.num_sms as u32 * self.issue_width * self.warp_size) as f64
     }
 }
 
@@ -286,11 +281,5 @@ mod tests {
             L2ModelConfig::TwoPart(TwoPartConfig::new(8, 2, 56, 7, 256)).capacity_kb(),
             64
         );
-    }
-
-    #[test]
-    fn peak_ipc() {
-        let c = GpuConfig::gtx480();
-        assert_eq!(c.peak_ipc(), 480.0);
     }
 }

@@ -11,23 +11,8 @@
 use sttgpu_cache::BankArbiter;
 
 /// SM-to-L2 network with per-SM injection/ejection ports.
-///
-/// # Example
-///
-/// ```
-/// use sttgpu_sim::icnt::Icnt;
-///
-/// let mut net = Icnt::new(2, 10, 1);
-/// // Two back-to-back packets from SM 0 serialise on its port...
-/// let a = net.request_arrival(0, 100);
-/// let b = net.request_arrival(0, 100);
-/// assert_eq!(a, 110);
-/// assert_eq!(b, 111);
-/// // ...but SM 1's port is free.
-/// assert_eq!(net.request_arrival(1, 100), 110);
-/// ```
 #[derive(Debug)]
-pub struct Icnt {
+pub(crate) struct Icnt {
     latency_ns: u64,
     flit_ns: u64,
     injection: BankArbiter,
@@ -45,7 +30,7 @@ impl Icnt {
     /// # Panics
     ///
     /// Panics if `sms` is zero.
-    pub fn new(sms: usize, latency_ns: u64, flit_ns: u64) -> Self {
+    pub(crate) fn new(sms: usize, latency_ns: u64, flit_ns: u64) -> Self {
         Icnt {
             latency_ns,
             flit_ns: flit_ns.max(1),
@@ -57,22 +42,17 @@ impl Icnt {
     }
 
     /// When a request injected by `sm` at `now_ns` arrives at the L2.
-    pub fn request_arrival(&mut self, sm: u32, now_ns: u64) -> u64 {
+    pub(crate) fn request_arrival(&mut self, sm: u32, now_ns: u64) -> u64 {
         self.requests += 1;
         let start = self.injection.reserve(sm as usize, now_ns, self.flit_ns);
         start + self.latency_ns
     }
 
     /// When a response ready at the L2 at `ready_ns` reaches `sm`.
-    pub fn response_arrival(&mut self, sm: u32, ready_ns: u64) -> u64 {
+    pub(crate) fn response_arrival(&mut self, sm: u32, ready_ns: u64) -> u64 {
         self.responses += 1;
         let start = self.ejection.reserve(sm as usize, ready_ns, self.flit_ns);
         start + self.latency_ns
-    }
-
-    /// One-way traversal latency, ns.
-    pub fn latency_ns(&self) -> u64 {
-        self.latency_ns
     }
 }
 
@@ -85,6 +65,18 @@ mod tests {
         let mut net = Icnt::new(4, 10, 1);
         assert_eq!(net.request_arrival(2, 1_000), 1_010);
         assert_eq!(net.response_arrival(2, 2_000), 2_010);
+    }
+
+    #[test]
+    fn ports_serialise_per_sm() {
+        let mut net = Icnt::new(2, 10, 1);
+        // Two back-to-back packets from SM 0 serialise on its port...
+        let a = net.request_arrival(0, 100);
+        let b = net.request_arrival(0, 100);
+        assert_eq!(a, 110);
+        assert_eq!(b, 111);
+        // ...but SM 1's port is free.
+        assert_eq!(net.request_arrival(1, 100), 110);
     }
 
     #[test]

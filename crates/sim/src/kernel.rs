@@ -35,7 +35,7 @@ pub enum WritePhase {
 ///     .with_write_fraction(0.25)
 ///     .with_footprint_kb(2_048)
 ///     .with_regs_per_thread(24);
-/// assert_eq!(k.warps_per_block(), 8);
+/// assert_eq!(k.footprint_bytes, 2_048 * 1024);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelParams {
@@ -46,38 +46,38 @@ pub struct KernelParams {
     /// Threads per block (multiple of 32).
     pub threads_per_block: u32,
     /// Registers per thread (occupancy pressure).
-    pub regs_per_thread: u32,
+    pub(crate) regs_per_thread: u32,
     /// Shared memory per block, bytes (occupancy pressure).
-    pub shared_bytes_per_block: u32,
+    pub(crate) shared_bytes_per_block: u32,
     /// Dynamic instructions per warp.
     pub instructions_per_warp: u32,
     /// Fraction of instructions that are global memory operations.
-    pub mem_fraction: f64,
+    pub(crate) mem_fraction: f64,
     /// Fraction of memory operations that are writes (paper suite spans
     /// ~0 % to 63 %).
     pub write_fraction: f64,
     /// Global-data footprint, bytes (L2 sensitivity knob).
     pub footprint_bytes: u64,
     /// Base address of the footprint (lets grids share data).
-    pub addr_base: u64,
+    pub(crate) addr_base: u64,
     /// Fraction of the footprint that forms the write working set.
-    pub wws_fraction: f64,
+    pub(crate) wws_fraction: f64,
     /// Probability a write targets the WWS region (write concentration —
     /// the inter/intra-set COV knob of Fig. 3).
-    pub write_skew: f64,
+    pub(crate) write_skew: f64,
     /// Probability a read streams through the warp's own segment
     /// (coalesced locality) rather than hitting a random footprint line.
-    pub read_locality: f64,
+    pub(crate) read_locality: f64,
     /// Average L1 lines touched per warp memory instruction (1 =
     /// perfectly coalesced, up to 32 = fully divergent).
     pub coalescing: f64,
     /// Temporal placement of writes.
-    pub write_phase: WritePhase,
+    pub(crate) write_phase: WritePhase,
     /// Fraction of memory operations that touch **local** (per-thread)
     /// data — register spills and private arrays. Local data follows the
     /// L1 write-back/write-allocate policy of the paper's Fig. 1-b
     /// instead of the global write-evict path.
-    pub local_fraction: f64,
+    pub(crate) local_fraction: f64,
 }
 
 impl KernelParams {
@@ -115,12 +115,12 @@ impl KernelParams {
     }
 
     /// Warps per thread block.
-    pub fn warps_per_block(&self) -> u32 {
+    pub(crate) fn warps_per_block(&self) -> u32 {
         self.threads_per_block / 32
     }
 
     /// Total warps in the grid.
-    pub fn total_warps(&self) -> u64 {
+    pub(crate) fn total_warps(&self) -> u64 {
         self.blocks as u64 * self.warps_per_block() as u64
     }
 
@@ -158,12 +158,6 @@ impl KernelParams {
         self
     }
 
-    /// Sets shared-memory usage per block, bytes.
-    pub fn with_shared_bytes(mut self, bytes: u32) -> Self {
-        self.shared_bytes_per_block = bytes;
-        self
-    }
-
     /// Sets the WWS size (fraction of footprint) and write concentration.
     pub fn with_wws(mut self, fraction: f64, skew: f64) -> Self {
         assert!((0.0..=1.0).contains(&fraction) && (0.0..=1.0).contains(&skew));
@@ -196,12 +190,6 @@ impl KernelParams {
     pub fn with_local_fraction(mut self, f: f64) -> Self {
         assert!((0.0..=1.0).contains(&f));
         self.local_fraction = f;
-        self
-    }
-
-    /// Sets the footprint base address (for grid-to-grid data sharing).
-    pub fn with_addr_base(mut self, base: u64) -> Self {
-        self.addr_base = base;
         self
     }
 }
@@ -247,7 +235,7 @@ impl Workload {
 
 /// Hands out a kernel's thread blocks to SMs in launch order.
 #[derive(Debug, Clone)]
-pub struct GridDispatcher {
+pub(crate) struct GridDispatcher {
     kernel: Arc<KernelParams>,
     next_block: u32,
     retired_blocks: u32,
@@ -256,7 +244,7 @@ pub struct GridDispatcher {
 
 impl GridDispatcher {
     /// Starts dispatching `kernel`'s grid.
-    pub fn new(kernel: Arc<KernelParams>) -> Self {
+    pub(crate) fn new(kernel: Arc<KernelParams>) -> Self {
         GridDispatcher {
             kernel,
             next_block: 0,
@@ -266,17 +254,12 @@ impl GridDispatcher {
     }
 
     /// Attaches a trace sink observing the grid's retirement invariant.
-    pub fn set_trace(&mut self, trace: sttgpu_trace::Trace) {
+    pub(crate) fn set_trace(&mut self, trace: sttgpu_trace::Trace) {
         self.trace = trace;
     }
 
-    /// The kernel being dispatched.
-    pub fn kernel(&self) -> &Arc<KernelParams> {
-        &self.kernel
-    }
-
     /// Takes the next block id, or `None` when the grid is exhausted.
-    pub fn next_block(&mut self) -> Option<u32> {
+    pub(crate) fn next_block(&mut self) -> Option<u32> {
         if self.next_block < self.kernel.blocks {
             let b = self.next_block;
             self.next_block += 1;
@@ -287,7 +270,7 @@ impl GridDispatcher {
     }
 
     /// Records a finished block.
-    pub fn retire_block(&mut self) {
+    pub(crate) fn retire_block(&mut self) {
         self.retired_blocks += 1;
         if self.retired_blocks > self.kernel.blocks {
             // More retirements than the grid has blocks: double-counted
@@ -301,12 +284,12 @@ impl GridDispatcher {
     }
 
     /// Whether every block of the grid has retired.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.retired_blocks == self.kernel.blocks
     }
 
     /// Blocks not yet handed out.
-    pub fn remaining(&self) -> u32 {
+    pub(crate) fn remaining(&self) -> u32 {
         self.kernel.blocks - self.next_block
     }
 }
@@ -336,16 +319,13 @@ mod tests {
             .with_write_fraction(0.63)
             .with_footprint_kb(512)
             .with_regs_per_thread(63)
-            .with_shared_bytes(1024)
             .with_wws(0.05, 0.9)
             .with_read_locality(0.8)
             .with_coalescing(2.0)
-            .with_write_phase(WritePhase::EndOfKernel)
-            .with_addr_base(1 << 30);
+            .with_write_phase(WritePhase::EndOfKernel);
         assert_eq!(k.instructions_per_warp, 5);
         assert_eq!(k.footprint_bytes, 512 * 1024);
         assert_eq!(k.write_phase, WritePhase::EndOfKernel);
-        assert_eq!(k.addr_base, 1 << 30);
     }
 
     #[test]

@@ -35,7 +35,7 @@ struct L2Pending {
 
 /// A fill response ready for delivery to an SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillDelivery {
+pub(crate) struct FillDelivery {
     /// Destination SM.
     pub sm: u32,
     /// Byte address of the L1 line being filled.
@@ -44,7 +44,7 @@ pub struct FillDelivery {
 
 /// Interconnect + L2 + DRAM.
 #[derive(Debug)]
-pub struct MemSystem {
+pub(crate) struct MemSystem {
     llc: AnyLlc,
     trace: Trace,
     dram: BankArbiter,
@@ -78,14 +78,14 @@ pub struct MemSystem {
     /// DRAM read requests that hit their controller's open row.
     pub dram_row_hits: u64,
     /// Sum of L2 service times (ready - arrival) over read hits, ns.
-    pub read_hit_latency_sum_ns: u64,
+    pub(crate) read_hit_latency_sum_ns: u64,
     /// Number of L2 read hits observed.
-    pub read_hit_count: u64,
+    pub(crate) read_hit_count: u64,
 }
 
 impl MemSystem {
     /// Builds the memory system from the GPU configuration.
-    pub fn new(cfg: &GpuConfig) -> Self {
+    pub(crate) fn new(cfg: &GpuConfig) -> Self {
         let llc = cfg.l2.build(cfg.l2_line_bytes);
         let maintain_interval_ns = llc.maintenance_interval_ns();
         MemSystem {
@@ -117,26 +117,26 @@ impl MemSystem {
     }
 
     /// The L2 under test.
-    pub fn llc(&self) -> &AnyLlc {
+    pub(crate) fn llc(&self) -> &AnyLlc {
         &self.llc
     }
 
     /// Attaches a trace sink observing the L2 and the miss tracker
     /// (MSHR space 0).
-    pub fn set_trace(&mut self, trace: Trace) {
+    pub(crate) fn set_trace(&mut self, trace: Trace) {
         self.llc.set_trace(trace.clone());
         self.trace = trace;
     }
 
     /// Starts recording the verbatim LLC call stream (discarding any
     /// log in progress). Costs one branch per LLC call while active.
-    pub fn start_call_log(&mut self) {
+    pub(crate) fn start_call_log(&mut self) {
         self.call_log = Some(Vec::new());
     }
 
     /// Stops recording and returns the log, or `None` when recording
     /// was never started.
-    pub fn take_call_log(&mut self) -> Option<Vec<TraceRecord>> {
+    pub(crate) fn take_call_log(&mut self) -> Option<Vec<TraceRecord>> {
         self.call_log.take()
     }
 
@@ -184,7 +184,7 @@ impl MemSystem {
     /// An L1 read miss arrives from SM `sm` for the L1 line at
     /// `byte_addr`. Returns nothing; the fill comes back as a
     /// [`FillDelivery`] from [`tick`](Self::tick).
-    pub fn read_request(&mut self, sm: u32, byte_addr: u64, now_ns: u64) {
+    pub(crate) fn read_request(&mut self, sm: u32, byte_addr: u64, now_ns: u64) {
         let arrival = self.icnt.request_arrival(sm, now_ns);
         let l2_line = self.l2_line_of(byte_addr);
 
@@ -232,7 +232,7 @@ impl MemSystem {
     /// A global write (write-through from SM `sm`'s L1) arrives for
     /// `byte_addr`. Writes complete without a response; misses allocate in
     /// L2 (write-allocate) after a DRAM fetch.
-    pub fn write_request(&mut self, sm: u32, byte_addr: u64, now_ns: u64) {
+    pub(crate) fn write_request(&mut self, sm: u32, byte_addr: u64, now_ns: u64) {
         let arrival = self.icnt.request_arrival(sm, now_ns);
         let l2_line = self.l2_line_of(byte_addr);
 
@@ -275,7 +275,7 @@ impl MemSystem {
     ///
     /// `fills` is cleared first; the caller owns it and reuses it across
     /// ticks so the per-cycle hot loop allocates nothing.
-    pub fn tick(&mut self, now_ns: u64, fills: &mut Vec<FillDelivery>) {
+    pub(crate) fn tick(&mut self, now_ns: u64, fills: &mut Vec<FillDelivery>) {
         fills.clear();
         // Fast path: nothing due yet — one comparison and out, so the
         // driver can afford to call this every simulated cycle it visits.
@@ -341,13 +341,13 @@ impl MemSystem {
     }
 
     /// Whether no memory traffic is in flight.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.events.is_empty() && self.l2_pending.is_empty()
     }
 
     /// Time of the next scheduled event, if any (lets the driver skip
     /// idle cycles).
-    pub fn next_event_ns(&self) -> Option<u64> {
+    pub(crate) fn next_event_ns(&self) -> Option<u64> {
         self.events.peek().map(|Reverse((t, _, _))| *t)
     }
 
@@ -355,7 +355,7 @@ impl MemSystem {
     /// the next queued event or the next maintenance deadline, whichever
     /// comes first. Ticks strictly before this time are no-ops, which is
     /// what lets the event-driven driver jump over them.
-    pub fn next_wake_ns(&self) -> Option<u64> {
+    pub(crate) fn next_wake_ns(&self) -> Option<u64> {
         let maint = (self.maintain_interval_ns != u64::MAX).then_some(self.next_maintain_ns);
         match (self.next_event_ns(), maint) {
             (Some(e), Some(m)) => Some(e.min(m)),

@@ -15,17 +15,6 @@ pub struct KernelSpan {
     pub instructions: u64,
 }
 
-impl KernelSpan {
-    /// The kernel's own IPC.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// Results of one simulated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {

@@ -26,9 +26,9 @@ pub enum OccupancyLimit {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
     /// Resident thread blocks per SM.
-    pub blocks_per_sm: u32,
+    pub(crate) blocks_per_sm: u32,
     /// Resident warps per SM.
-    pub warps_per_sm: u32,
+    pub(crate) warps_per_sm: u32,
     /// The binding resource.
     pub limit: OccupancyLimit,
 }
@@ -69,11 +69,6 @@ impl Occupancy {
             limit,
         }
     }
-
-    /// Occupancy as a fraction of the SM's warp slots.
-    pub fn warp_occupancy(&self, gpu: &GpuConfig) -> f64 {
-        self.warps_per_sm as f64 / gpu.max_warps_per_sm as f64
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +101,8 @@ mod tests {
 
     #[test]
     fn shared_memory_limited_kernel() {
-        let k = KernelParams::new("k", 10, 64)
-            .with_regs_per_thread(10)
-            .with_shared_bytes(16 * 1024);
+        let mut k = KernelParams::new("k", 10, 64).with_regs_per_thread(10);
+        k.shared_bytes_per_block = 16 * 1024;
         let occ = Occupancy::compute(&gpu(), &k);
         assert_eq!(occ.blocks_per_sm, 3);
         assert_eq!(occ.limit, OccupancyLimit::SharedMemory);
@@ -138,12 +132,5 @@ mod tests {
         let k = KernelParams::new("k", 1, 1024).with_regs_per_thread(64);
         let occ = Occupancy::compute(&gpu(), &k);
         assert_eq!(occ.blocks_per_sm, 0);
-    }
-
-    #[test]
-    fn warp_occupancy_fraction() {
-        let k = KernelParams::new("k", 10, 512).with_regs_per_thread(4);
-        let occ = Occupancy::compute(&gpu(), &k);
-        assert!((occ.warp_occupancy(&gpu()) - 1.0).abs() < 1e-12);
     }
 }

@@ -49,7 +49,7 @@ fn is_hole(e: &ReadyEntry) -> bool {
 
 /// The queued warps of one SM, ordered per the scheduling policy.
 #[derive(Debug, Clone)]
-pub struct ReadyQueue {
+pub(crate) struct ReadyQueue {
     scheduler: WarpScheduler,
     /// LRR: the rotation, read cyclically from `head`, holes included.
     /// GTO: the non-greedy entries in no particular order (no holes).
@@ -64,7 +64,7 @@ pub struct ReadyQueue {
 
 impl ReadyQueue {
     /// An empty queue for `scheduler`.
-    pub fn new(scheduler: WarpScheduler) -> Self {
+    pub(crate) fn new(scheduler: WarpScheduler) -> Self {
         ReadyQueue {
             scheduler,
             buf: Vec::new(),
@@ -78,7 +78,7 @@ impl ReadyQueue {
     /// Whether entries' ages matter (GTO). Loose round-robin never reads
     /// them, so callers may pass any age.
     #[inline]
-    pub fn orders_by_age(&self) -> bool {
+    pub(crate) fn orders_by_age(&self) -> bool {
         self.scheduler == WarpScheduler::GreedyThenOldest
     }
 
@@ -87,7 +87,7 @@ impl ReadyQueue {
     /// are passed as scalars so an out-of-line call never round-trips a
     /// struct through the stack.
     #[inline]
-    pub fn push(&mut self, slot: usize, ready_at: u64, age: u64) {
+    pub(crate) fn push(&mut self, slot: usize, ready_at: u64, age: u64) {
         debug_assert!(
             ready_at != u64::MAX,
             "ready_at u64::MAX is reserved for holes"
@@ -155,7 +155,7 @@ impl ReadyQueue {
     /// exact earliest `ready_at` over every queued warp (`u64::MAX` when
     /// the queue is empty).
     #[inline]
-    pub fn pop(&mut self, cycle: u64) -> Result<usize, u64> {
+    pub(crate) fn pop(&mut self, cycle: u64) -> Result<usize, u64> {
         match self.scheduler {
             WarpScheduler::LooseRoundRobin => self.pop_round_robin(cycle),
             WarpScheduler::GreedyThenOldest => self.pop_greedy_then_oldest(cycle),

@@ -28,16 +28,16 @@ const MSHR_RETRY_CYCLES: u64 = 8;
 
 /// What one [`Sm::step`] call produced, for the driver to aggregate.
 #[derive(Debug, Clone, Copy)]
-pub struct StepOutcome {
+pub(crate) struct StepOutcome {
     /// Thread blocks that retired during the issue pass.
-    pub blocks_retired: u32,
+    pub(crate) blocks_retired: u32,
     /// Earliest cycle any queued warp can issue (`u64::MAX` when none).
-    pub next_wake: u64,
+    pub(crate) next_wake: u64,
 }
 
 /// One streaming multiprocessor.
 #[derive(Debug)]
-pub struct Sm {
+pub(crate) struct Sm {
     id: u32,
     warps: Vec<Option<Warp>>,
     ready: ReadyQueue,
@@ -64,14 +64,14 @@ pub struct Sm {
     /// Thread instructions committed.
     pub instructions: u64,
     /// Cycles with no issuable warp.
-    pub idle_cycles: u64,
+    pub(crate) idle_cycles: u64,
     /// Instruction replays due to full L1 MSHRs.
     pub mshr_stalls: u64,
 }
 
 impl Sm {
     /// Creates an empty SM.
-    pub fn new(cfg: &GpuConfig, id: u32) -> Self {
+    pub(crate) fn new(cfg: &GpuConfig, id: u32) -> Self {
         Sm {
             id,
             warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
@@ -93,52 +93,42 @@ impl Sm {
         }
     }
 
-    /// This SM's id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// Free warp contexts.
-    pub fn free_warp_slots(&self) -> usize {
+    pub(crate) fn free_warp_slots(&self) -> usize {
         self.warps.len() - self.warps_live as usize
     }
 
-    /// Live warps.
-    pub fn live_warps(&self) -> usize {
-        self.warps_live as usize
-    }
-
     /// Live blocks.
-    pub fn live_blocks(&self) -> u32 {
+    pub(crate) fn live_blocks(&self) -> u32 {
         self.blocks_live
     }
 
     /// Whether nothing is resident.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.warps_live == 0
     }
 
     /// The SM's L1 data cache (for statistics).
-    pub fn l1(&self) -> &L1Cache {
+    pub(crate) fn l1(&self) -> &L1Cache {
         &self.l1
     }
 
     /// Attaches a trace sink observing this SM's launch invariants and
     /// its L1 MSHR table.
-    pub fn set_trace(&mut self, trace: Trace) {
+    pub(crate) fn set_trace(&mut self, trace: Trace) {
         self.l1.set_trace(trace.clone(), 1 + self.id);
         self.trace = trace;
     }
 
     /// Invalidates the L1 (kernel boundary — GPU L1s hold no dirty global
     /// data, so this is traffic-free).
-    pub fn flush_l1(&mut self) {
+    pub(crate) fn flush_l1(&mut self) {
         self.l1.invalidate_all();
     }
 
     /// Launches one thread block; returns `false` when warp contexts are
     /// insufficient.
-    pub fn launch_block(
+    pub(crate) fn launch_block(
         &mut self,
         kernel: &Arc<KernelParams>,
         block_id: u32,
@@ -231,14 +221,14 @@ impl Sm {
     /// Earliest cycle at which any queued warp can issue, or `None` when
     /// none is queued (the SM is empty or every warp is blocked on
     /// memory). O(1): reads the incrementally maintained bound.
-    pub fn next_ready_cycle(&self) -> Option<u64> {
+    pub(crate) fn next_ready_cycle(&self) -> Option<u64> {
         (self.next_ready != u64::MAX).then_some(self.next_ready)
     }
 
     /// Records `n` cycles in which this SM had live warps but could not
     /// issue — exactly the accounting [`step`](Sm::step) would have
     /// produced had it been called once per skipped cycle.
-    pub fn count_idle(&mut self, n: u64) {
+    pub(crate) fn count_idle(&mut self, n: u64) {
         if self.warps_live > 0 {
             self.idle_cycles += n;
         }
@@ -252,7 +242,7 @@ impl Sm {
     /// The gate is inlined into the driver's SM loop, so an SM with no
     /// issuable warp costs no call.
     #[inline]
-    pub fn step(&mut self, cycle: u64, now_ns: u64, mem: &mut MemSystem) -> StepOutcome {
+    pub(crate) fn step(&mut self, cycle: u64, now_ns: u64, mem: &mut MemSystem) -> StepOutcome {
         let mut blocks_retired = 0;
         match self.next_ready_cycle() {
             Some(ready) if ready <= cycle => {
@@ -269,7 +259,7 @@ impl Sm {
     /// Applies an L1 fill response, waking warps; a dirty L1 victim is
     /// written back to `mem` at once. Returns the number of blocks that
     /// retired as a result.
-    pub fn apply_fill(&mut self, byte_addr: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
+    pub(crate) fn apply_fill(&mut self, byte_addr: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
         let (tokens, dirty_victim) = self.l1.fill(byte_addr);
         if let Some(victim_addr) = dirty_victim {
             mem.write_request(self.id, victim_addr, now_ns);
@@ -349,10 +339,6 @@ impl Sm {
     ) -> u32 {
         let dep = self.dep_interval;
         match instr {
-            WarpInstr::Alu => {
-                self.instructions += self.warp_size as u64;
-                self.requeue(slot, cycle, dep);
-            }
             WarpInstr::MemWrite(addrs) => {
                 for &addr in &addrs {
                     self.l1.write(addr);
@@ -494,7 +480,7 @@ mod tests {
             .with_mem_fraction(0.0);
         let (mut sm, mut mem, k) = setup(k);
         assert!(sm.launch_block(&k, 0, 1, 0));
-        assert_eq!(sm.live_warps(), 2);
+        assert_eq!(sm.warps_live, 2);
         let retired = run_to_completion(&mut sm, &mut mem, 10_000);
         assert_eq!(retired, 1);
         assert!(sm.is_idle());

@@ -11,12 +11,12 @@ use crate::program::{Draw, WarpInstr, WarpProgram};
 /// the fields of memory instructions follow.
 #[derive(Debug, Clone)]
 #[repr(C, align(64))]
-pub struct Warp {
+pub(crate) struct Warp {
     /// Whether the warp currently sits in the SM's ready queue.
     pub queued: bool,
     /// Outstanding load requests (the warp stalls at the SM's
     /// `max_pending_loads`).
-    pub pending_loads: u32,
+    pub(crate) pending_loads: u32,
     /// An instruction that must replay (e.g. after an MSHR-full stall).
     /// Boxed: replays are rare, and inline it would push the program's
     /// hot fields out of the first cache line.
@@ -24,16 +24,16 @@ pub struct Warp {
     /// The warp's instruction stream.
     pub program: WarpProgram,
     /// Earliest cycle the warp may issue again.
-    pub ready_at: u64,
+    pub(crate) ready_at: u64,
     /// Launch order within the SM (lower = older), used by GTO scheduling.
     pub age: u64,
     /// Index of the owning block in the SM's block table.
-    pub block_slot: usize,
+    pub(crate) block_slot: usize,
 }
 
 impl Warp {
     /// Creates a warp ready to issue at cycle 0.
-    pub fn new(program: WarpProgram, block_slot: usize) -> Self {
+    pub(crate) fn new(program: WarpProgram, block_slot: usize) -> Self {
         Warp {
             program,
             block_slot,
@@ -47,12 +47,12 @@ impl Warp {
 
     /// Whether the warp has issued its whole stream (it may still have
     /// loads in flight).
-    pub fn stream_done(&self) -> bool {
+    pub(crate) fn stream_done(&self) -> bool {
         self.program.is_finished() && self.replay.is_none()
     }
 
     /// Whether the warp can retire: stream done and no loads in flight.
-    pub fn can_retire(&self) -> bool {
+    pub(crate) fn can_retire(&self) -> bool {
         self.stream_done() && self.pending_loads == 0
     }
 
@@ -60,7 +60,7 @@ impl Warp {
     /// a memory instruction) first, otherwise the stream's next draw. A
     /// [`Draw::Mem`] is completed by [`take_mem`](Self::take_mem).
     #[inline]
-    pub fn draw(&mut self) -> Draw {
+    pub(crate) fn draw(&mut self) -> Draw {
         if self.replay.is_some() {
             Draw::Mem
         } else {
@@ -70,7 +70,7 @@ impl Warp {
 
     /// The memory instruction of a [`Draw::Mem`]: the pending replay, or
     /// a freshly generated one.
-    pub fn take_mem(&mut self) -> WarpInstr {
+    pub(crate) fn take_mem(&mut self) -> WarpInstr {
         match self.replay.take() {
             Some(instr) => *instr,
             None => self.program.gen_mem(),
@@ -84,12 +84,13 @@ mod tests {
     use crate::kernel::KernelParams;
     use std::sync::Arc;
 
-    /// The next instruction the way the SM takes it.
-    fn take(w: &mut Warp) -> Option<WarpInstr> {
+    /// The next instruction the way the SM takes it, `Some(None)` for an
+    /// ALU instruction.
+    fn take(w: &mut Warp) -> Option<Option<WarpInstr>> {
         match w.draw() {
             Draw::Done => None,
-            Draw::Alu => Some(WarpInstr::Alu),
-            Draw::Mem => Some(w.take_mem()),
+            Draw::Alu => Some(None),
+            Draw::Mem => Some(Some(w.take_mem())),
         }
     }
 
@@ -130,9 +131,9 @@ mod tests {
     #[test]
     fn replay_takes_priority() {
         let mut w = warp(5);
-        let first = take(&mut w).expect("instruction");
+        let first = w.take_mem();
         w.replay = Some(Box::new(first.clone()));
         assert!(!w.stream_done());
-        assert_eq!(take(&mut w), Some(first));
+        assert_eq!(take(&mut w), Some(Some(first)));
     }
 }

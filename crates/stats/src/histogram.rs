@@ -8,7 +8,7 @@ use std::fmt;
 pub struct Bucket {
     /// Inclusive upper bound of the bucket, `u64::MAX` for the overflow
     /// bucket.
-    pub upper_bound: u64,
+    pub(crate) upper_bound: u64,
     /// Number of samples recorded into the bucket.
     pub count: u64,
 }

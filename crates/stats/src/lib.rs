@@ -35,7 +35,7 @@
 
 mod cov;
 mod histogram;
-pub mod rng;
+mod rng;
 mod running;
 
 pub use cov::{coefficient_of_variation, WriteVariation};

@@ -14,7 +14,7 @@
 //! use sttgpu_stats::Rng;
 //! let mut a = Rng::new(42);
 //! let mut b = Rng::new(42);
-//! assert_eq!(a.next_u64(), b.next_u64());
+//! assert_eq!(a.f64_unit(), b.f64_unit());
 //! assert!(a.range_u64(0, 10) < 10);
 //! ```
 
@@ -52,7 +52,7 @@ impl Rng {
 
     /// Next raw 64-bit output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -153,7 +153,7 @@ impl Chance {
     /// `p ≤ 0`: always `false`, no draw.
     pub const NEVER: Chance = Chance(u64::MAX - 1);
     /// `p ≥ 1`: always `true`, no draw.
-    pub const ALWAYS: Chance = Chance(u64::MAX);
+    pub(crate) const ALWAYS: Chance = Chance(u64::MAX);
 
     /// Prepares probability `p` (clamped to `[0, 1]` like [`Rng::chance`]).
     pub fn new(p: f64) -> Self {

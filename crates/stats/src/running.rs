@@ -16,7 +16,7 @@
 ///     rs.push(x);
 /// }
 /// assert!((rs.mean() - 5.0).abs() < 1e-12);
-/// assert!((rs.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((rs.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
@@ -68,13 +68,13 @@ impl RunningStats {
     }
 
     /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
+    pub(crate) fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
     }
 
     /// Coefficient of variation (population std-dev / mean), or 0.0 when the
     /// mean is zero.
-    pub fn cov(&self) -> f64 {
+    pub(crate) fn cov(&self) -> f64 {
         let m = self.mean();
         if m == 0.0 {
             0.0
@@ -126,6 +126,7 @@ mod tests {
             .collect();
         assert!((rs.mean() - 5.0).abs() < 1e-12);
         assert!((rs.population_variance() - 4.0).abs() < 1e-12);
+        assert!((rs.population_std_dev() - 2.0).abs() < 1e-12);
     }
 
     #[test]

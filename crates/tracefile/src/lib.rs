@@ -54,10 +54,10 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// File magic: identifies a binary sttgpu trace.
-pub const MAGIC: [u8; 8] = *b"STTGTRC\0";
+pub(crate) const MAGIC: [u8; 8] = *b"STTGTRC\0";
 
 /// Newest format version this crate writes and understands.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// The replay discipline a trace file encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,7 +185,7 @@ impl TraceRecord {
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with the trace magic `STTGTRC\0`.
     BadMagic,
     /// The file's version is newer than this crate understands.
     UnsupportedVersion(u16),

@@ -441,7 +441,7 @@ mod tests {
                 let occ = Occupancy::compute(&gpu, k);
                 assert_eq!(
                     occ.limit,
-                    sttgpu_sim::occupancy::OccupancyLimit::Registers,
+                    sttgpu_sim::OccupancyLimit::Registers,
                     "{}::{} must be register limited",
                     w.name,
                     k.name
