@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass. Run from the repo root.
 #
-#   ./ci.sh            # build + tests + lints + docs
+#   ./ci.sh            # unused-dependency check + build + tests +
+#                      # lints + docs
 #   ./ci.sh --smoke    # also run the benchmark's contract tests, a
 #                      # reduced-scale repro to exercise the
 #                      # parallel executor end to end, explore and diag
@@ -28,6 +29,25 @@
 #                      # compiles them)
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "==> every sttgpu-* dependency is named by its package's code"
+unused_deps=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    pkg="$(dirname "$manifest")"
+    dirs=()
+    for d in src tests examples; do
+        if [[ -d "$pkg/$d" ]]; then dirs+=("$pkg/$d"); fi
+    done
+    deps="$(awk '/^\[/ { in_deps = ($0 == "[dependencies]") }
+                 in_deps && /^sttgpu-/ { sub(/[ .=].*/, ""); print }' "$manifest")"
+    for dep in $deps; do
+        if ! grep -rqw --include='*.rs' "${dep//-/_}" "${dirs[@]}"; then
+            echo "unused dependency: $pkg -> $dep"
+            unused_deps=1
+        fi
+    done
+done
+if [[ $unused_deps -ne 0 ]]; then exit 1; fi
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace

@@ -2,14 +2,25 @@
 
 use std::fmt;
 
-use sttgpu_device::mtj::RetentionTime;
-use sttgpu_fault::FaultConfig;
+use sttgpu_device::array::{ArrayDesign, ArrayGeometry};
+use sttgpu_device::cell::MemTechnology;
+use sttgpu_device::mtj::{MtjDesign, RetentionTime};
 
+use crate::fault::FaultConfig;
 use crate::policy::LlcPolicy;
+use crate::retention::RetentionTracker;
+use crate::search::Part;
 
 /// Width of the saturating per-block WWS write counter, bits (paper: 4).
 /// A write threshold must be reachable: at most `2^WWS_COUNTER_BITS - 1`.
 const WWS_COUNTER_BITS: u32 = 4;
+
+/// Banks per part: both arrays of every evaluated design are 8-way
+/// banked ("the HR part should be sufficiently banked").
+const PART_BANKS: u32 = 8;
+
+/// Both parts, each with the name its [`ConfigError`]s carry.
+const NAMED_PARTS: [(Part, &str); 2] = [(Part::Lr, "LR"), (Part::Hr, "HR")];
 
 /// A structured reason why a [`TwoPartConfig`] describes an impossible
 /// geometry. Returned by [`TwoPartConfig::validate`]; the panicking
@@ -192,10 +203,6 @@ pub struct TwoPartConfig {
     pub hr_kb: u64,
     /// HR associativity (paper: 7).
     pub hr_ways: u32,
-    /// LR bank count.
-    pub lr_banks: u32,
-    /// HR bank count ("the HR part should be sufficiently banked").
-    pub hr_banks: u32,
     /// LR retention target.
     pub lr_retention: RetentionTime,
     /// HR retention target (paper §4: 4 ms handles >90 % of HR rewrites).
@@ -248,8 +255,6 @@ impl TwoPartConfig {
             lr_ways,
             hr_kb,
             hr_ways,
-            lr_banks: 8,
-            hr_banks: 8,
             lr_retention: RetentionTime::from_micros(26.5),
             hr_retention: RetentionTime::from_millis(4.0),
             lr_rc_bits: 4,
@@ -293,30 +298,19 @@ impl TwoPartConfig {
         if self.buffer_blocks < 1 {
             return Err(ConfigError::BufferCapacity);
         }
-        let parts = [
-            (
-                "LR",
-                self.lr_kb,
-                self.lr_ways,
-                self.lr_rc_bits,
-                self.lr_retention,
-            ),
-            (
-                "HR",
-                self.hr_kb,
-                self.hr_ways,
-                self.hr_rc_bits,
-                self.hr_retention,
-            ),
-        ];
-        for (part, kb, ways, rc_bits, retention) in parts {
+        for (part, name) in NAMED_PARTS {
+            let (kb, ways, retention, rc_bits) = self.part_knobs(part);
             let lines = kb * 1024 / self.line_bytes as u64;
             if ways == 0 || lines < ways as u64 || !lines.is_multiple_of(ways as u64) {
-                return Err(ConfigError::PartialSets { part, kb, ways });
+                return Err(ConfigError::PartialSets {
+                    part: name,
+                    kb,
+                    ways,
+                });
             }
             if !(1..=16).contains(&rc_bits) {
                 return Err(ConfigError::CounterWidth {
-                    part,
+                    part: name,
                     bits: rc_bits,
                 });
             }
@@ -324,7 +318,7 @@ impl TwoPartConfig {
             // one counter tick must be at least 1 ns.
             if retention.as_nanos_u64() >> rc_bits == 0 {
                 return Err(ConfigError::RetentionTooShort {
-                    part,
+                    part: name,
                     bits: rc_bits,
                 });
             }
@@ -357,42 +351,18 @@ impl TwoPartConfig {
         // `TwoPartLlc::new` will and reject any latency the
         // integer-nanosecond timing cannot represent, so a malformed
         // device table fails here with a structured reason instead of
-        // silently casting NaN to 0 deep in the cache. Bank counts of
-        // zero are left to the geometry constructor's own panic, as
-        // before.
-        if self.lr_banks >= 1 && self.hr_banks >= 1 {
-            use sttgpu_device::array::{ArrayDesign, ArrayGeometry};
-            use sttgpu_device::cell::MemTechnology;
-            let designs = [
-                (
-                    "LR",
-                    self.lr_kb,
-                    self.lr_ways,
-                    self.lr_banks,
-                    self.lr_retention,
-                ),
-                (
-                    "HR",
-                    self.hr_kb,
-                    self.hr_ways,
-                    self.hr_banks,
-                    self.hr_retention,
-                ),
-            ];
-            for (part, kb, ways, banks, retention) in designs {
-                let geom = ArrayGeometry::new(kb * 1024, self.line_bytes, ways, banks);
-                let mtj = sttgpu_device::mtj::MtjDesign::for_retention(retention)
-                    .with_ewt_savings(self.ewt_savings);
-                let design = ArrayDesign::new(geom, MemTechnology::SttRam(mtj));
-                for (which, ns) in [
-                    ("tag", design.tag_latency_ns()),
-                    ("read", design.read_latency_ns()),
-                    ("write", design.write_latency_ns()),
-                    ("read-occupancy", design.read_occupancy_ns()),
-                    ("write-occupancy", design.write_occupancy_ns()),
-                ] {
-                    check_latency_ns(part, which, ns)?;
-                }
+        // silently casting NaN to 0 deep in the cache.
+        for (part, name) in NAMED_PARTS {
+            let (geometry, tech) = self.part_array(part);
+            let design = ArrayDesign::new(geometry, tech);
+            for (which, ns) in [
+                ("tag", design.tag_latency_ns()),
+                ("read", design.read_latency_ns()),
+                ("write", design.write_latency_ns()),
+                ("read-occupancy", design.read_occupancy_ns()),
+                ("write-occupancy", design.write_occupancy_ns()),
+            ] {
+                check_latency_ns(name, which, ns)?;
             }
         }
         Ok(())
@@ -403,6 +373,33 @@ impl TwoPartConfig {
         if let Err(e) = self.validate() {
             panic!("{e}");
         }
+    }
+
+    /// `part`'s own knobs: capacity (KB), associativity, retention
+    /// target and retention-counter width.
+    fn part_knobs(&self, part: Part) -> (u64, u32, RetentionTime, u32) {
+        match part {
+            Part::Lr => (self.lr_kb, self.lr_ways, self.lr_retention, self.lr_rc_bits),
+            Part::Hr => (self.hr_kb, self.hr_ways, self.hr_retention, self.hr_rc_bits),
+        }
+    }
+
+    /// `part`'s data array: its geometry and its STT-RAM technology, an
+    /// MTJ designed for the part's retention target with the configured
+    /// early-write-termination savings. Validation, the LLC and the
+    /// reference model all price a part from this.
+    pub fn part_array(&self, part: Part) -> (ArrayGeometry, MemTechnology) {
+        let (kb, ways, retention, _) = self.part_knobs(part);
+        let geometry = ArrayGeometry::new(kb * 1024, self.line_bytes, ways, PART_BANKS);
+        let mtj = MtjDesign::for_retention(retention).with_ewt_savings(self.ewt_savings);
+        (geometry, MemTechnology::SttRam(mtj))
+    }
+
+    /// The retention tracker that dates `part`'s lines: the part's
+    /// retention target counted by its retention-counter width.
+    pub fn part_tracker(&self, part: Part) -> RetentionTracker {
+        let (_, _, retention, rc_bits) = self.part_knobs(part);
+        RetentionTracker::new(retention, rc_bits)
     }
 
     /// Number of LR lines.
@@ -535,8 +532,8 @@ impl TwoPartConfig {
     /// maintenance cadence via
     /// [`CheckConfig::with_slack_ns`](sttgpu_trace::CheckConfig::with_slack_ns).
     pub fn check_config(&self) -> sttgpu_trace::CheckConfig {
-        let lr_rc = crate::RetentionTracker::new(self.lr_retention, self.lr_rc_bits);
-        let hr_rc = crate::RetentionTracker::new(self.hr_retention, self.hr_rc_bits);
+        let lr_rc = self.part_tracker(Part::Lr);
+        let hr_rc = self.part_tracker(Part::Hr);
         let hr_horizon_ns = hr_rc.tick_ns().saturating_mul(hr_rc.max_count());
         sttgpu_trace::CheckConfig {
             lr_max_hit_age_ns: lr_rc.retention_ns(),

@@ -25,6 +25,12 @@
 //! from a request stream without the simulator, and [`close_check`] ends
 //! a run the invariant checker watched.
 //!
+//! The LLC also carries a deterministic fault process, configured by
+//! [`FaultConfig`] (off by default, and then exactly transparent): early
+//! retention flips answered by per-line SECDED, dropped refreshes,
+//! swap-buffer stalls and transient bank faults, each a stateless draw
+//! keyed by seed, line and time so every replay sees the same faults.
+//!
 //! # Example
 //!
 //! ```
@@ -48,6 +54,7 @@
 
 mod array;
 mod config;
+mod fault;
 mod llc;
 mod policy;
 mod requests;
@@ -58,11 +65,10 @@ mod swap;
 mod two_part;
 
 pub use config::{ConfigError, SearchMode, TwoPartConfig};
+pub use fault::FaultConfig;
 pub use llc::{AnyLlc, FillOutcome, LlcModel, LlcStats, ProbeOutcome, SingleLlc};
 pub use policy::{lr_maintenance_floor_ns, lr_tracker_at, LlcPolicy, PolicyEngine};
 pub use requests::{close_check, RequestClock};
 pub use retention::RetentionTracker;
 pub use search::Part;
-pub use sttgpu_fault::{FaultConfig, FaultOutcome, FaultPart, FaultPlan};
-pub use swap::SwapBuffer;
 pub use two_part::{TwoPartLlc, TwoPartStats};

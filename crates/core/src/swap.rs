@@ -13,25 +13,11 @@
 //! the completion time per slot and prunes lazily.
 
 /// A capacity-limited migration buffer between the two cache parts.
-///
-/// # Example
-///
-/// ```
-/// use sttgpu_core::SwapBuffer;
-///
-/// let mut buf = SwapBuffer::new(2);
-/// assert!(buf.try_reserve(0, 100)); // occupied until t=100
-/// assert!(buf.try_reserve(0, 120));
-/// assert!(!buf.try_reserve(50, 130), "full until the first write retires");
-/// assert!(buf.try_reserve(100, 180), "slot freed at t=100");
-/// assert_eq!(buf.overflows(), 1);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwapBuffer {
+pub(crate) struct SwapBuffer {
     capacity: usize,
     completions: Vec<u64>,
     overflows: u64,
-    admissions: u64,
     peak_occupancy: usize,
 }
 
@@ -41,20 +27,14 @@ impl SwapBuffer {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "swap buffer needs capacity");
         SwapBuffer {
             capacity,
             completions: Vec::with_capacity(capacity),
             overflows: 0,
-            admissions: 0,
             peak_occupancy: 0,
         }
-    }
-
-    /// The buffer's slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn prune(&mut self, now_ns: u64) {
@@ -64,51 +44,47 @@ impl SwapBuffer {
     /// Attempts to admit a block whose destination write completes at
     /// `completes_at_ns`. Returns `false` — and counts an overflow — when
     /// every slot is still occupied at `now_ns`.
-    pub fn try_reserve(&mut self, now_ns: u64, completes_at_ns: u64) -> bool {
+    pub(crate) fn try_reserve(&mut self, now_ns: u64, completes_at_ns: u64) -> bool {
         self.prune(now_ns);
         if self.completions.len() >= self.capacity {
             self.overflows += 1;
             return false;
         }
         self.completions.push(completes_at_ns);
-        self.admissions += 1;
         self.peak_occupancy = self.peak_occupancy.max(self.completions.len());
         true
     }
 
     /// Number of blocks in flight at `now_ns`.
-    pub fn occupancy(&mut self, now_ns: u64) -> usize {
+    #[cfg(test)]
+    fn occupancy(&mut self, now_ns: u64) -> usize {
         self.prune(now_ns);
         self.completions.len()
     }
 
-    /// Total blocks admitted.
-    pub fn admissions(&self) -> u64 {
-        self.admissions
-    }
-
     /// Total admission failures (each costs a forced DRAM write-back for
     /// dirty blocks).
-    pub fn overflows(&self) -> u64 {
+    pub(crate) fn overflows(&self) -> u64 {
         self.overflows
     }
 
     /// Highest simultaneous occupancy seen (for sizing studies).
-    pub fn peak_occupancy(&self) -> usize {
+    pub(crate) fn peak_occupancy(&self) -> usize {
         self.peak_occupancy
     }
 
     /// Clears in-flight state and statistics.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.completions.clear();
         self.overflows = 0;
-        self.admissions = 0;
         self.peak_occupancy = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use sttgpu_stats::Rng;
+
     use super::*;
 
     #[test]
@@ -118,8 +94,21 @@ mod tests {
         assert!(b.try_reserve(0, 20));
         assert!(b.try_reserve(0, 30));
         assert!(!b.try_reserve(5, 40));
-        assert_eq!(b.admissions(), 3);
+        assert_eq!(b.occupancy(5), 3);
         assert_eq!(b.overflows(), 1);
+    }
+
+    #[test]
+    fn full_until_the_first_write_retires() {
+        let mut buf = SwapBuffer::new(2);
+        assert!(buf.try_reserve(0, 100)); // occupied until t=100
+        assert!(buf.try_reserve(0, 120));
+        assert!(
+            !buf.try_reserve(50, 130),
+            "full until the first write retires"
+        );
+        assert!(buf.try_reserve(100, 180), "slot freed at t=100");
+        assert_eq!(buf.overflows(), 1);
     }
 
     #[test]
@@ -156,7 +145,6 @@ mod tests {
         b.try_reserve(0, 10);
         b.try_reserve(0, 10);
         b.reset();
-        assert_eq!(b.admissions(), 0);
         assert_eq!(b.overflows(), 0);
         assert_eq!(b.occupancy(0), 0);
         assert_eq!(b.peak_occupancy(), 0);
@@ -166,5 +154,81 @@ mod tests {
     #[should_panic(expected = "needs capacity")]
     fn rejects_zero_capacity() {
         SwapBuffer::new(0);
+    }
+
+    /// SwapBuffer under arbitrary reserve/advance interleavings: occupancy
+    /// never exceeds capacity, every attempt is counted exactly once as an
+    /// admission or an overflow, and the peak tracks the true maximum.
+    #[test]
+    fn swap_buffer_occupancy_bounded_under_random_interleavings() {
+        let mut rng = Rng::new(0x800);
+        for _ in 0..50 {
+            let capacity = rng.range_usize(1, 9);
+            let mut buf = SwapBuffer::new(capacity);
+            let mut now = 1u64;
+            let mut attempts = 0u64;
+            let mut admissions = 0u64;
+            let mut observed_peak = 0usize;
+            for _ in 0..rng.range_usize(10, 400) {
+                if rng.chance(0.6) {
+                    let completes = now + rng.range_u64(1, 300);
+                    admissions += buf.try_reserve(now, completes) as u64;
+                    attempts += 1;
+                } else {
+                    now += rng.range_u64(0, 200);
+                }
+                let occ = buf.occupancy(now);
+                assert!(
+                    occ <= capacity,
+                    "occupancy {occ} exceeds capacity {capacity}"
+                );
+                observed_peak = observed_peak.max(occ);
+            }
+            assert_eq!(
+                admissions + buf.overflows(),
+                attempts,
+                "every reserve attempt is exactly one admission or one overflow"
+            );
+            assert!(buf.peak_occupancy() <= capacity);
+            assert!(
+                buf.peak_occupancy() >= observed_peak,
+                "peak must dominate every observed occupancy"
+            );
+        }
+    }
+
+    /// SwapBuffer slots drain deterministically: occupancy is non-increasing
+    /// as time advances with no new reservations, reaches zero past the last
+    /// completion, and a freed slot is immediately reusable.
+    #[test]
+    fn swap_buffer_drains_and_frees_slots() {
+        let mut rng = Rng::new(0x900);
+        for _ in 0..50 {
+            let capacity = rng.range_usize(1, 6);
+            let mut buf = SwapBuffer::new(capacity);
+            let now = 1u64;
+            let mut last_completion = now;
+            for _ in 0..capacity {
+                let completes = now + rng.range_u64(1, 500);
+                assert!(buf.try_reserve(now, completes), "empty buffer admits");
+                last_completion = last_completion.max(completes);
+            }
+            assert_eq!(buf.occupancy(now), capacity);
+            // A full buffer rejects until a slot's write completes.
+            assert!(!buf.try_reserve(now, now + 1));
+            let mut prev = capacity;
+            let mut t = now;
+            while t <= last_completion {
+                t += rng.range_u64(1, 100);
+                let occ = buf.occupancy(t);
+                assert!(occ <= prev, "occupancy must be non-increasing while idle");
+                prev = occ;
+            }
+            assert_eq!(buf.occupancy(last_completion + 1), 0, "all slots drain");
+            assert!(
+                buf.try_reserve(last_completion + 1, last_completion + 50),
+                "a drained buffer admits again"
+            );
+        }
     }
 }

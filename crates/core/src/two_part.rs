@@ -3,16 +3,13 @@
 use std::ops::{Index, IndexMut};
 
 use sttgpu_cache::{AccessKind, Evicted, Slot};
-use sttgpu_device::array::ArrayGeometry;
-use sttgpu_device::cell::MemTechnology;
 use sttgpu_device::energy::{EnergyAccount, EnergyEvent};
-use sttgpu_device::mtj::{MtjDesign, RetentionTime};
-use sttgpu_fault::{FaultOutcome, FaultPart, FaultPlan};
 use sttgpu_stats::Histogram;
 use sttgpu_trace::{BufferDir, PartId, Trace, TraceEvent};
 
 use crate::array::{Ledger, PricedArray};
 use crate::config::{SearchMode, TwoPartConfig};
+use crate::fault::{FaultOutcome, FaultPlan};
 use crate::llc::{FillOutcome, LlcModel, LlcStats, ProbeOutcome};
 use crate::policy::{lr_maintenance_floor_ns, lr_tracker_at, PolicyEngine};
 use crate::retention::RetentionTracker;
@@ -31,14 +28,6 @@ const ECC_ENERGY_NJ: f64 = 0.02;
 
 /// Extra latency of correcting a single-bit error on a read hit, ns.
 const ECC_CORRECT_LATENCY_NS: u64 = 2;
-
-/// Maps the search-selector part to the fault model's retention domain.
-fn fault_part(part: Part) -> FaultPart {
-    match part {
-        Lr => FaultPart::Lr,
-        Hr => FaultPart::Hr,
-    }
-}
 
 /// Fig. 6 histogram bucket bounds, ns (≤1 µs, ≤5 µs, ≤10 µs, ≤1 ms,
 /// ≤2.5 ms, then an implicit >2.5 ms bucket).
@@ -91,20 +80,18 @@ struct PartState {
 }
 
 impl PartState {
-    fn new(
-        geometry: ArrayGeometry,
-        retention: RetentionTime,
-        rc_bits: u32,
-        ewt_savings: f64,
-        slack_ticks: u64,
-    ) -> Self {
-        let mtj = MtjDesign::for_retention(retention).with_ewt_savings(ewt_savings);
-        let array = PricedArray::new(geometry, MemTechnology::SttRam(mtj));
+    /// An empty `part` of the LLC that `cfg` describes.
+    fn new(cfg: &TwoPartConfig, part: Part) -> Self {
+        let (geometry, tech) = cfg.part_array(part);
+        let array = PricedArray::new(geometry, tech);
         PartState {
             list: RetentionList::new(array.cache.capacity_lines()),
             array,
-            rc: RetentionTracker::new(retention, rc_bits),
-            slack_ticks,
+            rc: cfg.part_tracker(part),
+            slack_ticks: match part {
+                Lr => cfg.refresh_slack_ticks as u64,
+                Hr => 0,
+            },
         }
     }
 
@@ -336,24 +323,7 @@ impl TwoPartLlc {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
-        let geometry =
-            |kb: u64, ways, banks| ArrayGeometry::new(kb * 1024, cfg.line_bytes, ways, banks);
-        let parts = [
-            PartState::new(
-                geometry(cfg.lr_kb, cfg.lr_ways, cfg.lr_banks),
-                cfg.lr_retention,
-                cfg.lr_rc_bits,
-                cfg.ewt_savings,
-                cfg.refresh_slack_ticks as u64,
-            ),
-            PartState::new(
-                geometry(cfg.hr_kb, cfg.hr_ways, cfg.hr_banks),
-                cfg.hr_retention,
-                cfg.hr_rc_bits,
-                cfg.ewt_savings,
-                0,
-            ),
-        ];
+        let parts = [Lr, Hr].map(|part| PartState::new(&cfg, part));
         let leakage_mw = parts[Lr].array.design.leakage_mw() + parts[Hr].array.design.leakage_mw();
         TwoPartLlc {
             parts,
@@ -491,9 +461,7 @@ impl TwoPartLlc {
     fn ecc_check(&mut self, part: Part, slot: Slot, la: u64, now_ns: u64) -> FaultOutcome {
         let cache = &mut self.parts[part].array.cache;
         let written_at_ns = cache.line(slot).meta.written_at_ns;
-        let outcome = self
-            .fault
-            .line_outcome(fault_part(part), la, written_at_ns, now_ns);
+        let outcome = self.fault.line_outcome(part, la, written_at_ns, now_ns);
         match outcome {
             FaultOutcome::Clean => {}
             FaultOutcome::Corrected => {
@@ -1658,7 +1626,7 @@ mod tests {
 
     // --- fault injection ---------------------------------------------------
 
-    use sttgpu_fault::FaultConfig;
+    use crate::FaultConfig;
 
     fn faulty(fault: FaultConfig) -> TwoPartLlc {
         TwoPartLlc::new(TwoPartConfig::new(8, 2, 56, 7, 256).with_fault(fault))

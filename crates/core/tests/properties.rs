@@ -2,7 +2,7 @@
 //! invariants, driven by the in-tree deterministic [`Rng`].
 
 use sttgpu_cache::AccessKind;
-use sttgpu_core::{LlcModel, SearchMode, SingleLlc, SwapBuffer, TwoPartConfig, TwoPartLlc};
+use sttgpu_core::{LlcModel, SearchMode, SingleLlc, TwoPartConfig, TwoPartLlc};
 use sttgpu_device::cell::MemTechnology;
 use sttgpu_stats::Rng;
 
@@ -258,80 +258,5 @@ fn higher_threshold_fewer_migrations() {
                 "LR admissions must not grow with threshold: {migrations:?}"
             );
         }
-    }
-}
-
-/// SwapBuffer under arbitrary reserve/advance interleavings: occupancy
-/// never exceeds capacity, every attempt is counted exactly once as an
-/// admission or an overflow, and the peak tracks the true maximum.
-#[test]
-fn swap_buffer_occupancy_bounded_under_random_interleavings() {
-    let mut rng = Rng::new(0x800);
-    for _ in 0..50 {
-        let capacity = rng.range_usize(1, 9);
-        let mut buf = SwapBuffer::new(capacity);
-        let mut now = 1u64;
-        let mut attempts = 0u64;
-        let mut observed_peak = 0usize;
-        for _ in 0..rng.range_usize(10, 400) {
-            if rng.chance(0.6) {
-                let completes = now + rng.range_u64(1, 300);
-                buf.try_reserve(now, completes);
-                attempts += 1;
-            } else {
-                now += rng.range_u64(0, 200);
-            }
-            let occ = buf.occupancy(now);
-            assert!(
-                occ <= capacity,
-                "occupancy {occ} exceeds capacity {capacity}"
-            );
-            observed_peak = observed_peak.max(occ);
-        }
-        assert_eq!(
-            buf.admissions() + buf.overflows(),
-            attempts,
-            "every reserve attempt is exactly one admission or one overflow"
-        );
-        assert!(buf.peak_occupancy() <= capacity);
-        assert!(
-            buf.peak_occupancy() >= observed_peak,
-            "peak must dominate every observed occupancy"
-        );
-    }
-}
-
-/// SwapBuffer slots drain deterministically: occupancy is non-increasing
-/// as time advances with no new reservations, reaches zero past the last
-/// completion, and a freed slot is immediately reusable.
-#[test]
-fn swap_buffer_drains_and_frees_slots() {
-    let mut rng = Rng::new(0x900);
-    for _ in 0..50 {
-        let capacity = rng.range_usize(1, 6);
-        let mut buf = SwapBuffer::new(capacity);
-        let now = 1u64;
-        let mut last_completion = now;
-        for _ in 0..capacity {
-            let completes = now + rng.range_u64(1, 500);
-            assert!(buf.try_reserve(now, completes), "empty buffer admits");
-            last_completion = last_completion.max(completes);
-        }
-        assert_eq!(buf.occupancy(now), capacity);
-        // A full buffer rejects until a slot's write completes.
-        assert!(!buf.try_reserve(now, now + 1));
-        let mut prev = capacity;
-        let mut t = now;
-        while t <= last_completion {
-            t += rng.range_u64(1, 100);
-            let occ = buf.occupancy(t);
-            assert!(occ <= prev, "occupancy must be non-increasing while idle");
-            prev = occ;
-        }
-        assert_eq!(buf.occupancy(last_completion + 1), 0, "all slots drain");
-        assert!(
-            buf.try_reserve(last_completion + 1, last_completion + 50),
-            "a drained buffer admits again"
-        );
     }
 }

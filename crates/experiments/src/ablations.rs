@@ -27,27 +27,13 @@
 //!    periodically drain the LR and rotate its set mapping, recovering
 //!    leveling headroom at a small migration cost.
 
-use sttgpu_core::SearchMode;
+use sttgpu_core::{SearchMode, TwoPartConfig};
 use sttgpu_device::mtj::RetentionTime;
-use sttgpu_sim::L2ModelConfig;
 use sttgpu_workloads::suite;
 
-use crate::configs::{gpu_config, L2Choice};
+use crate::configs::{c1_with, gpu_config, L2Choice};
 use crate::report;
 use crate::runner::{Executor, RunPlan};
-
-fn c1_two_part() -> sttgpu_core::TwoPartConfig {
-    match gpu_config(L2Choice::TwoPartC1).l2 {
-        L2ModelConfig::TwoPart(tp) => tp,
-        _ => unreachable!("C1 is two-part"),
-    }
-}
-
-fn c1_gpu_with(tp: sttgpu_core::TwoPartConfig) -> sttgpu_sim::GpuConfig {
-    let mut cfg = gpu_config(L2Choice::TwoPartC1);
-    cfg.l2 = L2ModelConfig::TwoPart(tp);
-    cfg
-}
 
 /// Search-mode ablation result for one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,15 +54,11 @@ pub fn search_mode(exec: &Executor, plan: &RunPlan) -> Vec<SearchRow> {
     let workloads = suite::all();
     exec.map(&workloads, |w| {
         let seq = exec.run_config(
-            c1_gpu_with(c1_two_part().with_search(SearchMode::Sequential)),
+            c1_with(|tp| tp.with_search(SearchMode::Sequential)),
             w,
             plan,
         );
-        let par = exec.run_config(
-            c1_gpu_with(c1_two_part().with_search(SearchMode::Parallel)),
-            w,
-            plan,
-        );
+        let par = exec.run_config(c1_with(|tp| tp.with_search(SearchMode::Parallel)), w, plan);
         let seq_stats = seq.two_part.expect("two-part");
         let hits = seq_stats.lr_read_hits
             + seq_stats.hr_read_hits
@@ -126,7 +108,7 @@ pub(crate) fn buffer_capacity(exec: &Executor, plan: &RunPlan) -> Vec<BufferRow>
         .collect();
     let outs = exec.map(&points, |&(bi, wi)| {
         exec.run_config(
-            c1_gpu_with(c1_two_part().with_buffer_blocks(BUFFER_SIZES[bi])),
+            c1_with(|tp| tp.with_buffer_blocks(BUFFER_SIZES[bi])),
             &heavy[wi],
             plan,
         )
@@ -189,11 +171,11 @@ pub fn hr_retention(exec: &Executor, plan: &RunPlan) -> Vec<HrRetentionRow> {
         .chain(HR_RETENTIONS_MS.iter().map(|&ms| Some(ms)))
         .collect();
     let outs = exec.map(&points, |&point| {
-        let tp = match point {
-            None => c1_two_part(),
-            Some(ms) => c1_two_part().with_hr_retention(RetentionTime::from_millis(ms)),
-        };
-        exec.run_config(c1_gpu_with(tp), &w, plan)
+        let cfg = c1_with(|tp| match point {
+            None => tp,
+            Some(ms) => tp.with_hr_retention(RetentionTime::from_millis(ms)),
+        });
+        exec.run_config(cfg, &w, plan)
     });
     let default_ipc = outs[0].metrics.ipc();
     HR_RETENTIONS_MS
@@ -238,8 +220,11 @@ pub(crate) fn lr_size(exec: &Executor, plan: &RunPlan) -> Vec<LrSizeRow> {
         .flat_map(|si| (0..heavy.len()).map(move |wi| (si, wi)))
         .collect();
     let outs = exec.map(&points, |&(si, wi)| {
-        let tp = sttgpu_core::TwoPartConfig::new(LR_SIZES_KB[si], 2, 1344, 7, 256);
-        exec.run_config(c1_gpu_with(tp), &heavy[wi], plan)
+        let cfg = c1_with(|tp| TwoPartConfig {
+            lr_kb: LR_SIZES_KB[si],
+            ..tp
+        });
+        exec.run_config(cfg, &heavy[wi], plan)
     });
     LR_SIZES_KB
         .iter()
@@ -302,11 +287,8 @@ pub fn endurance(exec: &Executor, plan: &RunPlan) -> Vec<EnduranceRow> {
             // simulated window; a real deployment would rotate every few
             // ms, which is the same epochs-per-lifetime ratio at scale.
             let rotation_ms = (c1.metrics.elapsed_ns as f64 / 10.0 / 1e6).max(0.001);
-            let rotated = exec.run_config(
-                c1_gpu_with(c1_two_part().with_lr_rotation_ms(rotation_ms)),
-                &w,
-                plan,
-            );
+            let rotated =
+                exec.run_config(c1_with(|tp| tp.with_lr_rotation_ms(rotation_ms)), &w, plan);
             let rot_est = rotated.writes.lr_lifetime.expect("C1 is two-part");
             EnduranceRow {
                 workload: w.name.clone(),
@@ -373,11 +355,7 @@ pub fn ewt(exec: &Executor, plan: &RunPlan) -> Vec<EwtRow> {
         let w = suite::by_name(name).expect("suite workload");
         // The EWT-off base is exactly C1 — share it via the memoized path.
         let base = exec.run(L2Choice::TwoPartC1, &w, plan);
-        let ewt = exec.run_config(
-            c1_gpu_with(c1_two_part().with_ewt_savings(EWT_SAVINGS)),
-            &w,
-            plan,
-        );
+        let ewt = exec.run_config(c1_with(|tp| tp.with_ewt_savings(EWT_SAVINGS)), &w, plan);
         EwtRow {
             workload: w.name.clone(),
             dynamic_power_ratio: ewt.metrics.l2_dynamic_power_mw()
@@ -416,7 +394,7 @@ pub(crate) fn refresh_timing(exec: &Executor, plan: &RunPlan) -> Vec<RefreshRow>
         .collect();
     let outs = exec.map(&points, |&(si, wi)| {
         exec.run_config(
-            c1_gpu_with(c1_two_part().with_refresh_slack_ticks(REFRESH_SLACKS[si])),
+            c1_with(|tp| tp.with_refresh_slack_ticks(REFRESH_SLACKS[si])),
             &lingering[wi],
             plan,
         )
@@ -660,12 +638,12 @@ mod tests {
         let w = suite::by_name("lud").expect("lud");
         use sttgpu_device::energy::EnergyEvent;
         let seq = run_config(
-            c1_gpu_with(c1_two_part().with_search(SearchMode::Sequential)),
+            c1_with(|tp| tp.with_search(SearchMode::Sequential)),
             &w,
             &plan,
         );
         let par = run_config(
-            c1_gpu_with(c1_two_part().with_search(SearchMode::Parallel)),
+            c1_with(|tp| tp.with_search(SearchMode::Parallel)),
             &w,
             &plan,
         );

@@ -15,11 +15,11 @@ use std::process::ExitCode;
 use sttgpu_core::{LlcPolicy, TwoPartConfig};
 use sttgpu_device::mtj::RetentionTime;
 use sttgpu_experiments::cli;
-use sttgpu_experiments::configs::{gpu_config, L2Choice};
+use sttgpu_experiments::configs::{c1_with, two_part_config, L2Choice};
 use sttgpu_experiments::report;
 use sttgpu_experiments::runner::{Executor, RunPlan};
 use sttgpu_experiments::RunError;
-use sttgpu_sim::{L2ModelConfig, Workload};
+use sttgpu_sim::Workload;
 use sttgpu_workloads::suite;
 
 const USAGE: &str = "usage: explore [--workload NAME] [--scale F] [--jobs N] [--check] \
@@ -98,7 +98,7 @@ fn parse_args(mut args: cli::Args) -> Result<(Options, Workload, Vec<Point>), Ru
 /// [`TwoPartConfig::validate`], so a bad geometry is rejected before the
 /// first simulation instead of panicking in a worker thread.
 fn design_points(opts: &Options) -> Result<Vec<Point>, RunError> {
-    let base = TwoPartConfig::new(192, 2, 1344, 7, 256);
+    let base = two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part");
     let mut points = Vec::new();
     for &lr_kb in &opts.lr_kb {
         for &ret_us in &opts.lr_retention_us {
@@ -162,9 +162,7 @@ fn main() -> ExitCode {
     );
 
     let rows: Vec<Vec<String>> = exec.map(&points, |(label, tp)| {
-        let mut cfg = gpu_config(L2Choice::TwoPartC1);
-        cfg.l2 = L2ModelConfig::TwoPart(tp.clone());
-        let out = exec.run_config(cfg, &workload, &plan);
+        let out = exec.run_config(c1_with(|_| tp.clone()), &workload, &plan);
         let stats = out.two_part.expect("two-part");
         let lifetime = out.writes.lr_lifetime.expect("two-part");
         vec![

@@ -102,6 +102,16 @@ pub fn two_part_config(choice: L2Choice) -> Option<TwoPartConfig> {
     two_part_geometry(choice).map(|(lr, hr)| TwoPartConfig::new(lr, 2, hr, 7, 256))
 }
 
+/// C1's GPU with its two-part L2 replaced by `edit` applied to C1's
+/// [`TwoPartConfig`]: the one-knob variants the figure sweeps, the
+/// ablations and `explore` run.
+pub fn c1_with(edit: impl FnOnce(TwoPartConfig) -> TwoPartConfig) -> GpuConfig {
+    let c1 = two_part_config(L2Choice::TwoPartC1).expect("C1 is two-part");
+    let mut cfg = gpu_config(L2Choice::TwoPartC1);
+    cfg.l2 = L2ModelConfig::TwoPart(edit(c1));
+    cfg
+}
+
 /// Builds the full GPU configuration for one of the five design points.
 ///
 /// # Example

@@ -5,10 +5,11 @@
 //! the natural robustness question is how gracefully the design degrades
 //! when the retention gamble misses: early bit flips (caught or not by
 //! the per-line SECDED), dropped refreshes, stalled swap buffers and
-//! transient bank faults. This sweep drives the deterministic
-//! [`FaultPlan`](sttgpu_core::FaultPlan) across a rate ladder and reports
-//! the IPC, ECC activity and architectural data loss at each point; rate
-//! 0 is byte-identical to the clean C1 run and anchors the normalisation.
+//! transient bank faults. This sweep drives the LLC's deterministic
+//! fault injection ([`FaultConfig`](sttgpu_core::FaultConfig)) across a
+//! rate ladder and reports the IPC, ECC activity and architectural data
+//! loss at each point; rate 0 is byte-identical to the clean C1 run and
+//! anchors the normalisation.
 
 use sttgpu_device::energy::EnergyEvent;
 use sttgpu_workloads::suite;

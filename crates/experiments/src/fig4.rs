@@ -8,11 +8,9 @@
 
 use sttgpu_workloads::suite;
 
-use crate::configs::{gpu_config, L2Choice};
+use crate::configs::c1_with;
 use crate::report;
 use crate::runner::{Executor, RunPlan};
-use sttgpu_core::TwoPartConfig;
-use sttgpu_sim::L2ModelConfig;
 
 /// The thresholds Fig. 4 sweeps.
 pub(crate) const THRESHOLDS: [u32; 4] = [1, 3, 7, 15];
@@ -30,13 +28,7 @@ pub struct Fig4Row {
 }
 
 fn c1_with_threshold(th: u32) -> sttgpu_sim::GpuConfig {
-    let mut cfg = gpu_config(L2Choice::TwoPartC1);
-    let tp = match &cfg.l2 {
-        L2ModelConfig::TwoPart(tp) => tp.clone(),
-        _ => unreachable!("C1 is two-part"),
-    };
-    cfg.l2 = L2ModelConfig::TwoPart(TwoPartConfig::with_write_threshold(tp, th));
-    cfg
+    c1_with(|tp| tp.with_write_threshold(th))
 }
 
 /// Runs the sweep for the whole suite, fanning every (workload, TH)

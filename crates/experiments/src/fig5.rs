@@ -8,10 +8,9 @@
 
 use sttgpu_workloads::suite;
 
-use crate::configs::{gpu_config, L2Choice};
+use crate::configs::c1_with;
 use crate::report;
 use crate::runner::{Executor, RunPlan};
-use sttgpu_sim::L2ModelConfig;
 
 /// The swept way counts; `None` stands for fully associative.
 pub(crate) const WAYS: [u32; 5] = [1, 2, 4, 8, 16];
@@ -29,14 +28,10 @@ pub struct Fig5Row {
 }
 
 fn c1_with_lr_ways(ways: Option<u32>) -> sttgpu_sim::GpuConfig {
-    let mut cfg = gpu_config(L2Choice::TwoPartC1);
-    let tp = match &cfg.l2 {
-        L2ModelConfig::TwoPart(tp) => tp.clone(),
-        _ => unreachable!("C1 is two-part"),
-    };
-    let ways = ways.unwrap_or(tp.lr_lines() as u32);
-    cfg.l2 = L2ModelConfig::TwoPart(tp.with_lr_ways(ways));
-    cfg
+    c1_with(|tp| {
+        let ways = ways.unwrap_or(tp.lr_lines() as u32);
+        tp.with_lr_ways(ways)
+    })
 }
 
 fn lr_utilization(

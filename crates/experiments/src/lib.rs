@@ -53,4 +53,4 @@ pub use replay::{
     record_workload, render_stats, replay_records, replay_trace_file, run_scenario, scenario_ops,
     Recording, ReplayOutput, ScenarioOutcome, TraceFileRun,
 };
-pub use runner::{Executor, ExecutorStats, FaultSpec, RunOutput, RunPlan, WriteSummary};
+pub use runner::{Executor, ExecutorStats, RunOutput, RunPlan, WriteSummary};

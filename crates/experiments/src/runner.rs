@@ -32,29 +32,6 @@ use sttgpu_workloads::suite;
 
 use crate::configs::{gpu_config, L2Choice};
 
-/// Fault injection carried by a [`RunPlan`]: a uniform per-mechanism
-/// error rate (see [`FaultConfig::uniform`]) applied to two-part L2
-/// configurations, and the seed of the deterministic fault stream.
-/// Monolithic baselines have no retention mechanism to fault and run
-/// unchanged. Rate 0 keeps the fault plan disabled — byte-transparent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSpec {
-    /// Uniform per-mechanism error rate in `[0, 1]`.
-    pub rate: f64,
-    /// Seed of the fault stream (independent of the workload seed).
-    pub seed: u64,
-}
-
-impl FaultSpec {
-    /// No fault injection.
-    pub(crate) const NONE: FaultSpec = FaultSpec { rate: 0.0, seed: 0 };
-
-    /// Whether this spec injects anything.
-    pub fn is_enabled(&self) -> bool {
-        self.rate > 0.0
-    }
-}
-
 /// How an experiment run is sized.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunPlan {
@@ -67,7 +44,10 @@ pub struct RunPlan {
     /// [`RunOutput::check`] report carries any violations.
     pub check: bool,
     /// Fault injection applied to two-part configurations (`--faults`).
-    pub fault: FaultSpec,
+    /// Monolithic baselines have no retention mechanism to fault and run
+    /// unchanged. All rates at 0 (the default) keep the fault plan
+    /// disabled, which is byte-transparent.
+    pub fault: FaultConfig,
     /// Runtime LLC policy applied to two-part configurations
     /// (`--llc-policy`). Monolithic baselines have no runtime policy and
     /// run unchanged. [`LlcPolicy::Fixed`] (the default) is the
@@ -82,7 +62,7 @@ impl RunPlan {
             scale: 1.0,
             max_cycles: 6_000_000,
             check: false,
-            fault: FaultSpec::NONE,
+            fault: FaultConfig::disabled(),
             policy: LlcPolicy::Fixed,
         }
     }
@@ -93,7 +73,7 @@ impl RunPlan {
             scale: 0.25,
             max_cycles: 2_000_000,
             check: false,
-            fault: FaultSpec::NONE,
+            fault: FaultConfig::disabled(),
             policy: LlcPolicy::Fixed,
         }
     }
@@ -111,10 +91,11 @@ impl RunPlan {
         self
     }
 
-    /// A plan with fault injection at `rate` under `seed`.
+    /// A plan with every fault mechanism at `rate` under `seed` (see
+    /// [`FaultConfig::uniform`]).
     pub fn with_faults(mut self, rate: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "fault rate outside [0, 1]");
-        self.fault = FaultSpec { rate, seed };
+        self.fault = FaultConfig::uniform(seed, rate);
         self
     }
 
@@ -227,9 +208,7 @@ pub fn run_config(mut cfg: GpuConfig, workload: &Workload, plan: &RunPlan) -> Ru
     let scaled = plan.scaled(workload);
     if let L2ModelConfig::TwoPart(tp) = &mut cfg.l2 {
         tp.policy = plan.policy;
-        if plan.fault.is_enabled() {
-            tp.fault = FaultConfig::uniform(plan.fault.seed, plan.fault.rate);
-        }
+        tp.fault = plan.fault;
     }
     let mut gpu = Gpu::new(cfg);
     let checker = plan.check.then(|| {
@@ -791,6 +770,21 @@ mod tests {
         assert_eq!(clean.metrics, zeroed.metrics);
         assert_eq!(clean.two_part, zeroed.two_part);
         assert_eq!(clean.writes, zeroed.writes);
+    }
+
+    #[test]
+    fn baselines_ignore_fault_and_policy_settings() {
+        let w = suite::by_name("nw").expect("nw");
+        let plan = tiny_plan();
+        let steered = plan
+            .with_faults(5e-4, 7)
+            .with_policy(LlcPolicy::AdaptiveRetention);
+        for choice in [L2Choice::SramBaseline, L2Choice::SttBaseline] {
+            let plain = run(choice, &w, &plan);
+            let other = run(choice, &w, &steered);
+            assert_eq!(plain.metrics, other.metrics, "{choice:?}");
+            assert_eq!(plain.writes, other.writes, "{choice:?}");
+        }
     }
 
     #[test]

@@ -16,19 +16,11 @@
 use std::collections::BTreeMap;
 
 use sttgpu_core::{
-    lr_maintenance_floor_ns, lr_tracker_at, PolicyEngine, RetentionTracker, SearchMode,
+    lr_maintenance_floor_ns, lr_tracker_at, Part, PolicyEngine, RetentionTracker, SearchMode,
     TwoPartConfig, TwoPartStats,
 };
-use sttgpu_device::array::{ArrayDesign, ArrayGeometry};
-use sttgpu_device::cell::MemTechnology;
-use sttgpu_device::mtj::{MtjDesign, RetentionTime};
-
-/// One of the two parts, probe-order aware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Part {
-    Lr,
-    Hr,
-}
+use sttgpu_device::array::ArrayDesign;
+use sttgpu_device::mtj::RetentionTime;
 
 /// Address-row value of an empty slot. No line address reaches it: the
 /// implementation derives addresses as `byte_addr / line_bytes`.
@@ -290,19 +282,6 @@ pub struct OracleLlc {
     due: Vec<Due>,
 }
 
-fn priced(
-    kb: u64,
-    ways: u32,
-    banks: u32,
-    line_bytes: u32,
-    retention: RetentionTime,
-    ewt_savings: f64,
-) -> ArrayDesign {
-    let geom = ArrayGeometry::new(kb * 1024, line_bytes, ways, banks);
-    let mtj = MtjDesign::for_retention(retention).with_ewt_savings(ewt_savings);
-    ArrayDesign::new(geom, MemTechnology::SttRam(mtj))
-}
-
 /// `Config::validate` has already bounded every device latency, so the
 /// ceil-to-integer-nanoseconds cast cannot misbehave here.
 fn lat(ns: f64) -> u64 {
@@ -331,22 +310,10 @@ impl OracleLlc {
             !cfg.fault.is_enabled(),
             "the oracle models fault-free behaviour; only zero-rate fault plans are comparable"
         );
-        let lr_design = priced(
-            cfg.lr_kb,
-            cfg.lr_ways,
-            cfg.lr_banks,
-            cfg.line_bytes,
-            cfg.lr_retention,
-            cfg.ewt_savings,
-        );
-        let hr_design = priced(
-            cfg.hr_kb,
-            cfg.hr_ways,
-            cfg.hr_banks,
-            cfg.line_bytes,
-            cfg.hr_retention,
-            cfg.ewt_savings,
-        );
+        let [lr_design, hr_design] = [Part::Lr, Part::Hr].map(|part| {
+            let (geometry, tech) = cfg.part_array(part);
+            ArrayDesign::new(geometry, tech)
+        });
         OracleLlc {
             search: cfg.search,
             refresh_slack: cfg.refresh_slack_ticks as u64,
@@ -355,8 +322,8 @@ impl OracleLlc {
             lr_rc_bits: cfg.lr_rc_bits,
             lr: PartArray::new(cfg.lr_sets(), cfg.lr_ways as usize),
             hr: PartArray::new(cfg.hr_sets(), cfg.hr_ways as usize),
-            lr_rc: RetentionTracker::new(cfg.lr_retention, cfg.lr_rc_bits),
-            hr_rc: RetentionTracker::new(cfg.hr_retention, cfg.hr_rc_bits),
+            lr_rc: cfg.part_tracker(Part::Lr),
+            hr_rc: cfg.part_tracker(Part::Hr),
             hr_to_lr: Buffer::new(cfg.buffer_blocks),
             lr_to_hr: Buffer::new(cfg.buffer_blocks),
             stats: TwoPartStats::default(),
